@@ -4,7 +4,8 @@
 //! execution work:
 //!
 //! - `campaign/*`: [`Campaign::probe_all`] (one IXP per worker) against
-//!   [`Campaign::probe_all_serial`] — the speedup target is ≥2× on 4 cores.
+//!   [`probe_all_serial`], `rp-testkit`'s serial reference arm — the
+//!   speedup target is ≥2× on 4 cores.
 //! - `greedy/*`: [`OffloadStudy::greedy_by`] over the memoized per-IXP cone
 //!   cache against [`OffloadStudy::greedy_by_uncached`], which recomputes
 //!   every cone from the member lists — the cache target is ≥5×.
@@ -17,6 +18,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use remote_peering::campaign::Campaign;
 use remote_peering::offload::{GreedyMetric, OffloadStudy, PeerGroup};
 use remote_peering::world::{World, WorldConfig};
+use rp_testkit::differential::probe_all_serial;
 use std::hint::black_box;
 
 fn bench_campaign(c: &mut Criterion) {
@@ -26,12 +28,12 @@ fn bench_campaign(c: &mut Criterion) {
     // Determinism guard: the timed paths must agree before they race.
     assert_eq!(
         campaign.probe_all(&world),
-        campaign.probe_all_serial(&world),
+        probe_all_serial(&campaign, &world),
         "parallel probe_all diverged from serial"
     );
 
     c.bench_function("campaign/probe_all_serial", |b| {
-        b.iter(|| campaign.probe_all_serial(black_box(&world)))
+        b.iter(|| probe_all_serial(&campaign, black_box(&world)))
     });
     c.bench_function(
         &format!(

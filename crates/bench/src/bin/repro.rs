@@ -93,17 +93,6 @@ struct Args {
     faults: Option<u64>,
     /// `--fuzz` iteration count for `check` (default 500).
     fuzz: Option<u64>,
-    /// `--reference-rebuild`: check builds its faulted arm by a full
-    /// from-scratch rebuild instead of the copy-on-write fork path. The
-    /// report and stdout digest are byte-identical either way — that is
-    /// what `tests/fork_equivalence.rs` proves — so this flag exists for
-    /// that proof and for timing the two paths against each other.
-    reference_rebuild: bool,
-    /// `--probe-rebuild`: sweep rebuilds every world and re-probes from
-    /// scratch instead of reusing memoized probe sets across cells.
-    /// Artifacts are byte-identical either way; this is the reference arm
-    /// the differential harness compares against.
-    probe_rebuild: bool,
     /// `--json` output path for `bench` (default `BENCH_10.json`).
     json_out: Option<PathBuf>,
     /// `--quick` single-repetition smoke mode for `bench` (CI).
@@ -156,12 +145,6 @@ fn usage_text() -> String {
          \x20 --replicates N    sweep replicate seeds per cell (default: the spec's)\n\
          \x20 --faults N        check: perturbation trials (default 200)\n\
          \x20 --fuzz N          check: fuzzer iterations per target (default 500)\n\
-         \x20 --reference-rebuild  check: rebuild the faulted arm from scratch\n\
-         \x20                   instead of forking (byte-identical output; the\n\
-         \x20                   reference arm of the differential harness)\n\
-         \x20 --probe-rebuild   sweep: rebuild worlds and re-probe from scratch\n\
-         \x20                   instead of reusing memoized probes (byte-identical\n\
-         \x20                   output; reference arm)\n\
          \x20 --json PATH       bench: result file (default BENCH_10.json)\n\
          \x20 --quick           bench: single repetition (CI smoke run)\n\
          \x20 --report [PATH]   collect spans/metrics, write a run report\n\
@@ -215,8 +198,6 @@ fn parse_args() -> Args {
         replicates: None,
         faults: None,
         fuzz: None,
-        reference_rebuild: false,
-        probe_rebuild: false,
         json_out: None,
         quick: false,
         shards: 0,
@@ -293,8 +274,6 @@ fn parse_args() -> Args {
                         .unwrap_or_else(|| bad_usage("--fuzz requires a numeric count")),
                 )
             }
-            "--reference-rebuild" => args.reference_rebuild = true,
-            "--probe-rebuild" => args.probe_rebuild = true,
             "--json" => {
                 args.json_out = Some(
                     it.next()
@@ -746,16 +725,16 @@ fn run_bench_command(args: &Args) {
     // One full campaign pass counts the events and warms the allocator.
     let events: u64 = ixps
         .iter()
-        .map(|&ixp| campaign.probe_ixp_trace(&world, ixp).1)
+        .map(|&ixp| campaign.run_ixp(&world, ixp, false).events)
         .sum();
 
-    // Pure event-loop throughput: build + schedule + run every studied
-    // IXP serially, no sample collection.
+    // Serial event-loop throughput: build + schedule + run every studied
+    // IXP and collect its samples.
     let t = Instant::now();
     for _ in 0..reps {
         let n: u64 = ixps
             .iter()
-            .map(|&ixp| campaign.probe_ixp_trace(&world, ixp).1)
+            .map(|&ixp| campaign.run_ixp(&world, ixp, false).events)
             .sum();
         assert_eq!(n, events, "event count must be reproducible");
     }
@@ -858,7 +837,7 @@ fn run_bench_command(args: &Args) {
         let t = Instant::now();
         let n: u64 = big_ixps
             .iter()
-            .map(|&ixp| campaign.probe_ixp_trace(&big, ixp).1)
+            .map(|&ixp| campaign.run_ixp(&big, ixp, false).events)
             .sum();
         let ns = t.elapsed().as_nanos() as f64;
         if big_events == 0 {
@@ -934,7 +913,7 @@ fn run_bench_command(args: &Args) {
         let t = Instant::now();
         let n: u64 = prod_ixps
             .iter()
-            .map(|&ixp| campaign.probe_ixp_trace(&prod, ixp).1)
+            .map(|&ixp| campaign.run_ixp(&prod, ixp, false).events)
             .sum();
         let ns = t.elapsed().as_nanos() as f64;
         if prod_events == 0 {
@@ -971,7 +950,9 @@ fn run_bench_command(args: &Args) {
     // arms of each pair do the same logical work — the bench asserts
     // their outputs byte-identical right here, so the speedup column can
     // never quietly come from diverging computation.
-    use rp_testkit::differential::{arms_identical, incremental_arm, rebuild_arm};
+    use rp_testkit::differential::{
+        arms_identical, check_reference, incremental_arm, rebuild_arm, sweep_reference,
+    };
     eprintln!("bench: fork vs rebuild ...");
     let visible_delta = ixps.iter().copied().find_map(|ixp| {
         world
@@ -1032,11 +1013,6 @@ fn run_bench_command(args: &Args) {
         fuzz_iters: 20,
         scale: Scale::Test,
         shards: args.shards,
-        reference_rebuild: false,
-    };
-    let check_ref_cfg = rp_testkit::CheckConfig {
-        reference_rebuild: true,
-        ..check_base.clone()
     };
     // Untimed warm pass per arm: the fork path's world memo and the
     // allocator reach steady state, which is what a long-lived process
@@ -1044,7 +1020,7 @@ fn run_bench_command(args: &Args) {
     // world builds out of a run dominated by the invariant sweep, so the
     // pair is timed as a min-of-3 to keep the small delta above the
     // single-run jitter.
-    std::hint::black_box(rp_testkit::run_check(&check_ref_cfg));
+    std::hint::black_box(check_reference(&check_base));
     std::hint::black_box(rp_testkit::run_check(&check_base));
     let min_of_3 = |run: &dyn Fn() -> rp_testkit::CheckOutcome| {
         let mut best = f64::INFINITY;
@@ -1056,7 +1032,7 @@ fn run_bench_command(args: &Args) {
         }
         (best, last.expect("three runs"))
     };
-    let (check_rebuild_ns, check_ref) = min_of_3(&|| rp_testkit::run_check(&check_ref_cfg));
+    let (check_rebuild_ns, check_ref) = min_of_3(&|| check_reference(&check_base));
     rows.push(BenchRow {
         name: "check_reference_rebuild",
         ops: 3,
@@ -1077,22 +1053,19 @@ fn run_bench_command(args: &Args) {
     );
     fork_section.push(("check", check_rebuild_ns, check_fork_ns));
 
-    // A method-axis sweep with probe reuse off vs on: cells that differ
-    // only in method parameters share one memoized build + probe.
+    // A method-axis sweep, testkit's uncached reference arm vs the
+    // memoized production path: cells that differ only in method
+    // parameters share one memoized build + probe.
     let sweep_spec = rp_scenario::ScenarioSpec::preset("smoke").expect("smoke preset exists");
     let sweep_base = rp_scenario::SweepConfig {
         replicates: 2,
         shards: args.shards,
         ..rp_scenario::SweepConfig::test_default(args.seed)
     };
-    let sweep_rebuild_cfg = rp_scenario::SweepConfig {
-        reuse: false,
-        ..sweep_base.clone()
-    };
-    std::hint::black_box(rp_scenario::run_sweep(&sweep_spec, &sweep_rebuild_cfg));
+    std::hint::black_box(sweep_reference(&sweep_spec, &sweep_base));
     std::hint::black_box(rp_scenario::run_sweep(&sweep_spec, &sweep_base));
     let t = Instant::now();
-    let sweep_rebuilt = rp_scenario::run_sweep(&sweep_spec, &sweep_rebuild_cfg);
+    let sweep_rebuilt = sweep_reference(&sweep_spec, &sweep_base);
     let sweep_rebuild_ns = t.elapsed().as_nanos() as f64;
     rows.push(BenchRow {
         name: "sweep_probe_rebuild",
@@ -1250,7 +1223,6 @@ fn run_sweep_command(args: &Args, spec_arg: &str) {
         scale: args.scale(),
         replicates: args.replicates,
         shards: args.shards,
-        probe_reuse: !args.probe_rebuild,
     });
     eprintln!("  done [{:.1?}]", t0.elapsed());
 
@@ -1270,7 +1242,6 @@ fn run_check_command(args: &Args, report_path: Option<&Path>) -> bool {
         fuzz_iters: args.fuzz.unwrap_or(500),
         scale: args.scale(),
         shards: args.shards,
-        reference_rebuild: args.reference_rebuild,
     };
     let t0 = Instant::now();
     eprintln!(

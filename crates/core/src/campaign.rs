@@ -17,6 +17,7 @@
 //!   independent crawls of the real operators), which is what arms the
 //!   LG-consistent filter against epoch-long floor shifts.
 
+use crate::fork::WorldFork;
 use crate::memo::ProbeSet;
 use crate::probe::{PlaneBuilder, ProbePlane, Sample};
 use crate::world::World;
@@ -25,10 +26,13 @@ use rayon::prelude::*;
 use rp_ixp::membership::late_epoch_extra_ms;
 use rp_ixp::model::{Access, IxpInstance, MemberInterface};
 use rp_ixp::LgOperator;
-use rp_netsim::{CongestionEpisode, DelayModel, LinkClass, Network, NodeId, RouterBehavior};
+use rp_netsim::{
+    CongestionEpisode, DelayModel, FaultCounts, LinkClass, Network, NodeId, RouterBehavior,
+};
 use rp_types::geo::WORLD_CITIES;
 use rp_types::{seed, IxpId, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 /// Result of tracerouting one listed interface from inside the IXP.
@@ -52,6 +56,51 @@ pub struct TracerouteResult {
 /// Per-interface minimum RTTs measured by a validation route server
 /// (`None` when the interface never answered).
 pub type RouteServerMins = Vec<(Ipv4Addr, Option<f64>)>;
+
+/// Everything one IXP's campaign run produced ([`Campaign::run_ixp`]).
+#[derive(Debug)]
+pub struct IxpRun {
+    /// Per-interface LG samples, rows in registry order.
+    pub plane: ProbePlane,
+    /// Per-interface route-server minima, when the run asked for them.
+    pub route_server: Option<RouteServerMins>,
+    /// Exact tallies of the faults the configured injector fired (all
+    /// zero when [`Campaign::faults`] is `None`).
+    pub faults: FaultCounts,
+    /// The run's event-trace digest ([`Network::trace_digest`]).
+    pub trace_digest: u64,
+    /// Total events the run dispatched.
+    pub events: u64,
+}
+
+/// Parent planes a forked world may reuse in [`Campaign::probe_all_with`]:
+/// the full-campaign probe set of the fork's parent under the same
+/// campaign, plus the fork's dirty set. A studied IXP missing from
+/// `parent` is probed fresh, so a stale or partial parent degrades to
+/// extra work, never to wrong bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct Reuse<'a> {
+    parent: &'a [(IxpId, ProbePlane)],
+    /// IXPs the fork's deltas touched; these always re-run.
+    dirty: &'a BTreeSet<IxpId>,
+}
+
+impl<'a> Reuse<'a> {
+    /// Reuse `parent`'s planes for every IXP `fork` left clean.
+    pub fn of(fork: &'a WorldFork, parent: &'a [(IxpId, ProbePlane)]) -> Self {
+        Reuse {
+            parent,
+            dirty: fork.dirty_ixps(),
+        }
+    }
+
+    fn plane(self, ixp: IxpId) -> Option<&'a ProbePlane> {
+        if self.dirty.contains(&ixp) {
+            return None;
+        }
+        self.parent.iter().find(|(i, _)| *i == ixp).map(|(_, p)| p)
+    }
+}
 
 /// A materialized IXP scene ready for probing.
 struct BuiltIxp {
@@ -180,7 +229,7 @@ impl Campaign {
     /// Probe one IXP: build its network, run the campaign window, collect
     /// per-interface samples (rows ordered as the registry lists them).
     pub fn probe_ixp(&self, world: &World, ixp: IxpId) -> ProbePlane {
-        self.probe_ixp_ext(world, ixp, false).0
+        self.run_ixp(world, ixp, false).plane
     }
 
     /// Materialize one IXP's scene as a simulator network: fabric switches
@@ -272,36 +321,90 @@ impl Campaign {
         }
     }
 
-    /// Probe one IXP and optionally also measure every listed interface
-    /// from the IXP's route server (section 3.3's validation cross-check).
-    /// Returns `(per-interface LG samples, per-interface route-server
-    /// min-RTTs)`.
-    pub fn probe_ixp_ext(
-        &self,
-        world: &World,
-        ixp: IxpId,
-        with_route_server: bool,
-    ) -> (ProbePlane, Option<RouteServerMins>) {
-        let (samples, rs_mins, _) = self.probe_ixp_full(world, ixp, with_route_server);
-        (samples, rs_mins)
-    }
-
-    /// [`Campaign::probe_ixp_ext`] plus the exact tallies of faults the
-    /// configured injector fired during this IXP's run (all zero when
-    /// [`Campaign::faults`] is `None`).
+    /// Run one IXP's campaign to completion: materialize the scene,
+    /// schedule every LG query (plus, with `with_route_server`, section
+    /// 3.3's route-server pings from inside the fabric), drain the event
+    /// loop, and collect everything the run produced into one [`IxpRun`].
     ///
     /// With [`Campaign::shards`] > 1 (or more than one fabric site under
     /// the default), the network's event loop drains shard windows on the
     /// rayon pool, so a single big world can use every core — results are
     /// bit-identical to the single-shard serial run either way.
-    pub fn probe_ixp_full(
-        &self,
-        world: &World,
-        ixp: IxpId,
-        with_route_server: bool,
-    ) -> (ProbePlane, Option<RouteServerMins>, rp_netsim::FaultCounts) {
+    pub fn run_ixp(&self, world: &World, ixp: IxpId, with_route_server: bool) -> IxpRun {
         let inst = world.scene.ixp(ixp);
-        let (net, lgs, listed, route_server) = self.run_campaign_ixp(world, ixp, with_route_server);
+        let duration = world.campaign_duration();
+        let BuiltIxp {
+            mut net,
+            fabrics,
+            lgs,
+            listed,
+        } = self.build_ixp_network(world, ixp, "campaign", false);
+        if let Some(template) = &self.faults {
+            net.install_faults(rp_netsim::FaultInjector::new(template.derived(
+                "campaign-fault",
+                ixp.0 as u64,
+                0,
+            )));
+        }
+        let mut rng = seed::rng(world.config.seed, "campaign-schedule", ixp.0 as u64);
+
+        // --- Optional route server (validation).
+        let route_server = if with_route_server {
+            let host = net.add_host();
+            let (_, hp) = net.connect(fabrics[0], host, DelayModel::with_one_way_ms(0.05));
+            net.bind_host(host, hp, IxpInstance::route_server_ip(ixp));
+            Some(host)
+        } else {
+            None
+        };
+
+        // --- Probe schedule. With two LG operators the crawls split the
+        // window; a single operator covers the whole window.
+        let windows: Vec<(f64, f64)> = match lgs.len() {
+            1 => vec![(0.0, 1.0)],
+            _ => vec![(0.0, 0.5), (0.5, 1.0)],
+        };
+        for ((op, host), (w_lo, w_hi)) in lgs.iter().zip(windows) {
+            let q_count = self.queries_for(*op);
+            let total_queries = (q_count as u64) * listed.len().max(1) as u64;
+            let window_ns = ((w_hi - w_lo) * duration.nanos() as f64) as u64;
+            let interval = SimDuration::from_nanos(window_ns / total_queries.max(1))
+                .max(self.min_query_interval);
+            let start =
+                SimTime::ZERO + SimDuration::from_nanos((w_lo * duration.nanos() as f64) as u64);
+            let mut q_idx: u64 = 0;
+            for _ in 0..q_count {
+                for (_, m) in &listed {
+                    // Jitter the slot by up to ±25% of the interval so
+                    // probes land at varied times of day.
+                    let jitter_ns =
+                        (interval.nanos() as f64 * (rng.random::<f64>() - 0.5) * 0.5) as i64;
+                    let base = start + interval.mul(q_idx);
+                    let at = SimTime((base.nanos() as i64 + jitter_ns).max(0) as u64);
+                    for p in 0..op.pings_per_query() {
+                        net.plan_ping(*host, at + self.ping_spacing.mul(p as u64), m.ip);
+                    }
+                    q_idx += 1;
+                }
+            }
+        }
+
+        // --- Route-server pings (spread over the whole window).
+        if let Some(rs) = route_server {
+            let interval = SimDuration::from_nanos(
+                duration.nanos() / (self.route_server_pings as u64 * listed.len().max(1) as u64),
+            )
+            .max(self.min_query_interval);
+            let mut k: u64 = 0;
+            for _ in 0..self.route_server_pings {
+                for (_, m) in &listed {
+                    net.plan_ping(rs, SimTime::ZERO + interval.mul(k), m.ip);
+                    k += 1;
+                }
+            }
+        }
+
+        net.run_to_completion();
 
         // --- Collect samples into the dense plane, two passes over the
         // recorded outcomes: count per (row, LG) group, then place each
@@ -355,9 +458,8 @@ impl Campaign {
                 }
             }
         }
-        let plane = builder.finish();
 
-        let rs_mins = route_server.map(|rs| {
+        let route_server = route_server.map(|rs| {
             // Dense per-slot minima; +∞ marks "never answered".
             let mut mins = vec![f64::INFINITY; inst.members.len()];
             for outcome in net.host(rs).outcomes() {
@@ -377,111 +479,13 @@ impl Campaign {
                 .collect()
         });
 
-        (plane, rs_mins, net.fault_counts())
-    }
-
-    /// Build, schedule, and run one IXP's campaign to completion, returning
-    /// the run's event-trace digest and total dispatched events. The probe
-    /// samples are discarded — this entry point exists for the determinism
-    /// tests (golden trace digests) and the `repro bench` events/sec
-    /// measurement.
-    pub fn probe_ixp_trace(&self, world: &World, ixp: IxpId) -> (u64, u64) {
-        let (net, _, _, _) = self.run_campaign_ixp(world, ixp, false);
-        (net.trace_digest(), net.events_processed())
-    }
-
-    /// The shared engine of [`Campaign::probe_ixp_full`] and
-    /// [`Campaign::probe_ixp_trace`]: materialize the scene, schedule every
-    /// LG query (and optional route-server pings), and run to completion.
-    #[allow(clippy::type_complexity)]
-    fn run_campaign_ixp(
-        &self,
-        world: &World,
-        ixp: IxpId,
-        with_route_server: bool,
-    ) -> (
-        Network,
-        Vec<(LgOperator, NodeId)>,
-        Vec<(u32, MemberInterface)>,
-        Option<NodeId>,
-    ) {
-        let duration = world.campaign_duration();
-        let BuiltIxp {
-            mut net,
-            fabrics,
-            lgs,
-            listed,
-        } = self.build_ixp_network(world, ixp, "campaign", false);
-        if let Some(template) = &self.faults {
-            net.install_faults(rp_netsim::FaultInjector::new(template.derived(
-                "campaign-fault",
-                ixp.0 as u64,
-                0,
-            )));
+        IxpRun {
+            plane: builder.finish(),
+            route_server,
+            faults: net.fault_counts(),
+            trace_digest: net.trace_digest(),
+            events: net.events_processed(),
         }
-        let mut rng = seed::rng(world.config.seed, "campaign-schedule", ixp.0 as u64);
-
-        // --- Optional route server (validation).
-        let route_server = if with_route_server {
-            let host = net.add_host();
-            let (_, hp) = net.connect(fabrics[0], host, DelayModel::with_one_way_ms(0.05));
-            net.bind_host(host, hp, IxpInstance::route_server_ip(ixp));
-            Some(host)
-        } else {
-            None
-        };
-
-        // --- Probe schedule. With two LG operators the crawls split the
-        // window; a single operator covers the whole window.
-        let windows: Vec<(f64, f64)> = match lgs.len() {
-            1 => vec![(0.0, 1.0)],
-            _ => vec![(0.0, 0.5), (0.5, 1.0)],
-        };
-        for ((op, host), (w_lo, w_hi)) in lgs.iter().zip(windows) {
-            let q_count = self.queries_for(*op);
-            let total_queries = (q_count as u64) * listed.len().max(1) as u64;
-            let window_ns = ((w_hi - w_lo) * duration.nanos() as f64) as u64;
-            let interval = SimDuration::from_nanos(window_ns / total_queries.max(1))
-                .max(self.min_query_interval);
-            let start =
-                SimTime::ZERO + SimDuration::from_nanos((w_lo * duration.nanos() as f64) as u64);
-            let mut q_idx: u64 = 0;
-            for q in 0..q_count {
-                for (_, m) in &listed {
-                    // Jitter the slot by up to ±25% of the interval so
-                    // probes land at varied times of day.
-                    let jitter_ns =
-                        (interval.nanos() as f64 * (rng.random::<f64>() - 0.5) * 0.5) as i64;
-                    let base = start + interval.mul(q_idx);
-                    let at = SimTime((base.nanos() as i64 + jitter_ns).max(0) as u64);
-                    for p in 0..op.pings_per_query() {
-                        net.plan_ping(*host, at + self.ping_spacing.mul(p as u64), m.ip);
-                    }
-                    q_idx += 1;
-                    let _ = q;
-                }
-            }
-        }
-
-        // --- Route-server pings (spread over the whole window).
-        if let Some(rs) = route_server {
-            let interval = SimDuration::from_nanos(
-                duration.nanos() / (self.route_server_pings as u64 * listed.len().max(1) as u64),
-            )
-            .max(self.min_query_interval);
-            let mut k: u64 = 0;
-            for p in 0..self.route_server_pings {
-                for (_, m) in &listed {
-                    net.plan_ping(rs, SimTime::ZERO + interval.mul(k), m.ip);
-                    k += 1;
-                    let _ = p;
-                }
-            }
-        }
-
-        net.run_to_completion();
-
-        (net, lgs, listed, route_server)
     }
 
     /// Traceroute survey: run layer-3 path discovery from the first LG
@@ -533,118 +537,79 @@ impl Campaign {
             .collect()
     }
 
-    /// Probe every studied IXP, one IXP per worker.
+    /// Probe every studied IXP, one IXP per worker: the executor with no
+    /// reuse source (see [`Campaign::probe_all_with`]).
+    pub fn probe_all(&self, world: &World) -> ProbeSet {
+        self.probe_all_with(world, None).0
+    }
+
+    /// The campaign executor: run every studied IXP through
+    /// [`Campaign::run_ixp`] in parallel and return the probe set (in
+    /// studied-IXP order) plus the merged fault tallies.
     ///
     /// Each IXP's simulation is seeded independently from the master seed
     /// (`seed::derive(seed, "campaign", ixp)`), so no state flows between
-    /// IXPs and the result is bit-identical to [`Campaign::probe_all_serial`]
-    /// regardless of thread count or scheduling — the property pinned by
+    /// IXPs and the result is bit-identical to a serial loop regardless of
+    /// thread count or scheduling — the property pinned by
     /// `tests/parallel_determinism.rs`.
-    pub fn probe_all(&self, world: &World) -> ProbeSet {
+    ///
+    /// Under [`Campaign::memory_budget_bytes`] the IXPs run in sequential
+    /// chunks: peak RSS is bounded by the widest chunk's scenes, not the
+    /// world size. Chunks concatenate in studied-IXP order, so the output
+    /// bytes are identical at every chunk width (one chunk without a
+    /// budget).
+    ///
+    /// With a [`Reuse`] source, every studied IXP outside the fork's dirty
+    /// set takes the parent's plane instead of re-running. Byte-identical
+    /// to probing the fork's world from scratch because a per-IXP probe
+    /// reads only that IXP's instance plus fork-invariant inputs (world
+    /// seed, scene-level constants, provider table, campaign parameters) —
+    /// the soundness argument is spelled out in [`crate::fork`], and the
+    /// `rp-testkit` differential harness enforces it against a rebuild.
+    ///
+    /// # Panics
+    /// When given a reuse source under a fault-injecting campaign: reused
+    /// planes carry no fault tallies, so the merged counts would be wrong.
+    pub fn probe_all_with(
+        &self,
+        world: &World,
+        reuse: Option<Reuse<'_>>,
+    ) -> (ProbeSet, FaultCounts) {
+        assert!(
+            reuse.is_none() || self.faults.is_none(),
+            "parent planes cannot be reused under fault injection"
+        );
         let sp = rp_obs::span("core.campaign.probe_all");
         let parent = sp.path();
         let ixps = world.studied_ixps();
-        rp_obs::counter!("core.campaign.ixps_probed").add(ixps.len() as u64);
-        // Under a memory budget the IXPs are probed in sequential chunks:
-        // peak RSS is bounded by the widest chunk's scenes, not the world
-        // size. Chunks concatenate in studied-IXP order and every IXP is
-        // seeded independently, so the output bytes are identical at every
-        // chunk width (one chunk without a budget).
         let chunk = self.probe_chunk_size(world, ixps.len());
         let mut out: ProbeSet = Vec::with_capacity(ixps.len());
+        let mut faults = FaultCounts::default();
         for batch in ixps.chunks(chunk) {
-            let mut part: ProbeSet = batch
+            let part: Vec<(IxpId, ProbePlane, FaultCounts)> = batch
                 .par_iter()
                 .map(|&ixp| {
+                    if let Some(plane) = reuse.and_then(|r| r.plane(ixp)) {
+                        rp_obs::counter!("core.fork.probe_reused").add(1);
+                        return (ixp, plane.clone(), FaultCounts::default());
+                    }
+                    if reuse.is_some() {
+                        rp_obs::counter!("core.fork.probe_recomputed").add(1);
+                    }
                     let _sp = rp_obs::span_under(&parent, "core.campaign.probe_ixp");
-                    (ixp, self.probe_ixp(world, ixp))
+                    rp_obs::counter!("core.campaign.ixps_probed").add(1);
+                    let run = self.run_ixp(world, ixp, false);
+                    (ixp, run.plane, run.faults)
                 })
                 .collect();
-            out.append(&mut part);
+            for (ixp, plane, counts) in part {
+                faults.merge(&counts);
+                out.push((ixp, plane));
+            }
         }
         let bytes: u64 = out.iter().map(|(_, p)| p.plane_bytes()).sum();
         rp_obs::gauge!("core.plane_bytes").record_max(bytes);
-        out
-    }
-
-    /// Memoized [`Campaign::probe_all`]: the probe set is fetched from the
-    /// process-wide memo under `(world fingerprint, campaign fingerprint)`
-    /// and computed once on a miss. Safe because probing is a pure
-    /// function of `(world, campaign)` and mutated worlds carry a unique
-    /// fingerprint (see [`World::mark_mutated`]). `probe_all` itself never
-    /// consults the cache, so benchmarks and determinism tests that call
-    /// it keep measuring real work.
-    pub fn probe_all_cached(&self, world: &World) -> std::sync::Arc<ProbeSet> {
-        let key = (world.fingerprint(), crate::memo::fingerprint(self));
-        crate::memo::probes_cached(key, || self.probe_all(world))
-    }
-
-    /// Incremental re-probe of a forked world: IXPs in the fork's dirty
-    /// set are probed for real (in parallel), every other studied IXP
-    /// reuses the parent's samples from `parent_probes`. Byte-identical
-    /// to `probe_all(fork.world())` because a per-IXP probe reads only
-    /// that IXP's instance plus fork-invariant inputs (world seed,
-    /// scene-level constants, provider table, campaign parameters) — the
-    /// soundness argument is spelled out in [`crate::fork`], and the
-    /// `rp-testkit` differential harness enforces it against a
-    /// from-scratch rebuild.
-    ///
-    /// `parent_probes` must be the full-campaign probe set of the fork's
-    /// parent under this same campaign (any studied IXP missing from it
-    /// is probed fresh, so a stale or partial parent degrades to extra
-    /// work, never to wrong bytes).
-    pub fn probe_all_incremental(
-        &self,
-        fork: &crate::fork::WorldFork,
-        parent_probes: &[(IxpId, ProbePlane)],
-    ) -> ProbeSet {
-        let sp = rp_obs::span("core.campaign.probe_all_incremental");
-        let parent = sp.path();
-        let world = fork.world();
-        let ixps = world.studied_ixps();
-        let out: ProbeSet = ixps
-            .par_iter()
-            .map(|&ixp| {
-                if !fork.dirty_ixps().contains(&ixp) {
-                    if let Some((_, samples)) = parent_probes.iter().find(|(i, _)| *i == ixp) {
-                        rp_obs::counter!("core.fork.probe_reused").add(1);
-                        return (ixp, samples.clone());
-                    }
-                }
-                let _sp = rp_obs::span_under(&parent, "core.campaign.probe_ixp");
-                rp_obs::counter!("core.fork.probe_recomputed").add(1);
-                (ixp, self.probe_ixp(world, ixp))
-            })
-            .collect();
-        out
-    }
-
-    /// Memoized incremental probe of a fork, for callers that re-enter
-    /// the same fork sequence across jobs (`repro serve`): the fork's own
-    /// probe set is looked up under its deterministic fork key; on a miss,
-    /// the *parent's* cached probes seed [`Campaign::probe_all_incremental`]
-    /// when present, and the result is filed under the fork key. Without
-    /// cached parent probes this degrades to a full (memoized) probe.
-    pub fn probe_fork_cached(&self, fork: &crate::fork::WorldFork) -> std::sync::Arc<ProbeSet> {
-        let campaign_fp = crate::memo::fingerprint(self);
-        if let Some(parent) = crate::memo::probes_lookup((fork.parent_fingerprint(), campaign_fp)) {
-            return crate::memo::probes_cached((fork.fingerprint(), campaign_fp), || {
-                self.probe_all_incremental(fork, &parent)
-            });
-        }
-        crate::memo::probes_cached((fork.fingerprint(), campaign_fp), || {
-            self.probe_all(fork.world())
-        })
-    }
-
-    /// Reference serial implementation of [`Campaign::probe_all`], kept for the
-    /// determinism tests and the serial-vs-parallel benchmark.
-    pub fn probe_all_serial(&self, world: &World) -> ProbeSet {
-        world
-            .studied_ixps()
-            .into_iter()
-            .map(|ixp| (ixp, self.probe_ixp(world, ixp)))
-            .collect()
+        (out, faults)
     }
 
     /// Materialize one member interface as simulator devices.
@@ -945,19 +910,60 @@ mod tests {
     fn memory_budget_does_not_change_probe_bytes() {
         // A budget tight enough to force chunked probing (and per-network
         // capacity caps) must reproduce the unbudgeted campaign exactly —
-        // the budget is peak-RSS policy, not methodology.
+        // the budget is peak-RSS policy, not methodology. Every executor
+        // output is held to it: the plain probe set, the fork-reuse path,
+        // and the merged fault tallies.
         let world = small_world();
-        let free = Campaign::default_paper().probe_all(&world);
-        let capped = Campaign {
+        let free = Campaign::default_paper();
+        let budgeted = |c: &Campaign| Campaign {
             memory_budget_bytes: Some(2 << 20),
-            ..Campaign::default_paper()
+            ..c.clone()
         };
+        let capped = budgeted(&free);
         assert!(
             capped.probe_chunk_size(&world, world.studied_ixps().len())
                 < world.studied_ixps().len(),
             "budget must actually force chunking for this test to bite"
         );
-        assert_eq!(free, capped.probe_all(&world));
+        let parent = free.probe_all(&world);
+        assert_eq!(parent, capped.probe_all(&world));
+
+        // Reuse: a fork with one visible delta re-runs only its IXP.
+        let ixp = world.studied_ixps()[0];
+        let slot = world
+            .scene
+            .ixp(ixp)
+            .members
+            .iter()
+            .position(|m| m.listing.listed && !m.profile.absent)
+            .expect("a probed member") as u32;
+        let mut fork = world.fork();
+        fork.apply(crate::fork::Delta::RowStale { ixp, slot });
+        let reuse = Some(Reuse::of(&fork, &parent));
+        let (forked, _) = free.probe_all_with(fork.world(), reuse);
+        assert_ne!(forked, parent, "the delta must change probe bytes");
+        assert_eq!(
+            (forked, FaultCounts::default()),
+            capped.probe_all_with(fork.world(), reuse)
+        );
+
+        // Fault tallies under a fault-injecting campaign.
+        let faulty = Campaign {
+            faults: Some(rp_netsim::FaultConfig {
+                probe_loss: 0.05,
+                reply_duplication: 0.03,
+                jitter_spike: 0.04,
+                jitter_spike_ms: 25.0,
+                ..rp_netsim::FaultConfig::quiet(5)
+            }),
+            ..free.clone()
+        };
+        let (probes, counts) = faulty.probe_all_with(&world, None);
+        assert!(counts.total() > 0, "the campaign must inject faults");
+        assert_eq!(
+            (probes, counts),
+            budgeted(&faulty).probe_all_with(&world, None)
+        );
     }
 
     #[test]
@@ -970,9 +976,9 @@ mod tests {
             .find(|x| x.meta.acronym == "TorIX")
             .unwrap()
             .id;
-        let (samples, rs) = Campaign::default_paper().probe_ixp_ext(&world, torix, true);
-        let rs = rs.unwrap();
-        assert_eq!(rs.len(), samples.len());
+        let run = Campaign::default_paper().run_ixp(&world, torix, true);
+        let rs = run.route_server.unwrap();
+        assert_eq!(rs.len(), run.plane.len());
         let answered = rs.iter().filter(|(_, m)| m.is_some()).count();
         assert!(answered * 10 >= rs.len() * 8, "{answered}/{}", rs.len());
     }

@@ -87,14 +87,14 @@ impl DetectionReport {
     /// Probe and analyze every studied IXP.
     ///
     /// The probe set comes from the process-wide memo
-    /// ([`Campaign::probe_all_cached`]), so re-running the report for the
+    /// ([`crate::memo::probes`]), so re-running the report for the
     /// same `(world, campaign)` — as `repro all`'s experiment groups do —
     /// reuses one campaign.
     pub fn run(world: &World, campaign: &Campaign) -> Self {
         let _sp = rp_obs::span("core.detect.run");
         let mut studies = Vec::new();
         let mut stats = FilterStats::default();
-        let probed = campaign.probe_all_cached(world);
+        let probed = crate::memo::probes(campaign, world);
         for (ixp, samples) in probed.iter() {
             let study = DetectionStudy::analyze_ixp(world, *ixp, samples);
             stats.merge(&study.stats);

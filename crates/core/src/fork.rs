@@ -18,8 +18,9 @@
 //! fork-invariant inputs (the world seed, scene-level constants, the
 //! provider table, and campaign parameters), probe results for IXPs
 //! outside the dirty set are bit-identical between parent and fork —
-//! [`crate::Campaign::probe_all_incremental`] exploits exactly this,
-//! re-probing the dirty IXPs and reusing the parent's samples elsewhere.
+//! [`crate::Campaign::probe_all_with`] exploits exactly this when given a
+//! [`crate::campaign::Reuse`] source, re-probing the dirty IXPs and
+//! reusing the parent's samples elsewhere.
 //! The differential harness in `rp-testkit` holds this to byte-identity
 //! against a from-scratch rebuild for randomized delta sequences.
 //!
@@ -40,9 +41,8 @@
 //!
 //! A fork's world is keyed by `fingerprint(parent key, delta log)` —
 //! deterministic, unlike [`World::mark_mutated`]'s one-shot nonces — so
-//! two jobs that fork the same parent and apply the same deltas share
-//! probe memo entries (`repro serve` forks hot pool worlds across jobs
-//! this way).
+//! two forks of the same parent with the same delta log carry the same
+//! key and may share probe memo entries.
 
 use crate::memo;
 use crate::world::World;
@@ -236,11 +236,6 @@ impl WorldFork {
     /// Unwrap into the forked [`World`], keeping its fork key.
     pub fn into_world(self) -> World {
         self.world
-    }
-
-    /// The parent's content address at fork time.
-    pub fn parent_fingerprint(&self) -> u64 {
-        self.parent_key
     }
 
     /// The fork's current content address (the parent's key while the

@@ -39,8 +39,8 @@
 //!   route-server RTT cross-check of section 3.3.
 //! - [`fork`] — copy-on-write world forking: cheap children sharing the
 //!   parent's planes, a [`fork::Delta`] log of scene mutations, and the
-//!   dirty set that lets [`Campaign::probe_all_incremental`] re-probe
-//!   only what a delta touched.
+//!   dirty set that lets [`Campaign::probe_all_with`] re-probe only what
+//!   a delta touched.
 //! - [`metrics`] — scalar per-run metrics (precision/recall/F1, remote
 //!   fraction, offload fractions, viability margin) extracted from one
 //!   probed world under configurable methodology parameters — the unit of

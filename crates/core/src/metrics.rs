@@ -75,7 +75,7 @@ impl PreparedRun {
     /// one build + probe.
     pub fn probe_cached(cfg: &crate::world::WorldConfig, campaign: &Campaign) -> Self {
         let world = World::build_cached(cfg);
-        let probed = campaign.probe_all_cached(&world);
+        let probed = crate::memo::probes(campaign, &world);
         PreparedRun { world, probed }
     }
 }

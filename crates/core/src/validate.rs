@@ -134,8 +134,8 @@ pub fn route_server_crosscheck(
     campaign: &Campaign,
     ixp: IxpId,
 ) -> (DetectionStudy, CrossCheck) {
-    let (samples, rs) = campaign.probe_ixp_ext(world, ixp, true);
-    let rs = rs.expect("requested route server");
+    let run = campaign.run_ixp(world, ixp, true);
+    let (samples, rs) = (run.plane, run.route_server.expect("requested route server"));
     let study = DetectionStudy::analyze_ixp(world, ixp, &samples);
     let rs_min: SlotTable<f64> = SlotTable::from_pairs(
         world.scene.ixp(ixp),

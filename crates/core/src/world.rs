@@ -320,7 +320,7 @@ impl World {
     /// shared handle (the borrow checker enforces this: `Arc` only hands
     /// out `&World`).
     pub fn build_cached(cfg: &WorldConfig) -> std::sync::Arc<World> {
-        crate::memo::world_cached(crate::memo::fingerprint(cfg), || World::build(cfg))
+        crate::memo::world(cfg)
     }
 
     /// The world's current content address (config fingerprint, or a
@@ -338,8 +338,8 @@ impl World {
     /// [`crate::fork::Delta`]s: forks get a *deterministic* content
     /// address (so probe memo entries are shareable across identical fork
     /// sequences) and track which IXPs they dirtied (so
-    /// [`crate::Campaign::probe_all_incremental`] can reuse parent probe
-    /// results for the rest).
+    /// [`crate::Campaign::probe_all_with`] can reuse parent probe results
+    /// for the rest).
     pub fn mark_mutated(&mut self) {
         self.memo_key = crate::memo::mutation_nonce();
     }

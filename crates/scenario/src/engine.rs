@@ -22,7 +22,7 @@ use crate::spec::{Cell, ScenarioSpec};
 use rayon::prelude::*;
 use remote_peering::campaign::Campaign;
 use remote_peering::metrics::{PreparedRun, RunMetrics};
-use remote_peering::world::Scale;
+use remote_peering::world::{Scale, WorldConfig};
 use rp_types::seed;
 use rp_types::stats::{paired_deltas, t_interval, Accumulator};
 use serde_json::{json, Value};
@@ -47,13 +47,6 @@ pub struct SweepConfig {
     /// sweep results are bit-identical at every value, so the knob never
     /// appears in the output JSON.
     pub shards: usize,
-    /// Reuse memoized world builds and probe sets across tasks (the
-    /// default). `false` is the reference arm the differential harness
-    /// compares against: every task rebuilds its world and re-probes from
-    /// scratch, bypassing [`remote_peering::memo`] entirely. Like
-    /// `shards`, pure performance policy — the output JSON is
-    /// byte-identical either way, so the knob never appears in it.
-    pub reuse: bool,
 }
 
 impl SweepConfig {
@@ -66,7 +59,6 @@ impl SweepConfig {
             confidence: 0.95,
             resamples: 400,
             shards: 0,
-            reuse: true,
         }
     }
 }
@@ -78,7 +70,23 @@ impl SweepConfig {
 /// per-metric summary (`n`, `mean`, `std`, Student-t and bootstrap CIs),
 /// and — for non-baseline cells — paired-delta CIs against the baseline
 /// arm over the shared replicate seeds.
+///
+/// Each task fetches its build and probe set from the process-wide memo,
+/// so tasks that revisit a (config, campaign) pair — e.g. the baseline
+/// group across presets run in one process — share the expensive work.
 pub fn run_sweep(spec: &ScenarioSpec, cfg: &SweepConfig) -> Value {
+    run_sweep_with(spec, cfg, PreparedRun::probe_cached)
+}
+
+/// [`run_sweep`] with the per-task build + probe step supplied by the
+/// caller. `run_sweep` passes the memoized [`PreparedRun::probe_cached`];
+/// `rp-testkit`'s sweep reference passes an uncached build and probe, and
+/// the output must not differ by a byte.
+pub fn run_sweep_with(
+    spec: &ScenarioSpec,
+    cfg: &SweepConfig,
+    prepare: impl Fn(&WorldConfig, &Campaign) -> PreparedRun + Sync,
+) -> Value {
     let _sp = rp_obs::span("scenario.run_sweep");
     let cells = spec.cells();
 
@@ -124,17 +132,7 @@ pub fn run_sweep(spec: &ScenarioSpec, cfg: &SweepConfig) -> Value {
                 memory_budget_bytes: cfg.scale.default_memory_budget(),
                 ..Campaign::default_paper()
             };
-            // Memoized build + probe: tasks that revisit a (config,
-            // campaign) pair — e.g. the baseline group across presets run
-            // in one process — share the expensive work. The reference arm
-            // (`reuse: false`) rebuilds and re-probes from scratch instead;
-            // byte-identity of the two paths is what the fork-equivalence
-            // harness pins.
-            let run = if cfg.reuse {
-                PreparedRun::probe_cached(&world_cfg, &campaign)
-            } else {
-                PreparedRun::probe(remote_peering::world::World::build(&world_cfg), &campaign)
-            };
+            let run = prepare(&world_cfg, &campaign);
             let out: Vec<(usize, u64, RunMetrics)> = members
                 .iter()
                 .map(|&ci| (ci, r, RunMetrics::collect(&run, &cells[ci].method_params())))

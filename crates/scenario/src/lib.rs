@@ -31,5 +31,5 @@
 pub mod engine;
 pub mod spec;
 
-pub use engine::{run_sweep, SweepConfig};
+pub use engine::{run_sweep, run_sweep_with, SweepConfig};
 pub use spec::{Axis, AxisValue, Cell, Param, ScenarioSpec, SpecError};

@@ -29,10 +29,6 @@ pub enum JobSpec {
         scale: Scale,
         replicates: Option<u64>,
         shards: usize,
-        /// Reuse memoized worlds and probe sets across cells (the default).
-        /// `false` is the reference arm: every cell rebuilds and re-probes
-        /// from scratch. Artifacts are byte-identical either way.
-        probe_reuse: bool,
     },
     /// The correctness harness (`repro check`).
     Check(CheckConfig),
@@ -86,14 +82,7 @@ impl JobSpec {
                 for (key, _) in obj {
                     if !matches!(
                         key.as_str(),
-                        "kind"
-                            | "seed"
-                            | "scale"
-                            | "shards"
-                            | "replicates"
-                            | "spec"
-                            | "preset"
-                            | "probe_reuse"
+                        "kind" | "seed" | "scale" | "shards" | "replicates" | "spec" | "preset"
                     ) {
                         return Err(format!("unknown sweep key {key:?}"));
                     }
@@ -113,20 +102,12 @@ impl JobSpec {
                     None => None,
                     Some(_) => Some(u64_field(v, "replicates", 0)?),
                 };
-                let probe_reuse = match v.get("probe_reuse") {
-                    None => true,
-                    Some(Value::Bool(b)) => *b,
-                    Some(other) => {
-                        return Err(format!("\"probe_reuse\" must be a boolean, got {other}"))
-                    }
-                };
                 Ok(JobSpec::Sweep {
                     spec,
                     seed,
                     scale,
                     replicates,
                     shards,
-                    probe_reuse,
                 })
             }
             "check" => Ok(JobSpec::Check(CheckConfig::from_value(v)?)),
@@ -217,6 +198,35 @@ pub struct JobResult {
 }
 
 impl JobResult {
+    /// Render a finished sweep (the `run_sweep` output for the spec named
+    /// `name`) as its artifact and stdout digest.
+    pub fn sweep(name: &str, out: Value) -> JobResult {
+        JobResult {
+            kind: "sweep",
+            name: name.to_string(),
+            artifact: serde_json::to_string_pretty(&out).expect("serialize sweep output"),
+            digest: sweep_digest(name, &out),
+            passed: true,
+            doc: out,
+        }
+    }
+
+    /// Render a finished check harness run as its report and stdout
+    /// digest.
+    pub fn check(outcome: &rp_testkit::CheckOutcome) -> JobResult {
+        let doc = outcome.to_json();
+        let mut artifact = serde_json::to_string_pretty(&doc).expect("serialize check report");
+        artifact.push('\n');
+        JobResult {
+            kind: "check",
+            name: "check".to_string(),
+            artifact,
+            digest: check_digest(outcome),
+            passed: outcome.passed(),
+            doc,
+        }
+    }
+
     /// Where the CLI would put this artifact, relative to its `--out` dir.
     pub fn artifact_rel_path(&self) -> String {
         match self.kind {
@@ -241,7 +251,6 @@ pub fn run_job(spec: &JobSpec) -> JobResult {
             scale,
             replicates,
             shards,
-            probe_reuse,
         } => {
             let cfg = rp_scenario::SweepConfig {
                 seed: *seed,
@@ -250,38 +259,19 @@ pub fn run_job(spec: &JobSpec) -> JobResult {
                 confidence: 0.95,
                 resamples: 400,
                 shards: *shards,
-                reuse: *probe_reuse,
             };
             let out = {
                 let _run = rp_obs::span("repro.run");
                 rp_scenario::run_sweep(spec, &cfg)
             };
-            let artifact = serde_json::to_string_pretty(&out).expect("serialize sweep output");
-            JobResult {
-                kind: "sweep",
-                name: spec.name.clone(),
-                artifact,
-                digest: sweep_digest(&spec.name, &out),
-                passed: true,
-                doc: out,
-            }
+            JobResult::sweep(&spec.name, out)
         }
         JobSpec::Check(cfg) => {
             let outcome = {
                 let _run = rp_obs::span("repro.run");
                 rp_testkit::run_check(cfg)
             };
-            let doc = outcome.to_json();
-            let mut artifact = serde_json::to_string_pretty(&doc).expect("serialize check report");
-            artifact.push('\n');
-            JobResult {
-                kind: "check",
-                name: "check".to_string(),
-                artifact,
-                digest: check_digest(&outcome),
-                passed: outcome.passed(),
-                doc,
-            }
+            JobResult::check(&outcome)
         }
         JobSpec::Campaign {
             cell,
@@ -486,6 +476,12 @@ mod tests {
         assert!(parse(r#"{"kind": "sweep", "preset": "smoke", "sepc": 1}"#)
             .unwrap_err()
             .contains("sepc"));
+        // The sweep reference arm lives in rp-testkit, not in the envelope.
+        assert!(
+            parse(r#"{"kind": "sweep", "preset": "smoke", "probe_reuse": false}"#)
+                .unwrap_err()
+                .contains("probe_reuse")
+        );
         assert!(
             parse(r#"{"kind": "campaign", "params": {"not_a_param": 1}}"#)
                 .unwrap_err()

@@ -12,7 +12,6 @@ use crate::faults::{FaultPlan, SceneFaults};
 use crate::fuzz::{self, FuzzReport};
 use crate::invariants::{self, Harness};
 use rand::RngExt;
-use rayon::prelude::*;
 use remote_peering::campaign::Campaign;
 use remote_peering::classify::RttRange;
 use remote_peering::filters::{self, AnalyzedInterface, Discard, FilterConfig};
@@ -46,14 +45,6 @@ pub struct CheckConfig {
     /// change a single byte of the outcome, so recording it would turn a
     /// performance policy into spurious report churn.
     pub shards: usize,
-    /// Run the faulted arm as a from-scratch reference: rebuild the world
-    /// (bypassing the memo pool) and degrade it in place, instead of the
-    /// default copy-on-write fork of the clean build. Like `shards`, this
-    /// is deliberately absent from the report JSON — the fork path's
-    /// whole contract is that it cannot change a byte of the outcome,
-    /// which is exactly what the differential harness asserts by running
-    /// `repro check` both ways and comparing artifacts.
-    pub reference_rebuild: bool,
 }
 
 impl Default for CheckConfig {
@@ -64,7 +55,6 @@ impl Default for CheckConfig {
             fuzz_iters: 500,
             scale: Scale::Test,
             shards: 0,
-            reference_rebuild: false,
         }
     }
 }
@@ -74,8 +64,7 @@ impl CheckConfig {
     /// of the `repro check` flags, so services can accept check
     /// submissions without shelling out. Recognized keys (all optional,
     /// defaulting to the CLI's defaults): `seed`, `faults`, `fuzz`,
-    /// `scale` (`"test"`, `"paper"`, or `"production"`), `shards`,
-    /// `reference_rebuild`.
+    /// `scale` (`"test"`, `"paper"`, or `"production"`), `shards`.
     /// Unknown keys are rejected so a typo'd knob fails loudly instead of
     /// silently running the default.
     pub fn from_value(v: &Value) -> Result<CheckConfig, String> {
@@ -113,11 +102,6 @@ impl CheckConfig {
                     cfg.shards = val.as_u64().ok_or_else(|| {
                         format!("\"shards\" must be a non-negative integer, got {val}")
                     })? as usize
-                }
-                "reference_rebuild" => {
-                    cfg.reference_rebuild = val.as_bool().ok_or_else(|| {
-                        format!("\"reference_rebuild\" must be a boolean, got {val}")
-                    })?
                 }
                 other => return Err(format!("unknown check config key {other:?}")),
             }
@@ -249,10 +233,10 @@ fn class_index(rtt: f64) -> usize {
 /// theorem there.
 ///
 /// The addition happens on a copy-on-write fork (a `MemberAdd` delta), or
-/// — in reference-rebuild mode — as the legacy in-place push on a marked
+/// — in the reference arm — as the legacy in-place push on a marked
 /// clone; both leave `world` itself untouched, and the differential
 /// harness holds the two paths to identical report bytes.
-fn offload_invariant(h: &mut Harness, world: &World, reference_rebuild: bool) {
+fn offload_invariant(h: &mut Harness, world: &World, reference: bool) {
     let home = world.home_ixps.clone();
     let Some(target) = world.studied_ixps().into_iter().find(|i| !home.contains(i)) else {
         return;
@@ -304,7 +288,7 @@ fn offload_invariant(h: &mut Harness, world: &World, reference_rebuild: bool) {
             asn_change: false,
         },
     };
-    let after = if reference_rebuild {
+    let after = if reference {
         // Legacy path, kept as the differential reference: push the
         // member onto a marked clone (the mark retires the clone's memo
         // key so no probe memoization can alias the perturbed state).
@@ -337,6 +321,14 @@ fn offload_invariant(h: &mut Harness, world: &World, reference_rebuild: bool) {
 
 /// Run the whole correctness harness. See the module docs for the shape.
 pub fn run_check(cfg: &CheckConfig) -> CheckOutcome {
+    run_check_with(cfg, false)
+}
+
+/// [`run_check`], or with `reference` its from-scratch reference arm
+/// ([`crate::differential::check_reference`]): every world is rebuilt
+/// without the memo and degraded in place instead of forked. The report
+/// must not differ by a byte.
+pub(crate) fn run_check_with(cfg: &CheckConfig, reference: bool) -> CheckOutcome {
     let _sp = rp_obs::span("testkit.check");
     let world_cfg = cfg.scale.config(cfg.seed);
     let fcfg = FilterConfig::default();
@@ -344,7 +336,7 @@ pub fn run_check(cfg: &CheckConfig) -> CheckOutcome {
     // Clean arm. The default path pulls the build *and* its probe set
     // from the process-wide memo, so repeated checks in one process (a
     // `repro serve` worker, the bench's fork-vs-rebuild pair) pay for the
-    // clean arm once; reference mode rebuilds and re-probes from scratch,
+    // clean arm once; the reference arm rebuilds and re-probes from scratch,
     // bypassing every cache, so the differential comparison covers the
     // memo layer too.
     let clean_campaign = Campaign {
@@ -354,7 +346,7 @@ pub fn run_check(cfg: &CheckConfig) -> CheckOutcome {
     };
     let (clean_world, clean_probed) = {
         let _sp = rp_obs::span("testkit.check.clean");
-        if cfg.reference_rebuild {
+        if reference {
             let world = std::sync::Arc::new(World::build(&world_cfg));
             let probed = clean_campaign.probe_all(&world);
             (world, probed)
@@ -372,10 +364,10 @@ pub fn run_check(cfg: &CheckConfig) -> CheckOutcome {
     );
     // Fork the clean build and apply the degradations as deltas — the
     // parent stays pristine and the fork gets a deterministic content
-    // address. Reference mode replays the legacy path instead: a fresh
+    // address. The reference arm replays the legacy path instead: a fresh
     // build degraded in place under a mutation nonce. Identical bytes
     // either way (the fork-equivalence harness holds the report to it).
-    let (faulted_world, scene) = if cfg.reference_rebuild {
+    let (faulted_world, scene) = if reference {
         let mut rebuilt = World::build(&world_cfg);
         let scene = plan.degrade_scene(&mut rebuilt);
         (rebuilt, scene)
@@ -388,22 +380,10 @@ pub fn run_check(cfg: &CheckConfig) -> CheckOutcome {
         memory_budget_bytes: cfg.scale.default_memory_budget(),
         ..plan.campaign()
     };
-    let results: Vec<((IxpId, remote_peering::probe::ProbePlane), FaultCounts)> = {
+    let (probed, injected) = {
         let _sp = rp_obs::span("testkit.check.faulted");
-        faulted_world
-            .studied_ixps()
-            .par_iter()
-            .map(|&ixp| {
-                let (samples, _, counts) = campaign.probe_ixp_full(&faulted_world, ixp, false);
-                ((ixp, samples), counts)
-            })
-            .collect()
+        campaign.probe_all_with(&faulted_world, None)
     };
-    let (probed, counts): (Vec<_>, Vec<FaultCounts>) = results.into_iter().unzip();
-    let mut injected = FaultCounts::default();
-    for c in &counts {
-        injected.merge(c);
-    }
     rp_obs::counter!("testkit.faults.injected").add(injected.total());
     let faulted = attach_entries(&faulted_world, probed, &fcfg);
 
@@ -457,7 +437,7 @@ pub fn run_check(cfg: &CheckConfig) -> CheckOutcome {
         }
 
         // Offload monotonicity on the (degraded) world.
-        offload_invariant(&mut h, &faulted_world, cfg.reference_rebuild);
+        offload_invariant(&mut h, &faulted_world, reference);
 
         // Fork commutativity on the clean world: two deltas applied
         // sequentially on one fork must equal two single-delta forks
@@ -557,8 +537,8 @@ pub fn run_check(cfg: &CheckConfig) -> CheckOutcome {
         // Replay exactness of a full faulted single-IXP probe.
         if let Some(&ixp) = faulted_world.studied_ixps().first() {
             invariants::replay_exact(&mut h, "faulted-probe", &|| {
-                let (samples, _, counts) = campaign.probe_ixp_full(&faulted_world, ixp, false);
-                (samples, counts)
+                let run = campaign.run_ixp(&faulted_world, ixp, false);
+                (run.plane, run.faults)
             });
         }
 
@@ -606,7 +586,6 @@ mod tests {
             fuzz_iters: 40,
             scale: Scale::Test,
             shards: 0,
-            reference_rebuild: false,
         }
     }
 
@@ -661,6 +640,11 @@ mod tests {
             .contains("fautls"));
         let scale = serde_json::from_str(r#"{"scale": "huge"}"#).unwrap();
         assert!(CheckConfig::from_value(&scale).is_err());
+        // The reference arm is a testkit function, not a settable knob.
+        let reference = serde_json::from_str(r#"{"reference_rebuild": true}"#).unwrap();
+        assert!(CheckConfig::from_value(&reference)
+            .unwrap_err()
+            .contains("reference_rebuild"));
     }
 
     #[test]

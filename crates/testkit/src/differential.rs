@@ -10,11 +10,13 @@
 //! delta sequences, runs both arms, and compares the probe bytes and every
 //! derived [`RunMetrics`] value by exact `f64` bit pattern.
 //!
-//! Two more differentials cover the artifact surfaces consumers actually
-//! ship: [`check_report_differential`] runs the whole `repro check`
-//! pipeline with the fork path and with `reference_rebuild` and compares
-//! report JSON bytes; [`sweep_differential`] does the same for sweep JSON
-//! with probe reuse on and off.
+//! This module also owns the from-scratch reference arms of the two
+//! artifact surfaces consumers actually ship. [`check_reference`] runs the
+//! whole `repro check` pipeline with every world rebuilt and degraded in
+//! place; [`sweep_reference`] runs a sweep with every task building and
+//! probing without the memo. [`check_report_differential`] and
+//! [`sweep_differential`] compare them with the production paths byte for
+//! byte, as does `tests/fork_equivalence.rs` against the `repro` binary.
 //!
 //! A differential harness that cannot fail proves nothing, so every run
 //! includes a *broken oracle*: a deliberately stale fork whose probe set
@@ -22,9 +24,9 @@
 //! expected to MISMATCH; if it ever matches, the harness has lost the
 //! sensitivity it exists for.
 
-use crate::check::{run_check, CheckConfig};
+use crate::check::{run_check, run_check_with, CheckConfig, CheckOutcome};
 use rand::RngExt;
-use remote_peering::campaign::Campaign;
+use remote_peering::campaign::{Campaign, Reuse};
 use remote_peering::fork::{apply_delta_in_place, Delta};
 use remote_peering::memo::{self, ProbeSet};
 use remote_peering::metrics::{MethodParams, PreparedRun, RunMetrics};
@@ -157,7 +159,7 @@ pub fn incremental_arm(
     for d in deltas {
         fork.apply(d.clone());
     }
-    let probed = campaign.probe_all_incremental(&fork, parent_probes);
+    let (probed, _) = campaign.probe_all_with(fork.world(), Some(Reuse::of(&fork, parent_probes)));
     arm_result(fork.into_world(), probed)
 }
 
@@ -257,19 +259,40 @@ pub fn run_differential(seed: u64, rounds: u64, shard_counts: &[usize]) -> Vec<D
     out
 }
 
-/// Run the full check pipeline twice — fork path and
-/// `reference_rebuild` — and compare the report JSON byte for byte.
+/// The reference arm of [`Campaign::probe_all`]: every studied IXP probed
+/// in order on the calling thread.
+pub fn probe_all_serial(campaign: &Campaign, world: &World) -> ProbeSet {
+    world
+        .studied_ixps()
+        .into_iter()
+        .map(|ixp| (ixp, campaign.probe_ixp(world, ixp)))
+        .collect()
+}
+
+/// The reference arm of [`run_check`]: the clean world is built and
+/// probed without the memo, and the faulted world is a fresh build
+/// degraded in place instead of a fork of the clean one. Its report must
+/// equal [`run_check`]'s byte for byte.
+pub fn check_reference(cfg: &CheckConfig) -> CheckOutcome {
+    run_check_with(cfg, true)
+}
+
+/// The reference arm of [`rp_scenario::run_sweep`]: every task builds its
+/// world and probes it from scratch, bypassing the memo.
+pub fn sweep_reference(
+    spec: &rp_scenario::ScenarioSpec,
+    cfg: &rp_scenario::SweepConfig,
+) -> serde_json::Value {
+    rp_scenario::run_sweep_with(spec, cfg, |world_cfg, campaign| {
+        PreparedRun::probe(World::build(world_cfg), campaign)
+    })
+}
+
+/// Run the full check pipeline twice — [`run_check`] and
+/// [`check_reference`] — and compare the report JSON byte for byte.
 pub fn check_report_differential(cfg: &CheckConfig) -> DiffOutcome {
-    let fork_cfg = CheckConfig {
-        reference_rebuild: false,
-        ..cfg.clone()
-    };
-    let ref_cfg = CheckConfig {
-        reference_rebuild: true,
-        ..cfg.clone()
-    };
-    let a = serde_json::to_string(&run_check(&fork_cfg).to_json()).expect("render check report");
-    let b = serde_json::to_string(&run_check(&ref_cfg).to_json()).expect("render check report");
+    let a = serde_json::to_string(&run_check(cfg).to_json()).expect("render check report");
+    let b = serde_json::to_string(&check_reference(cfg).to_json()).expect("render check report");
     DiffOutcome {
         label: format!("check seed={} shards={}", cfg.seed, cfg.shards),
         matched: a == b,
@@ -277,20 +300,12 @@ pub fn check_report_differential(cfg: &CheckConfig) -> DiffOutcome {
     }
 }
 
-/// Run one sweep twice — probe reuse on and off — and compare the sweep
-/// JSON byte for byte.
+/// Run one sweep twice — [`rp_scenario::run_sweep`] and
+/// [`sweep_reference`] — and compare the sweep JSON byte for byte.
 pub fn sweep_differential(preset: &str, cfg: &rp_scenario::SweepConfig) -> DiffOutcome {
     let spec = rp_scenario::ScenarioSpec::preset(preset).expect("known preset");
-    let reuse = rp_scenario::SweepConfig {
-        reuse: true,
-        ..cfg.clone()
-    };
-    let rebuild = rp_scenario::SweepConfig {
-        reuse: false,
-        ..cfg.clone()
-    };
-    let a = serde_json::to_string(&rp_scenario::run_sweep(&spec, &reuse)).expect("render sweep");
-    let b = serde_json::to_string(&rp_scenario::run_sweep(&spec, &rebuild)).expect("render sweep");
+    let a = serde_json::to_string(&rp_scenario::run_sweep(&spec, cfg)).expect("render sweep");
+    let b = serde_json::to_string(&sweep_reference(&spec, cfg)).expect("render sweep");
     DiffOutcome {
         label: format!("sweep {preset} seed={} shards={}", cfg.seed, cfg.shards),
         matched: a == b,
@@ -339,7 +354,6 @@ mod tests {
             fuzz_iters: 20,
             scale: remote_peering::world::Scale::Test,
             shards: 0,
-            reference_rebuild: false,
         });
         assert!(row.ok(), "check artifacts diverged: {}", row.label);
     }

@@ -38,7 +38,7 @@ pub struct SceneFaults {
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// Link-level fault template; each probed IXP derives its own stream
-    /// from it (see [`Campaign::probe_ixp_full`]).
+    /// from it (see [`Campaign::run_ixp`]).
     pub link: FaultConfig,
     /// Probability that a listed member's registry row is stale — the
     /// device behind it no longer answers.

@@ -43,6 +43,16 @@ fn unknown_flag_is_one_line_error_exit_2() {
 }
 
 #[test]
+fn reference_arm_flags_are_unknown() {
+    // The from-scratch reference arms live in rp-testkit; the CLI has no
+    // flag that selects them.
+    let out = repro(&["check", "--reference-rebuild"]);
+    assert_usage_error(&out, "error: unknown flag --reference-rebuild");
+    let out = repro(&["sweep", "smoke", "--probe-rebuild"]);
+    assert_usage_error(&out, "error: unknown flag --probe-rebuild");
+}
+
+#[test]
 fn unknown_experiment_is_one_line_error_exit_2() {
     let out = repro(&["definitely-bogus"]);
     assert_usage_error(&out, "error: unknown experiment definitely-bogus");

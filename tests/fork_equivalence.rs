@@ -1,25 +1,34 @@
 //! Fork equivalence, end to end through the real `repro` binary: the
-//! copy-on-write fork + incremental-recompute paths must produce artifacts
-//! **byte-identical** to the from-scratch reference arms, across the full
+//! default paths — copy-on-write fork, incremental recompute, memoized
+//! worlds and probe sets — must produce artifacts **byte-identical** to
+//! `rp-testkit`'s from-scratch reference arms, across the full
 //! `--threads 1/4` × `--shards 1/2/4` matrix.
 //!
 //! Two artifact surfaces are compared:
 //!
 //! * `repro check` — the default faulted arm forks the clean world and
-//!   degrades it through deltas; `--reference-rebuild` rebuilds and
+//!   degrades it through deltas; [`check_reference`] rebuilds and
 //!   degrades in place. `check_report.json` and the stdout digest may not
-//!   differ by a byte between the two.
+//!   differ by a byte.
 //! * `repro sweep smoke` — the default engine reuses memoized worlds and
-//!   probe sets across cells; `--probe-rebuild` rebuilds and re-probes
-//!   everything. `sweeps/smoke.json` may not differ by a byte.
+//!   probe sets across cells; [`sweep_reference`] rebuilds and re-probes
+//!   everything. `sweeps/smoke.json` and the stdout digest may not differ
+//!   by a byte.
 //!
+//! Each reference runs once, in process, and is rendered by the same
+//! [`JobResult`] constructors `run_job` renders the CLI's artifacts with.
 //! The library-level differential harness (`rp_testkit::differential`)
 //! additionally covers randomized delta sequences and proves the
 //! comparison can fail (broken oracle); this test pins the user-visible
 //! artifacts on the real CLI surface.
 
+use remote_peering::world::Scale;
+use rp_scenario::{ScenarioSpec, SweepConfig};
+use rp_server::JobResult;
+use rp_testkit::differential::{check_reference, sweep_reference};
+use rp_testkit::CheckConfig;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::Command;
 
 const SHARD_COUNTS: [&str; 3] = ["1", "2", "4"];
 const THREAD_COUNTS: [&str; 2] = ["1", "4"];
@@ -31,102 +40,73 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn run_check(out: &Path, threads: &str, shards: &str, reference: bool) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
-    cmd.args(["check", "--faults", "40", "--fuzz", "60"])
-        .args(["--scale", "test", "--seed", "42"])
-        .args(["--threads", threads])
-        .args(["--shards", shards])
-        .args(["--out", out.to_str().unwrap()]);
-    if reference {
-        cmd.arg("--reference-rebuild");
+/// Run `repro <args>` across the thread × shard matrix and require each
+/// run's stdout and artifact (`artifact_rel` under `--out`) to equal the
+/// reference rendering byte for byte.
+fn assert_matrix_matches(args: &[&str], reference: &JobResult) {
+    let artifact_rel = reference.artifact_rel_path();
+    for threads in THREAD_COUNTS {
+        for shards in SHARD_COUNTS {
+            let tag = format!("{}-t{threads}-s{shards}", reference.kind);
+            let out_dir = temp_dir(&tag);
+            let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+                .args(args)
+                .args(["--threads", threads, "--shards", shards])
+                .args(["--out", out_dir.to_str().unwrap()])
+                .output()
+                .expect("spawn repro");
+            assert!(
+                out.status.success(),
+                "[{tag}] repro failed: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout),
+                reference.digest,
+                "[{tag}] stdout differs from the reference arm"
+            );
+            let artifact = std::fs::read_to_string(Path::new(&out_dir).join(&artifact_rel))
+                .expect("artifact written");
+            assert!(!artifact.is_empty());
+            assert!(
+                artifact == reference.artifact,
+                "[{tag}] {artifact_rel} differs from the reference arm"
+            );
+            let _ = std::fs::remove_dir_all(&out_dir);
+        }
     }
-    cmd.output().expect("spawn repro check")
-}
-
-fn run_sweep(out: &Path, threads: &str, shards: &str, rebuild: bool) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
-    cmd.args(["sweep", "smoke", "--scale", "test", "--seed", "42"])
-        .args(["--threads", threads])
-        .args(["--shards", shards])
-        .args(["--out", out.to_str().unwrap()]);
-    if rebuild {
-        cmd.arg("--probe-rebuild");
-    }
-    cmd.output().expect("spawn repro sweep")
 }
 
 #[test]
 fn check_fork_path_matches_reference_rebuild_across_the_matrix() {
-    for threads in THREAD_COUNTS {
-        for shards in SHARD_COUNTS {
-            let tag = format!("check-t{threads}-s{shards}");
-            let fork_out = temp_dir(&format!("{tag}-fork"));
-            let ref_out = temp_dir(&format!("{tag}-ref"));
-            let fork = run_check(&fork_out, threads, shards, false);
-            let reference = run_check(&ref_out, threads, shards, true);
-            assert!(
-                fork.status.success(),
-                "[{tag}] fork-path check failed: {}",
-                String::from_utf8_lossy(&fork.stderr)
-            );
-            assert!(
-                reference.status.success(),
-                "[{tag}] reference check failed: {}",
-                String::from_utf8_lossy(&reference.stderr)
-            );
-            assert_eq!(
-                String::from_utf8_lossy(&fork.stdout),
-                String::from_utf8_lossy(&reference.stdout),
-                "[{tag}] check stdout differs between fork and rebuild"
-            );
-            let a = std::fs::read(fork_out.join("check_report.json")).expect("fork report");
-            let b = std::fs::read(ref_out.join("check_report.json")).expect("reference report");
-            assert!(!a.is_empty());
-            assert_eq!(
-                a, b,
-                "[{tag}] check_report.json differs between fork and rebuild"
-            );
-            let _ = std::fs::remove_dir_all(&fork_out);
-            let _ = std::fs::remove_dir_all(&ref_out);
-        }
-    }
+    let reference = check_reference(&CheckConfig {
+        seed: 42,
+        fault_trials: 40,
+        fuzz_iters: 60,
+        scale: Scale::Test,
+        shards: 1,
+    });
+    assert!(reference.passed());
+    assert_matrix_matches(
+        &[
+            "check", "--faults", "40", "--fuzz", "60", "--scale", "test", "--seed", "42",
+        ],
+        &JobResult::check(&reference),
+    );
 }
 
 #[test]
 fn sweep_probe_reuse_matches_probe_rebuild_across_the_matrix() {
-    for threads in THREAD_COUNTS {
-        for shards in SHARD_COUNTS {
-            let tag = format!("sweep-t{threads}-s{shards}");
-            let reuse_out = temp_dir(&format!("{tag}-reuse"));
-            let rebuild_out = temp_dir(&format!("{tag}-rebuild"));
-            let reuse = run_sweep(&reuse_out, threads, shards, false);
-            let rebuild = run_sweep(&rebuild_out, threads, shards, true);
-            assert!(
-                reuse.status.success(),
-                "[{tag}] reuse sweep failed: {}",
-                String::from_utf8_lossy(&reuse.stderr)
-            );
-            assert!(
-                rebuild.status.success(),
-                "[{tag}] rebuild sweep failed: {}",
-                String::from_utf8_lossy(&rebuild.stderr)
-            );
-            assert_eq!(
-                String::from_utf8_lossy(&reuse.stdout),
-                String::from_utf8_lossy(&rebuild.stdout),
-                "[{tag}] sweep stdout differs between reuse and rebuild"
-            );
-            let a = std::fs::read(reuse_out.join("sweeps/smoke.json")).expect("reuse sweep json");
-            let b =
-                std::fs::read(rebuild_out.join("sweeps/smoke.json")).expect("rebuild sweep json");
-            assert!(!a.is_empty());
-            assert_eq!(
-                a, b,
-                "[{tag}] sweeps/smoke.json differs between reuse and rebuild"
-            );
-            let _ = std::fs::remove_dir_all(&reuse_out);
-            let _ = std::fs::remove_dir_all(&rebuild_out);
-        }
-    }
+    let spec = ScenarioSpec::preset("smoke").expect("smoke preset exists");
+    // The configuration `run_job` builds for `repro sweep smoke`.
+    let cfg = SweepConfig {
+        replicates: spec.default_replicates,
+        shards: 1,
+        ..SweepConfig::test_default(42)
+    };
+    let reference = JobResult::sweep(&spec.name, sweep_reference(&spec, &cfg));
+    assert_matrix_matches(
+        &["sweep", "smoke", "--scale", "test", "--seed", "42"],
+        &reference,
+    );
 }

@@ -11,6 +11,7 @@ use rayon::prelude::*;
 use remote_peering::campaign::Campaign;
 use remote_peering::offload::{GreedyMetric, OffloadStudy, PeerGroup};
 use remote_peering::world::{World, WorldConfig};
+use rp_testkit::differential::probe_all_serial;
 use rp_types::IxpId;
 
 const SEEDS: [u64; 3] = [7, 42, 20140101];
@@ -29,6 +30,12 @@ const GOLDEN_TRACE_FOLD_SEED_42: u64 = 0x5025_6203_8c65_477b;
 /// (a cheap second invariant: a scheduler that reorders but never loses
 /// events still has to dispatch exactly as many).
 const GOLDEN_TRACE_EVENTS_SEED_42: u64 = 1_086_099;
+
+/// One IXP's `(event-trace digest, dispatched events)`.
+fn trace(campaign: &Campaign, world: &World, ixp: IxpId) -> (u64, u64) {
+    let run = campaign.run_ixp(world, ixp, false);
+    (run.trace_digest, run.events)
+}
 
 fn fnv1a_fold(mut h: u64, v: u64) -> u64 {
     for b in v.to_le_bytes() {
@@ -49,12 +56,12 @@ fn golden_event_trace_digest_survives_scheduler_and_pool_swap() {
     let serial: Vec<(u64, u64)> = world
         .studied_ixps()
         .iter()
-        .map(|&ixp| campaign.probe_ixp_trace(&world, ixp))
+        .map(|&ixp| trace(&campaign, &world, ixp))
         .collect();
     let parallel: Vec<(u64, u64)> = world
         .studied_ixps()
         .par_iter()
-        .map(|&ixp| campaign.probe_ixp_trace(&world, ixp))
+        .map(|&ixp| trace(&campaign, &world, ixp))
         .collect();
     assert_eq!(serial, parallel, "trace digests depend on scheduling");
 
@@ -88,7 +95,7 @@ fn trace_digest_is_shard_count_invariant() {
         world
             .studied_ixps()
             .iter()
-            .map(|&ixp| campaign.probe_ixp_trace(&world, ixp))
+            .map(|&ixp| trace(&campaign, &world, ixp))
             .fold(0xcbf2_9ce4_8422_2325_u64, |h, (d, _)| fnv1a_fold(h, d))
     };
     for shards in [1usize, 2, 4] {
@@ -106,7 +113,7 @@ fn parallel_probe_all_matches_serial_across_seeds() {
         let world = World::build(&WorldConfig::test_scale(seed));
         let campaign = Campaign::default_paper();
         let parallel = campaign.probe_all(&world);
-        let serial = campaign.probe_all_serial(&world);
+        let serial = probe_all_serial(&campaign, &world);
         assert_eq!(
             parallel.len(),
             serial.len(),
