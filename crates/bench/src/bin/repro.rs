@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [EXPERIMENT] [--seed N] [--scale test|paper|production] [--out DIR]
-//!       [--threads N] [--shards N] [--report [PATH]] [--trace]
+//!       [--threads N] [--shards N]
 //! repro sweep <SPEC.json|PRESET> [--replicates N] [other flags]
 //! repro check [--faults N] [--fuzz N] [other flags]
 //! ```
@@ -20,13 +20,15 @@
 //! function of the seed: bit-identical at any thread count). Exit code 1
 //! when an invariant is violated or a parser panics.
 //!
-//! `--report [PATH]` additionally records spans and metrics across the
-//! whole pipeline and writes a `run_report.json` (default
-//! `<out>/run_report.json`): the span tree with call counts and self/total
-//! times, every registered metric, the filter funnel, and a world summary.
-//! `--trace` prints the human-readable span tree to stderr. Either flag
-//! enables collection; results are bit-identical with or without it (the
-//! instrumentation only reads pipeline state — pinned by
+//! Every form accepts the four observability sinks: `--report [PATH]`
+//! writes a `run_report.json` (default `<out>/run_report.json`) with the
+//! subcommand's own sections, the span tree with call counts and
+//! self/total times, and every registered metric; `--trace` prints the
+//! span tree to stderr; `--trace-json PATH` and `--trace-chrome PATH`
+//! stream events to a JSONL or Chrome trace-event file. `main` opens them
+//! as one `rp_obs::Session` and closes it once, whichever subcommand ran.
+//! Any sink enables collection; results are bit-identical with or without
+//! it (the instrumentation only reads pipeline state — pinned by
 //! `tests/report_schema.rs`).
 
 use remote_peering::campaign::Campaign;
@@ -35,6 +37,8 @@ use remote_peering::identify::Identification;
 use remote_peering::offload::OffloadStudy;
 use remote_peering::world::{Scale, World, WorldConfig};
 use rp_bench::experiments::{self, ExperimentOutput};
+use rp_obs::Sink;
+use serde_json::{json, Value};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -66,27 +70,29 @@ const EXPERIMENTS: &[&str] = &[
     "all",
 ];
 
+/// Every subcommand name; like an experiment name, never a `--report` PATH.
+const SUBCOMMANDS: &[&str] = &["sweep", "check", "bench", "profile", "serve", "job"];
+
+/// What a subcommand hands back to `main`: its run-report sections (after
+/// `meta`) and whether it passed (exit 1 when not).
+type Outcome = (Vec<(String, Value)>, bool);
+
 struct Args {
     experiment: String,
     seed: u64,
     scale: String,
     out: PathBuf,
     threads: usize,
-    /// `Some(None)` = `--report` with the default path under `--out`.
-    report: Option<Option<PathBuf>>,
-    trace: bool,
-    /// `--trace-json`: stream span/metric events to a JSONL file.
-    trace_json: Option<PathBuf>,
-    /// `--trace-chrome`: write a Chrome trace-event file (Perfetto-loadable).
-    trace_chrome: Option<PathBuf>,
+    /// `--trace`, `--report [PATH]`, `--trace-json P`, `--trace-chrome P`:
+    /// at most one sink of each kind, the last flag winning.
+    sinks: Vec<Sink>,
     /// `--compare` baseline file for `bench` (raw same-host comparison).
     compare: Option<PathBuf>,
     /// `--warn-only`: report `--compare` regressions without failing.
     warn_only: bool,
-    /// Experiment following the `profile` subcommand.
-    profile_target: Option<String>,
-    /// Spec file or preset name following the `sweep` subcommand.
-    sweep_spec: Option<String>,
+    /// The operand of `sweep` (spec file or preset), `job` (spec file) or
+    /// `profile` (experiment).
+    operand: Option<String>,
     /// `--replicates` override for `sweep` (default: the spec's own).
     replicates: Option<u64>,
     /// `--faults` perturbation-trial count for `check` (default 200).
@@ -111,21 +117,21 @@ struct Args {
     /// `--pool-bytes` world-pool byte budget for `serve` (None: entry
     /// bound only).
     pool_bytes: Option<u64>,
-    /// Job-spec file following the `job` subcommand.
-    job_spec: Option<String>,
 }
 
 fn usage_text() -> String {
     let mut s = String::from(
         "usage: repro [EXPERIMENT] [--seed N] [--scale test|paper|production] [--out DIR]\n\
-         \x20            [--threads N] [--report [PATH]] [--trace]\n\
+         \x20            [--threads N] [--shards N]\n\
          \x20      repro sweep <SPEC.json|PRESET> [--replicates N] [other flags]\n\
          \x20      repro check [--faults N] [--fuzz N] [other flags]\n\
          \x20      repro bench [--json PATH] [--quick] [--compare OLD.json] [other flags]\n\
          \x20      repro profile <EXPERIMENT> [other flags]\n\
          \x20      repro serve [--addr HOST:PORT] [--workers N] [--queue-cap N]\n\
          \x20            [--pool-bytes N] [other flags]\n\
-         \x20      repro job <SPEC.json> [other flags]\n\nexperiments:\n",
+         \x20      repro job <SPEC.json> [other flags]\n\
+         every form also takes the sink flags: [--report [PATH]] [--trace]\n\
+         \x20      [--trace-json P] [--trace-chrome P]\n\nexperiments:\n",
     );
     for chunk in EXPERIMENTS.chunks(8) {
         s.push_str("  ");
@@ -147,12 +153,6 @@ fn usage_text() -> String {
          \x20 --fuzz N          check: fuzzer iterations per target (default 500)\n\
          \x20 --json PATH       bench: result file (default BENCH_10.json)\n\
          \x20 --quick           bench: single repetition (CI smoke run)\n\
-         \x20 --report [PATH]   collect spans/metrics, write a run report\n\
-         \x20                   (default PATH: <out>/run_report.json)\n\
-         \x20 --trace           print the span tree to stderr\n\
-         \x20 --trace-json P    stream span/metric events to a JSONL file\n\
-         \x20 --trace-chrome P  write a Chrome trace-event file (chrome://tracing,\n\
-         \x20                   Perfetto); shards appear as separate tracks\n\
          \x20 --compare OLD     bench: compare against a previous result file,\n\
          \x20                   exit 1 past the tolerance unless --warn-only\n\
          \x20 --warn-only       bench: report --compare regressions, never fail\n\
@@ -161,9 +161,22 @@ fn usage_text() -> String {
          \x20 --workers N       serve: job worker threads (default 2)\n\
          \x20 --queue-cap N     serve: pending-job queue bound (default 256)\n\
          \x20 --pool-bytes N    serve: world-pool byte budget (default: entry\n\
-         \x20                   bound only)\n",
+         \x20                   bound only)\n\n\
+         sink flags (any subcommand; each enables span/metric collection):\n\
+         \x20 --report [PATH]   write a run report\n\
+         \x20                   (default PATH: <out>/run_report.json)\n\
+         \x20 --trace           print the span tree to stderr\n\
+         \x20 --trace-json P    stream span/metric events to a JSONL file\n\
+         \x20 --trace-chrome P  write a Chrome trace-event file (chrome://tracing,\n\
+         \x20                   Perfetto); shards appear as separate tracks\n",
     );
     s
+}
+
+/// Add `sink`, replacing an earlier flag of the same kind.
+fn set_sink(sinks: &mut Vec<Sink>, sink: Sink) {
+    sinks.retain(|s| std::mem::discriminant(s) != std::mem::discriminant(&sink));
+    sinks.push(sink);
 }
 
 fn bad_usage(msg: &str) -> ! {
@@ -187,14 +200,10 @@ fn parse_args() -> Args {
         scale: "paper".into(),
         out: PathBuf::from("results"),
         threads: 0,
-        report: None,
-        trace: false,
-        trace_json: None,
-        trace_chrome: None,
+        sinks: Vec::new(),
         compare: None,
         warn_only: false,
-        profile_target: None,
-        sweep_spec: None,
+        operand: None,
         replicates: None,
         faults: None,
         fuzz: None,
@@ -205,7 +214,6 @@ fn parse_args() -> Args {
         workers: 2,
         queue_cap: 256,
         pool_bytes: None,
-        job_spec: None,
     };
     let mut it = std::env::args().skip(1).peekable();
     while let Some(a) = it.next() {
@@ -239,16 +247,19 @@ fn parse_args() -> Args {
             }
             "--report" => {
                 // PATH is optional: consume the next token only when it is
-                // neither a flag nor an experiment name.
+                // not a flag, an experiment or a subcommand. An empty path
+                // stands for the default, resolved against `--out` below.
                 let path = match it.peek() {
                     Some(next)
-                        if !next.starts_with('-') && !EXPERIMENTS.contains(&next.as_str()) =>
+                        if !next.starts_with('-')
+                            && !EXPERIMENTS.contains(&next.as_str())
+                            && !SUBCOMMANDS.contains(&next.as_str()) =>
                     {
-                        Some(PathBuf::from(it.next().expect("peeked")))
+                        PathBuf::from(it.next().expect("peeked"))
                     }
-                    _ => None,
+                    _ => PathBuf::new(),
                 };
-                args.report = Some(path);
+                set_sink(&mut args.sinks, Sink::Report(path));
             }
             "--replicates" => {
                 let n: u64 = it
@@ -282,20 +293,18 @@ fn parse_args() -> Args {
                 )
             }
             "--quick" => args.quick = true,
-            "--trace" => args.trace = true,
+            "--trace" => set_sink(&mut args.sinks, Sink::Tree),
             "--trace-json" => {
-                args.trace_json = Some(
-                    it.next()
-                        .map(PathBuf::from)
-                        .unwrap_or_else(|| bad_usage("--trace-json requires a file path")),
-                )
+                let path = it
+                    .next()
+                    .unwrap_or_else(|| bad_usage("--trace-json requires a file path"));
+                set_sink(&mut args.sinks, Sink::Jsonl(path.into()));
             }
             "--trace-chrome" => {
-                args.trace_chrome = Some(
-                    it.next()
-                        .map(PathBuf::from)
-                        .unwrap_or_else(|| bad_usage("--trace-chrome requires a file path")),
-                )
+                let path = it
+                    .next()
+                    .unwrap_or_else(|| bad_usage("--trace-chrome requires a file path"));
+                set_sink(&mut args.sinks, Sink::Chrome(path.into()));
             }
             "--compare" => {
                 args.compare = Some(
@@ -337,22 +346,14 @@ fn parse_args() -> Args {
                 print!("{}", usage_text());
                 std::process::exit(0);
             }
-            "sweep" => args.experiment = "sweep".to_string(),
-            "check" => args.experiment = "check".to_string(),
-            "bench" => args.experiment = "bench".to_string(),
-            "profile" => args.experiment = "profile".to_string(),
-            "serve" => args.experiment = "serve".to_string(),
-            "job" => args.experiment = "job".to_string(),
+            sub if SUBCOMMANDS.contains(&sub) => args.experiment = sub.to_string(),
             other if !other.starts_with('-') => {
-                if args.experiment == "sweep" && args.sweep_spec.is_none() {
-                    args.sweep_spec = Some(other.to_string());
-                } else if args.experiment == "job" && args.job_spec.is_none() {
-                    args.job_spec = Some(other.to_string());
-                } else if args.experiment == "profile" && args.profile_target.is_none() {
-                    if !EXPERIMENTS.contains(&other) {
+                let takes_operand = ["sweep", "job", "profile"].contains(&args.experiment.as_str());
+                if takes_operand && args.operand.is_none() {
+                    if args.experiment == "profile" && !EXPERIMENTS.contains(&other) {
                         unknown("experiment", other);
                     }
-                    args.profile_target = Some(other.to_string());
+                    args.operand = Some(other.to_string());
                 } else if EXPERIMENTS.contains(&other) {
                     args.experiment = other.to_string();
                 } else {
@@ -368,6 +369,20 @@ fn parse_args() -> Args {
             args.scale
         ));
     }
+    let missing_operand = match args.experiment.as_str() {
+        "sweep" => "sweep requires a spec file or preset name",
+        "job" => "job requires a spec file",
+        "profile" => "profile requires an experiment name",
+        _ => "",
+    };
+    if !missing_operand.is_empty() && args.operand.is_none() {
+        bad_usage(missing_operand);
+    }
+    for sink in &mut args.sinks {
+        if *sink == Sink::Report(PathBuf::new()) {
+            *sink = Sink::Report(args.out.join("run_report.json"));
+        }
+    }
     args
 }
 
@@ -377,29 +392,33 @@ impl Args {
     fn scale(&self) -> Scale {
         Scale::parse(&self.scale).expect("parse_args validated --scale")
     }
+
+    /// The operand of `sweep`, `job` or `profile`.
+    fn operand(&self) -> &str {
+        self.operand
+            .as_deref()
+            .expect("parse_args required the operand")
+    }
 }
 
-/// Exit with a one-line diagnostic when an output path can't be written
-/// (missing permissions, a file where a directory should be, a full disk).
-/// Exit code 2, like the usage errors — the run itself didn't fail, the
-/// destination did.
-fn fail_write(path: &Path, err: &std::io::Error) -> ! {
-    eprintln!("error: cannot write {}: {err}", path.display());
+/// Exit with a one-line diagnostic when an input can't be read or an
+/// output path can't be written (missing permissions, a file where a
+/// directory should be, a full disk). Exit code 2, like the usage errors —
+/// the run itself didn't fail, its input or destination did.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
     std::process::exit(2);
 }
 
 /// Write `contents` to `path`, creating missing parent directories.
 fn write_output(path: &Path, contents: &str) {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                fail_write(path, &e);
-            }
+    let write = || -> std::io::Result<()> {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir)?;
         }
-    }
-    if let Err(e) = std::fs::write(path, contents) {
-        fail_write(path, &e);
-    }
+        std::fs::write(path, contents)
+    };
+    write().unwrap_or_else(|e| fail(format_args!("cannot write {}: {e}", path.display())));
 }
 
 /// Run one experiment under its span and write its text/JSON outputs.
@@ -429,13 +448,9 @@ fn campaign_for(args: &Args) -> Campaign {
     }
 }
 
-/// Everything the experiments produced that the run report summarizes.
-struct RunArtifacts {
-    world: World,
-    detection: Option<DetectionReport>,
-}
-
-fn run_experiments(args: &Args) -> RunArtifacts {
+/// Run `experiment` (one name from [`EXPERIMENTS`]) and return its
+/// run-report sections: a world summary and the filter funnel.
+fn run_experiments(args: &Args, experiment: &str) -> Vec<(String, Value)> {
     // The top-level span; dropping it (at the end of this function) flushes
     // the main thread's collector so the report sees the full tree.
     let _run = rp_obs::span("repro.run");
@@ -458,7 +473,7 @@ fn run_experiments(args: &Args) -> RunArtifacts {
     );
 
     let campaign = campaign_for(args);
-    let wants = |ids: &[&str]| ids.contains(&args.experiment.as_str()) || args.experiment == "all";
+    let wants = |ids: &[&str]| ids.contains(&experiment) || experiment == "all";
 
     // Detection-side experiments share one probing run.
     let detection_needed = wants(&[
@@ -509,125 +524,81 @@ fn run_experiments(args: &Args) -> RunArtifacts {
         None
     };
 
+    // Run and write one experiment when it was asked for (or `all`), under
+    // its `repro.<id>` span.
+    macro_rules! run {
+        ($id:literal, $f:expr) => {
+            if wants(&[$id]) {
+                emit(&args.out, concat!("repro.", $id), || $f);
+            }
+        };
+    }
+
     if let Some(report) = &report {
         let ident = Identification::from_report(report);
-        if wants(&["table1"]) {
-            emit(&args.out, "repro.table1", || {
-                experiments::table1(&world, report)
-            });
-        }
-        if wants(&["fig2"]) {
-            emit(&args.out, "repro.fig2", || experiments::fig2(report));
-        }
-        if wants(&["fig3"]) {
-            emit(&args.out, "repro.fig3", || {
-                experiments::fig3(&world, report)
-            });
-        }
-        if wants(&["fig4a"]) {
-            emit(&args.out, "repro.fig4a", || experiments::fig4a(&ident));
-        }
-        if wants(&["fig4b"]) {
-            emit(&args.out, "repro.fig4b", || experiments::fig4b(&ident));
-        }
-        if wants(&["validate"]) {
-            emit(&args.out, "repro.validate", || {
-                experiments::validation(&world, &campaign, report)
-            });
-        }
-        if wants(&["threshold"]) {
-            emit(&args.out, "repro.threshold", || {
-                experiments::threshold_sweep(&world, &campaign, report)
-            });
-        }
+        run!("table1", experiments::table1(&world, report));
+        run!("fig2", experiments::fig2(report));
+        run!("fig3", experiments::fig3(&world, report));
+        run!("fig4a", experiments::fig4a(&ident));
+        run!("fig4b", experiments::fig4b(&ident));
+        run!(
+            "validate",
+            experiments::validation(&world, &campaign, report)
+        );
+        run!(
+            "threshold",
+            experiments::threshold_sweep(&world, &campaign, report)
+        );
     }
 
     // Ablation re-probes with modified filter configs; it is opt-in (also
     // included in `all`).
-    if wants(&["ablate"]) {
-        emit(&args.out, "repro.ablate", || {
-            experiments::filter_ablation(&world, &campaign)
-        });
-    }
+    run!("ablate", experiments::filter_ablation(&world, &campaign));
 
     if let Some(study) = &study {
-        if wants(&["fig5a"]) {
-            emit(&args.out, "repro.fig5a", || {
-                experiments::fig5a(&world, study)
-            });
-        }
-        if wants(&["fig5b"]) {
-            emit(&args.out, "repro.fig5b", || {
-                experiments::fig5b(&world, study)
-            });
-        }
-        if wants(&["fig6"]) {
-            emit(&args.out, "repro.fig6", || experiments::fig6(&world, study));
-        }
-        if wants(&["fig7"]) {
-            emit(&args.out, "repro.fig7", || experiments::fig7(&world, study));
-        }
-        if wants(&["fig8"]) {
-            emit(&args.out, "repro.fig8", || experiments::fig8(&world, study));
-        }
-        if wants(&["fig9"]) {
-            emit(&args.out, "repro.fig9", || experiments::fig9(&world, study));
-        }
-        if wants(&["fig10"]) {
-            emit(&args.out, "repro.fig10", || {
-                experiments::fig10(&world, study)
-            });
-        }
-        if wants(&["fit"]) {
-            emit(&args.out, "repro.fit", || {
-                experiments::decay_fit(&world, study)
-            });
-        }
-        if wants(&["flattening"]) {
-            emit(&args.out, "repro.flattening", || {
-                experiments::flattening(&world, study)
-            });
-        }
+        run!("fig5a", experiments::fig5a(&world, study));
+        run!("fig5b", experiments::fig5b(&world, study));
+        run!("fig6", experiments::fig6(&world, study));
+        run!("fig7", experiments::fig7(&world, study));
+        run!("fig8", experiments::fig8(&world, study));
+        run!("fig9", experiments::fig9(&world, study));
+        run!("fig10", experiments::fig10(&world, study));
+        run!("fit", experiments::decay_fit(&world, study));
+        run!("flattening", experiments::flattening(&world, study));
     }
 
-    if wants(&["inference"]) {
-        emit(&args.out, "repro.inference", || {
-            experiments::inference(&world)
-        });
-    }
+    run!("inference", experiments::inference(&world));
+    run!("invisibility", experiments::invisibility(&world, &campaign));
+    run!("implications", experiments::implications(&world));
+    run!("africa", experiments::africa(&world));
 
-    if wants(&["invisibility"]) {
-        emit(&args.out, "repro.invisibility", || {
-            experiments::invisibility(&world, &campaign)
-        });
-    }
-
-    if wants(&["implications"]) {
-        emit(&args.out, "repro.implications", || {
-            experiments::implications(&world)
-        });
-    }
-
-    if wants(&["africa"]) {
-        emit(&args.out, "repro.africa", || experiments::africa(&world));
-    }
-
-    if args.experiment == "seeds" {
+    if experiment == "seeds" {
         // Not part of `all` (it rebuilds the world five times).
         emit(&args.out, "repro.seeds", || {
             experiments::seed_robustness(args.seed, args.scale() == Scale::Paper)
         });
     }
 
-    if wants(&["econ"]) {
-        emit(&args.out, "repro.econ", experiments::econ_analysis);
-    }
+    run!("econ", experiments::econ_analysis());
 
     eprintln!("total: {:.1?}", t0.elapsed());
-    RunArtifacts {
-        world,
-        detection: report,
-    }
+    vec![
+        (
+            "world".to_string(),
+            json!({
+                "ases": world.topology.len(),
+                "ixps": world.scene.ixps.len(),
+                "studied_ixps": world.studied_ixps().len(),
+                "interfaces": world.scene.total_interfaces(),
+                "vantage_asn": world.topology.node(world.vantage).asn.0,
+                "campaign_days": world.config.campaign_days,
+            }),
+        ),
+        (
+            "filter_funnel".to_string(),
+            report.map_or(Value::Null, |d| d.stats.funnel_json()),
+        ),
+    ]
 }
 
 /// Resolve the `sweep` spec argument: an existing file is parsed as JSON;
@@ -635,20 +606,9 @@ fn run_experiments(args: &Args) -> RunArtifacts {
 fn resolve_spec(arg: &str) -> rp_scenario::ScenarioSpec {
     use rp_scenario::ScenarioSpec;
     if Path::new(arg).is_file() {
-        let text = match std::fs::read_to_string(arg) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {arg}: {e}");
-                std::process::exit(2);
-            }
-        };
-        match ScenarioSpec::from_json(&text) {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("error: {arg}: {e}");
-                std::process::exit(2);
-            }
-        }
+        let text = std::fs::read_to_string(arg)
+            .unwrap_or_else(|e| fail(format_args!("cannot read {arg}: {e}")));
+        ScenarioSpec::from_json(&text).unwrap_or_else(|e| fail(format_args!("{arg}: {e}")))
     } else {
         ScenarioSpec::preset(arg).unwrap_or_else(|| {
             bad_usage(&format!(
@@ -659,8 +619,6 @@ fn resolve_spec(arg: &str) -> rp_scenario::ScenarioSpec {
     }
 }
 
-/// The `sweep` subcommand: expand the spec, run the replication engine,
-/// print a per-cell digest, and write the full statistics JSON.
 /// One row of the `bench` subcommand's schema-stable output.
 struct BenchRow {
     name: &'static str,
@@ -691,8 +649,8 @@ impl BenchRow {
 /// preset costs to build, probe, and drain under its memory budget.
 /// `--quick` drops to a single repetition and smaller sharded/production
 /// worlds so CI can smoke-run the suite without paying for stable
-/// numbers.
-fn run_bench_command(args: &Args) {
+/// numbers. Fails past the `--compare` tolerance unless `--warn-only`.
+fn run_bench_command(args: &Args) -> Outcome {
     use rp_netsim::event::{Event, EventKey, EventQueue};
     use rp_netsim::NodeId;
     use rp_types::SimTime;
@@ -1163,200 +1121,95 @@ fn run_bench_command(args: &Args) {
     // `--compare OLD.json`: raw same-host regression gate against a
     // previous result file. Cross-host trend analysis (normalized by the
     // queue microbenches) lives in `scripts/check_bench_trend.py`.
-    if let Some(old_path) = &args.compare {
-        let old_doc = match std::fs::read_to_string(old_path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()))
-        {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", old_path.display());
-                std::process::exit(2);
-            }
-        };
-        let cmp = match rp_obs::compare::compare(&old_doc, &out) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: {}: {e}", old_path.display());
-                std::process::exit(2);
-            }
-        };
-        let tol = rp_obs::compare::DEFAULT_TOLERANCE;
-        println!("==== bench compare vs {} ====", old_path.display());
-        print!("{}", cmp.render(tol));
-        let regressed = cmp.regressions(tol);
-        if !regressed.is_empty() {
-            if args.warn_only {
-                eprintln!(
-                    "bench compare: {} regression(s) past {:.0}% (warn-only)",
-                    regressed.len(),
-                    tol * 100.0
-                );
-            } else {
-                eprintln!(
-                    "bench compare: {} regression(s) past {:.0}%",
-                    regressed.len(),
-                    tol * 100.0
-                );
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-fn run_sweep_command(args: &Args, spec_arg: &str) {
-    let spec = resolve_spec(spec_arg);
-    let t0 = Instant::now();
-    eprintln!(
-        "sweep {}: {} cells x {} replicates (scale={}, seed={})...",
-        spec.name,
-        spec.cells().len(),
-        args.replicates.unwrap_or(spec.default_replicates),
-        args.scale,
-        args.seed
-    );
-    // The shared job path: `repro serve` runs the same function, which is
-    // what keeps served sweep artifacts byte-identical to CLI ones.
-    let result = rp_server::run_job(&rp_server::JobSpec::Sweep {
-        spec,
-        seed: args.seed,
-        scale: args.scale(),
-        replicates: args.replicates,
-        shards: args.shards,
-    });
-    eprintln!("  done [{:.1?}]", t0.elapsed());
-
-    print!("{}", result.digest);
-    let path = args.out.join(result.artifact_rel_path());
-    write_output(&path, &result.artifact);
-    eprintln!("sweep results: {}", path.display());
-}
-
-/// The `check` subcommand: run the `rp-testkit` correctness harness and
-/// write its deterministic report. Returns whether the harness passed;
-/// `main` turns a failure into exit 1 (after closing any trace sink).
-fn run_check_command(args: &Args, report_path: Option<&Path>) -> bool {
-    let cfg = rp_testkit::CheckConfig {
-        seed: args.seed,
-        fault_trials: args.faults.unwrap_or(200),
-        fuzz_iters: args.fuzz.unwrap_or(500),
-        scale: args.scale(),
-        shards: args.shards,
+    let Some(old_path) = &args.compare else {
+        return (Vec::new(), true);
     };
+    let old_doc = std::fs::read_to_string(old_path)
+        .map_err(|e| e.to_string())
+        .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()))
+        .unwrap_or_else(|e| fail(format_args!("cannot read {}: {e}", old_path.display())));
+    let cmp = rp_obs::compare::compare(&old_doc, &out)
+        .unwrap_or_else(|e| fail(format_args!("{}: {e}", old_path.display())));
+    let tol = rp_obs::compare::DEFAULT_TOLERANCE;
+    println!("==== bench compare vs {} ====", old_path.display());
+    print!("{}", cmp.render(tol));
+    let regressed = cmp.regressions(tol);
+    if !regressed.is_empty() {
+        eprintln!(
+            "bench compare: {} regression(s) past {:.0}%{}",
+            regressed.len(),
+            tol * 100.0,
+            if args.warn_only { " (warn-only)" } else { "" }
+        );
+    }
+    (Vec::new(), regressed.is_empty() || args.warn_only)
+}
+
+/// The job `check`, `sweep` or `job` runs: built from flags, from a sweep
+/// spec file or preset, or read from a job-spec file.
+fn job_spec(args: &Args) -> rp_server::JobSpec {
+    use rp_server::JobSpec;
+    match args.experiment.as_str() {
+        "check" => JobSpec::Check(rp_testkit::CheckConfig {
+            seed: args.seed,
+            fault_trials: args.faults.unwrap_or(200),
+            fuzz_iters: args.fuzz.unwrap_or(500),
+            scale: args.scale(),
+            shards: args.shards,
+        }),
+        "sweep" => JobSpec::Sweep {
+            spec: resolve_spec(args.operand()),
+            seed: args.seed,
+            scale: args.scale(),
+            replicates: args.replicates,
+            shards: args.shards,
+        },
+        _ => {
+            let path = args.operand();
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| fail(format_args!("cannot read {path}: {e}")));
+            let value: Value = serde_json::from_str(&text)
+                .unwrap_or_else(|e| fail(format_args!("{path}: JSON parse error: {e:?}")));
+            JobSpec::parse(&value).unwrap_or_else(|e| fail(format_args!("{path}: {e}")))
+        }
+    }
+}
+
+/// The `check`, `sweep` and `job` subcommands: run one job exactly as a
+/// `repro serve` worker would (`rp_server::run_job` — which is what keeps
+/// served artifacts byte-identical to CLI ones), print its digest, and
+/// write its artifact under `--out`. `check` runs the `rp-testkit`
+/// harness and fails when an invariant is violated or a parser panics.
+/// The report section is named after the job kind and holds its document.
+fn run_job_command(args: &Args) -> Outcome {
+    let spec = job_spec(args);
     let t0 = Instant::now();
-    eprintln!(
-        "check: {} fault trials, {} fuzz iterations (scale={}, seed={})...",
-        cfg.fault_trials, cfg.fuzz_iters, args.scale, args.seed
-    );
-    // Runs through the shared job path (`rp_server::run_job`) so `repro
-    // serve` produces the identical report and stdout digest; the
-    // `repro.run` span is scoped inside it, flushing before the run
-    // report snapshots the span tree below.
-    let result = rp_server::run_job(&rp_server::JobSpec::Check(cfg));
+    eprintln!("{} job {}...", spec.kind(), spec.id());
+    let result = rp_server::run_job(&spec);
     eprintln!("  done [{:.1?}]", t0.elapsed());
 
     print!("{}", result.digest);
     let path = args.out.join(result.artifact_rel_path());
     write_output(&path, &result.artifact);
-    eprintln!("check report: {}", path.display());
-    let doc = result.doc;
-
-    // `--report` additionally wraps the outcome in an rp-obs run report
-    // with the span tree and metrics (wall-clock content, so it lives in
-    // its own file; `check_report.json` stays bit-reproducible).
-    if let Some(rp) = report_path {
-        let mut report = rp_obs::report::RunReport::new();
-        report.section(
-            "meta",
-            serde_json::json!({
-                "experiment": "check",
-                "seed": args.seed,
-                "scale": args.scale,
-                "threads": rayon::current_num_threads(),
-                "out_dir": args.out.display().to_string(),
-            }),
-        );
-        report.section("check", doc);
-        if let Err(e) = report.write(rp) {
-            fail_write(rp, &e);
-        }
-        eprintln!("run report: {}", rp.display());
-    }
-
-    result.passed
-}
-
-fn write_report(path: &Path, args: &Args, artifacts: &RunArtifacts) {
-    let world = &artifacts.world;
-    let mut report = rp_obs::report::RunReport::new();
-    report.section(
-        "meta",
-        serde_json::json!({
-            "experiment": args.experiment,
-            "seed": args.seed,
-            "scale": args.scale,
-            "threads": rayon::current_num_threads(),
-            "out_dir": args.out.display().to_string(),
-        }),
-    );
-    report.section(
-        "world",
-        serde_json::json!({
-            "ases": world.topology.len(),
-            "ixps": world.scene.ixps.len(),
-            "studied_ixps": world.studied_ixps().len(),
-            "interfaces": world.scene.total_interfaces(),
-            "vantage_asn": world.topology.node(world.vantage).asn.0,
-            "campaign_days": world.config.campaign_days,
-        }),
-    );
-    report.section(
-        "filter_funnel",
-        match &artifacts.detection {
-            Some(d) => d.stats.funnel_json(),
-            None => serde_json::Value::Null,
-        },
-    );
-    // RunReport::write creates missing parent directories itself.
-    if let Err(e) = report.write(path) {
-        fail_write(path, &e);
-    }
-    eprintln!("run report: {}", path.display());
-}
-
-/// Close any installed trace sink and report what it wrote. Called on
-/// every exit path that had a sink (sinks buffer; an unflushed sink would
-/// truncate the file).
-fn finish_trace() {
-    match rp_obs::trace::finish() {
-        Ok(None) => {}
-        Ok(Some(s)) => eprintln!(
-            "trace: {} event(s) written, {} dropped",
-            s.written, s.dropped
-        ),
-        Err(e) => eprintln!("error: closing trace sink: {e}"),
-    }
+    eprintln!("{} result: {}", result.kind, path.display());
+    (vec![(result.kind.to_string(), result.doc)], result.passed)
 }
 
 /// The `profile` subcommand: run one experiment with the sampling profiler
 /// armed, write the collapsed-stack profile (flamegraph-ready), and print
 /// the hottest span paths. Wall-clock by nature — the profile is *not* a
 /// determinism-gated artifact.
-fn run_profile_command(args: &mut Args) {
-    let target = args
-        .profile_target
-        .clone()
-        .unwrap_or_else(|| bad_usage("profile requires an experiment name"));
-    args.experiment = target;
+fn run_profile_command(args: &Args) -> Outcome {
+    let target = args.operand();
     let profiler = rp_obs::profile::start();
-    run_experiments(args);
+    let sections = run_experiments(args, target);
     let profile = profiler.stop();
 
     let path = args.out.join("profile.folded");
     write_output(&path, &profile.collapsed());
     eprintln!("profile: {}", path.display());
 
-    println!("==== profile:{} {}", args.experiment, "=".repeat(48));
+    println!("==== profile:{target} {}", "=".repeat(48));
     println!(
         "{} samples at {:?}",
         profile.total_samples,
@@ -1366,12 +1219,13 @@ fn run_profile_command(args: &mut Args) {
         let pct = 100.0 * n as f64 / profile.total_samples.max(1) as f64;
         println!("{pct:6.2}%  {n:>8}  {stack}");
     }
+    (sections, true)
 }
 
 /// The `serve` subcommand: bind the job service and run until SIGTERM,
 /// SIGINT, or `POST /v1/shutdown`, then drain — finish every accepted
 /// job, flush artifacts under `--out`, and return so the process exits 0.
-fn run_serve_command(args: &Args) {
+fn run_serve_command(args: &Args) -> Outcome {
     let cfg = rp_server::ServeConfig {
         addr: args.addr.clone(),
         workers: args.workers,
@@ -1380,13 +1234,8 @@ fn run_serve_command(args: &Args) {
         results_dir: Some(args.out.clone()),
         ..rp_server::ServeConfig::default()
     };
-    let server = match rp_server::Server::bind(cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot bind {}: {e}", args.addr);
-            std::process::exit(2);
-        }
-    };
+    let server = rp_server::Server::bind(cfg)
+        .unwrap_or_else(|e| fail(format_args!("cannot bind {}: {e}", args.addr)));
     // The e2e drain test and CI parse this line for the resolved address.
     eprintln!("serving on {}", server.local_addr());
     eprintln!(
@@ -1400,69 +1249,14 @@ fn run_serve_command(args: &Args) {
         "drained: {} done, {} failed, {} cancelled",
         stats.done, stats.failed, stats.cancelled
     );
-}
-
-/// The `job` subcommand: run one job envelope from a file, exactly as a
-/// `repro serve` worker would, and write its artifact under `--out`.
-/// Exists so tests and scripts can byte-compare served results against a
-/// fresh single-job run. Returns whether the job's own verdict passed.
-fn run_job_command(args: &Args, spec_arg: &str) -> bool {
-    let text = std::fs::read_to_string(spec_arg).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {spec_arg}: {e}");
-        std::process::exit(2);
-    });
-    let value: serde_json::Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {spec_arg}: JSON parse error: {e:?}");
-            std::process::exit(2);
-        }
-    };
-    let spec = match rp_server::JobSpec::parse(&value) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {spec_arg}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let t0 = Instant::now();
-    eprintln!("job {} ({})...", spec.id(), spec.kind());
-    let result = rp_server::run_job(&spec);
-    eprintln!("  done [{:.1?}]", t0.elapsed());
-
-    print!("{}", result.digest);
-    let path = args.out.join(result.artifact_rel_path());
-    write_output(&path, &result.artifact);
-    eprintln!("job result: {}", path.display());
-    result.passed
+    (Vec::new(), true)
 }
 
 fn main() {
-    let mut args = parse_args();
-    let report_path = args.report.as_ref().map(|p| {
-        p.clone()
-            .unwrap_or_else(|| args.out.join("run_report.json"))
-    });
-    if let Some(path) = &args.trace_json {
-        if let Err(e) = rp_obs::trace::install_jsonl(path) {
-            fail_write(path, &e);
-        }
-    }
-    if let Some(path) = &args.trace_chrome {
-        if let Err(e) = rp_obs::trace::install_chrome(path) {
-            fail_write(path, &e);
-        }
-    }
-    // The span/metric collectors feed every downstream consumer: the run
-    // report, the streaming trace sinks, and the sampling profiler.
-    if report_path.is_some()
-        || args.trace
-        || rp_obs::trace::active()
-        || args.experiment == "profile"
-        || args.experiment == "serve"
-    {
-        rp_obs::enable();
-    }
+    let args = parse_args();
+    // One observability session for every subcommand: opened here, closed
+    // once below, so every sink sees the whole run.
+    let session = rp_obs::Session::open(args.sinks.clone()).unwrap_or_else(|e| fail(e));
     // Results are bit-identical at any thread count (per-IXP seeding plus
     // order-preserving collection); --threads only trades wall-clock time.
     rayon::ThreadPoolBuilder::new()
@@ -1471,68 +1265,27 @@ fn main() {
         .expect("install global thread pool");
     eprintln!("worker threads: {}", rayon::current_num_threads());
 
-    if args.experiment == "serve" {
-        run_serve_command(&args);
-        return;
-    }
-
-    if args.experiment == "job" {
-        let spec_arg = args
-            .job_spec
-            .clone()
-            .unwrap_or_else(|| bad_usage("job requires a spec file"));
-        let passed = run_job_command(&args, &spec_arg);
-        finish_trace();
-        if !passed {
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if args.experiment == "check" {
-        let passed = run_check_command(&args, report_path.as_deref());
-        if args.trace {
-            eprint!("{}", rp_obs::report::render_trace());
-        }
-        finish_trace();
-        if !passed {
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if args.experiment == "bench" {
-        run_bench_command(&args);
-        return;
-    }
-
-    if args.experiment == "profile" {
-        run_profile_command(&mut args);
-        finish_trace();
-        return;
-    }
-
-    if args.experiment == "sweep" {
-        let spec_arg = args
-            .sweep_spec
-            .clone()
-            .unwrap_or_else(|| bad_usage("sweep requires a spec file or preset name"));
-        run_sweep_command(&args, &spec_arg);
-        if args.trace {
-            eprint!("{}", rp_obs::report::render_trace());
-        }
-        finish_trace();
-        return;
-    }
-
-    let artifacts = run_experiments(&args);
-    // run_experiments dropped the `repro.run` span, so the main thread's
-    // collector has flushed and the snapshots below see the whole run.
-    if args.trace {
-        eprint!("{}", rp_obs::report::render_trace());
-    }
-    finish_trace();
-    if let Some(path) = &report_path {
-        write_report(path, &args, &artifacts);
+    let mut sections = vec![(
+        "meta".to_string(),
+        json!({
+            "experiment": args.experiment,
+            "seed": args.seed,
+            "scale": args.scale,
+            "threads": rayon::current_num_threads(),
+            "out_dir": args.out.display().to_string(),
+        }),
+    )];
+    let (own, passed) = match args.experiment.as_str() {
+        "check" | "sweep" | "job" => run_job_command(&args),
+        "bench" => run_bench_command(&args),
+        "profile" => run_profile_command(&args),
+        "serve" => run_serve_command(&args),
+        experiment => (run_experiments(&args, experiment), true),
+    };
+    sections.extend(own);
+    // Every span has closed, so the session's snapshot sees the whole run.
+    session.close(sections).unwrap_or_else(|e| fail(e));
+    if !passed {
+        std::process::exit(1);
     }
 }

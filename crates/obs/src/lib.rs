@@ -6,7 +6,7 @@
 //! pipeline *did* and how long each part took, without perturbing what it
 //! *computed*.
 //!
-//! Three pieces:
+//! Seven modules:
 //!
 //! - [`mod@span`] — hierarchical spans with monotonic timing. Each thread
 //!   accumulates span statistics in a thread-local collector; when the
@@ -18,9 +18,17 @@
 //! - [`metrics`] — a process-wide registry of counters, high-water-mark
 //!   gauges, and fixed-bucket histograms. All increments are lock-free
 //!   atomics; registration (first use of a name) takes a lock once.
-//! - [`report`] — assembles the span tree and metric snapshots into a
-//!   `run_report.json` document and renders a human-readable span tree for
-//!   `--trace`.
+//! - [`timeline`] — series bucketed on *simulation* time, the one
+//!   determinism-gated part of the run report.
+//! - [`trace`] — streams span and data-plane events to JSONL and Chrome
+//!   trace-event files as they happen.
+//! - [`report`] — the observability [`Session`]: one [`Sink`] list (span
+//!   tree on stderr, run report, JSONL, Chrome trace) opened once and
+//!   closed once from a single snapshot of the collectors, plus the
+//!   `/metrics` and progress views `repro serve` answers with.
+//! - [`profile`] — a sampling profiler over the live span stacks,
+//!   emitting collapsed (flamegraph-ready) stacks.
+//! - [`compare`] — same-host comparison of two `repro bench` result files.
 //!
 //! ## Cost model
 //!
@@ -56,6 +64,7 @@ pub mod span;
 pub mod timeline;
 pub mod trace;
 
+pub use report::{Session, Sink};
 pub use span::{span, span_under, SpanGuard, SpanPath};
 pub use timeline::TimelineRecorder;
 

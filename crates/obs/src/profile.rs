@@ -107,9 +107,10 @@ pub struct Profiler {
     handle: std::thread::JoinHandle<Profile>,
 }
 
-/// Arm the profiler and start the sampler thread. Call with obs
-/// collection enabled, run the workload, then [`Profiler::stop`].
+/// Enable collection (the samples are span stacks), arm the profiler and
+/// start the sampler thread. Run the workload, then [`Profiler::stop`].
 pub fn start() -> Profiler {
+    crate::enable();
     ARMED.store(true, Ordering::SeqCst);
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = stop.clone();

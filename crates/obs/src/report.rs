@@ -1,62 +1,117 @@
-//! Run-report assembly: the span tree plus metric snapshots, serialized
-//! as one JSON document, and a human-readable trace rendering for
-//! `--trace`.
+//! The observability session — one sink list, opened once and closed once
+//! — and the JSON views of the collectors it and `repro serve` share: the
+//! run report, `/metrics`, and the progress snapshot.
 //!
-//! The report is assembled *after* the instrumented work finishes (so
-//! every thread-local span collector has flushed) and written wherever the
-//! caller points it — `repro` defaults to `results/run_report.json`.
+//! [`Session::close`] runs after the instrumented work finishes (so every
+//! thread-local span collector has flushed), takes one snapshot and
+//! feeds every sink from it.
 
 use crate::metrics::{self, MetricValue};
 use crate::span::{self, SpanNode};
+use crate::trace::{self, Format};
 use serde_json::{json, Value};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-/// Builder for one run's report document.
-///
-/// Callers push named sections (meta, world summary, filter funnel, …) in
-/// the order they should appear; [`RunReport::finish`] appends the span
-/// tree and metric snapshot taken at that moment.
-#[derive(Default)]
-pub struct RunReport {
-    sections: Vec<(String, Value)>,
+/// One observability output.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Sink {
+    /// The human-readable span tree, on stderr (`repro --trace`).
+    Tree,
+    /// The run report document at a path (`repro --report [PATH]`).
+    Report(PathBuf),
+    /// The JSONL event stream at a path (`repro --trace-json PATH`).
+    Jsonl(PathBuf),
+    /// The Chrome trace-event array at a path (`repro --trace-chrome PATH`).
+    Chrome(PathBuf),
 }
 
-impl RunReport {
-    /// Start an empty report.
-    pub fn new() -> RunReport {
-        RunReport::default()
-    }
+/// An open sink list; [`Session::close`] delivers every sink's output.
+#[derive(Debug)]
+pub struct Session {
+    sinks: Vec<Sink>,
+}
 
-    /// Append a named section (document order is insertion order).
-    pub fn section(&mut self, name: &str, value: Value) {
-        self.sections.push((name.to_string(), value));
-    }
-
-    /// Close the report: snapshot spans and metrics now and produce the
-    /// full JSON document.
-    pub fn finish(self) -> Value {
-        let mut entries: Vec<(String, Value)> = self.sections;
-        if crate::timeline::any() {
-            entries.push(("timelines".to_string(), crate::timeline::timelines_json()));
-        }
-        entries.push(("spans".to_string(), span_tree_json()));
-        entries.push(("metrics".to_string(), metrics_json()));
-        Value::Object(entries)
-    }
-
-    /// [`RunReport::finish`] plus write to `path` (parent directories are
-    /// created).
-    pub fn write(self, path: &Path) -> std::io::Result<()> {
-        let doc = self.finish();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
+impl Session {
+    /// Open `sinks`: enable collection if the list is non-empty and open
+    /// the streaming sinks (their files are created now). Errors name the
+    /// path that could not be written.
+    pub fn open(sinks: Vec<Sink>) -> std::io::Result<Session> {
+        for sink in &sinks {
+            match sink {
+                Sink::Jsonl(path) => trace::open(path, Format::Jsonl)?,
+                Sink::Chrome(path) => trace::open(path, Format::Chrome)?,
+                Sink::Tree | Sink::Report(_) => {}
             }
         }
-        let text = serde_json::to_string_pretty(&doc)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        std::fs::write(path, text + "\n")
+        if !sinks.is_empty() {
+            crate::enable();
+        }
+        Ok(Session { sinks })
     }
+
+    /// Take one snapshot and feed every sink from it: print the span tree,
+    /// write the run report (`sections` in order, then `timelines`,
+    /// `spans` and `metrics`), close the streams, and print the `trace:`
+    /// summary.
+    pub fn close(self, mut sections: Vec<(String, Value)>) -> std::io::Result<()> {
+        let snap = Snapshot::take();
+        if self.sinks.contains(&Sink::Tree) {
+            let mut out = String::new();
+            for root in &snap.spans {
+                render_node(&mut out, root, 0);
+            }
+            eprint!("{out}");
+        }
+        let mut doc = None;
+        for sink in &self.sinks {
+            if let Sink::Report(path) = sink {
+                let doc =
+                    doc.get_or_insert_with(|| report_doc(std::mem::take(&mut sections), &snap));
+                write_doc(path, doc).map_err(|e| trace::at(path, e))?;
+                eprintln!("run report: {}", path.display());
+            }
+        }
+        if let Some((written, dropped)) = trace::close(&snap.metrics)? {
+            eprintln!("trace: {written} event(s) written, {dropped} dropped");
+        }
+        Ok(())
+    }
+}
+
+/// One point-in-time read of the span tree and every metric.
+struct Snapshot {
+    spans: Vec<SpanNode>,
+    metrics: Vec<(&'static str, MetricValue)>,
+}
+
+impl Snapshot {
+    fn take() -> Snapshot {
+        Snapshot {
+            spans: span::snapshot_tree(),
+            metrics: metrics::snapshot(),
+        }
+    }
+}
+
+fn report_doc(mut entries: Vec<(String, Value)>, snap: &Snapshot) -> Value {
+    if crate::timeline::any() {
+        entries.push(("timelines".to_string(), crate::timeline::timelines_json()));
+    }
+    entries.push((
+        "spans".to_string(),
+        Value::Array(snap.spans.iter().map(node_json).collect()),
+    ));
+    entries.push(("metrics".to_string(), metrics_object(&snap.metrics)));
+    Value::Object(entries)
+}
+
+fn write_doc(path: &Path, doc: &Value) -> std::io::Result<()> {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
+    let text = serde_json::to_string_pretty(doc)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    std::fs::write(path, text + "\n")
 }
 
 fn node_json(n: &SpanNode) -> Value {
@@ -71,36 +126,39 @@ fn node_json(n: &SpanNode) -> Value {
     })
 }
 
-/// The aggregated span tree as JSON (see [`span::snapshot_tree`]).
-pub fn span_tree_json() -> Value {
-    Value::Array(span::snapshot_tree().iter().map(node_json).collect())
+/// One metric as its `/metrics` object (also the `metric` field of a
+/// JSONL `metric` record).
+pub(crate) fn metric_json(v: &MetricValue) -> Value {
+    match v {
+        MetricValue::Counter(n) => json!({"type": "counter", "value": n}),
+        MetricValue::Gauge(n) => json!({"type": "gauge", "max": n}),
+        MetricValue::Histogram {
+            bounds,
+            buckets,
+            count,
+            sum,
+        } => json!({
+            "type": "histogram",
+            "bounds": bounds,
+            "buckets": buckets,
+            "count": count,
+            "sum": sum,
+        }),
+    }
 }
 
-/// Every registered metric as a JSON object keyed by metric name.
+fn metrics_object(snap: &[(&'static str, MetricValue)]) -> Value {
+    Value::Object(
+        snap.iter()
+            .map(|(name, v)| (name.to_string(), metric_json(v)))
+            .collect(),
+    )
+}
+
+/// Every registered metric as a JSON object keyed by metric name (what
+/// `repro serve` answers on `/metrics`).
 pub fn metrics_json() -> Value {
-    let entries = metrics::snapshot()
-        .into_iter()
-        .map(|(name, v)| {
-            let value = match v {
-                MetricValue::Counter(n) => json!({"type": "counter", "value": n}),
-                MetricValue::Gauge(n) => json!({"type": "gauge", "max": n}),
-                MetricValue::Histogram {
-                    bounds,
-                    buckets,
-                    count,
-                    sum,
-                } => json!({
-                    "type": "histogram",
-                    "bounds": bounds,
-                    "buckets": buckets,
-                    "count": count,
-                    "sum": sum,
-                }),
-            };
-            (name.to_string(), value)
-        })
-        .collect();
-    Value::Object(entries)
+    metrics_object(&metrics::snapshot())
 }
 
 /// A live progress snapshot for long-running work, assembled from the
@@ -114,18 +172,20 @@ pub fn metrics_json() -> Value {
 /// `repro serve` exposes it per job-status request as "what the pipeline
 /// has done so far", not as per-job attribution.
 pub fn progress_snapshot() -> Value {
-    let counters: Vec<(String, Value)> = metrics::snapshot()
-        .into_iter()
+    let snap = Snapshot::take();
+    let counters = snap
+        .metrics
+        .iter()
         .map(|(name, v)| {
             let value = match v {
-                MetricValue::Counter(n) => json!(n),
-                MetricValue::Gauge(n) => json!(n),
+                MetricValue::Counter(n) | MetricValue::Gauge(n) => json!(n),
                 MetricValue::Histogram { count, sum, .. } => json!({"count": count, "sum": sum}),
             };
             (name.to_string(), value)
         })
         .collect();
-    let spans: Vec<Value> = span::snapshot_tree()
+    let spans: Vec<Value> = snap
+        .spans
         .iter()
         .map(|n| json!({"name": n.name, "count": n.count, "total_ns": n.total_ns}))
         .collect();
@@ -144,6 +204,7 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
+/// Append `n` and its subtree to the indented `--trace` listing.
 fn render_node(out: &mut String, n: &SpanNode, depth: usize) {
     out.push_str(&"  ".repeat(depth));
     out.push_str(&format!(
@@ -157,14 +218,4 @@ fn render_node(out: &mut String, n: &SpanNode, depth: usize) {
     for c in &n.children {
         render_node(out, c, depth + 1);
     }
-}
-
-/// Render the current span tree as an indented human-readable listing
-/// (what `repro --trace` prints to stderr).
-pub fn render_trace() -> String {
-    let mut out = String::new();
-    for root in span::snapshot_tree() {
-        render_node(&mut out, &root, 0);
-    }
-    out
 }

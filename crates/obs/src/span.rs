@@ -148,20 +148,7 @@ impl SpanGuard {
 /// Open a span as a child of the thread's innermost open span (a root if
 /// none). Inert while collection is disabled.
 pub fn span(name: &'static str) -> SpanGuard {
-    if !crate::enabled() {
-        return SpanGuard { start: None };
-    }
-    LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
-        l.stack.push(name);
-        if crate::profile::armed() {
-            let path: Vec<&'static str> = l.base.iter().chain(l.stack.iter()).copied().collect();
-            crate::profile::record_stack(&path);
-        }
-    });
-    SpanGuard {
-        start: Some(Instant::now()),
-    }
+    open(None, name)
 }
 
 /// Open a span under an explicit parent path. On a thread with no open
@@ -170,13 +157,19 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// case) this nests naturally and `parent` is ignored — both give the same
 /// aggregated path. Inert while collection is disabled.
 pub fn span_under(parent: &SpanPath, name: &'static str) -> SpanGuard {
+    open(Some(parent), name)
+}
+
+#[inline(always)]
+fn open(parent: Option<&SpanPath>, name: &'static str) -> SpanGuard {
     if !crate::enabled() {
         return SpanGuard { start: None };
     }
     LOCAL.with(|l| {
         let mut l = l.borrow_mut();
-        if l.stack.is_empty() {
-            l.base = parent.as_ref().clone();
+        match parent {
+            Some(parent) if l.stack.is_empty() => l.base = parent.as_ref().clone(),
+            _ => {}
         }
         l.stack.push(name);
         if crate::profile::armed() {
@@ -196,31 +189,27 @@ impl Drop for SpanGuard {
         let end_ns = offset_ns(Instant::now());
         crate::metrics::span_duration_histogram()
             .observe(end_ns.saturating_sub(start_ns) as f64 / 1_000.0);
-        let (flush, traced) = LOCAL.with(|l| {
+        let flush = LOCAL.with(|l| {
             let mut l = l.borrow_mut();
-            let key: Vec<&'static str> = l.base.iter().chain(l.stack.iter()).copied().collect();
-            let traced = crate::trace::active().then(|| key.clone());
+            // The full path, built once: streamed, mirrored to the profiler
+            // without this (now closed) span, then moved into the aggregate.
+            let path: Vec<&'static str> = l.base.iter().chain(l.stack.iter()).copied().collect();
+            crate::trace::span_event(&path, start_ns, end_ns);
+            if crate::profile::armed() {
+                crate::profile::record_stack(&path[..path.len().saturating_sub(1)]);
+            }
             l.agg
-                .entry(key)
+                .entry(path)
                 .or_insert_with(Agg::new)
                 .record(start_ns, end_ns);
             l.stack.pop();
-            if crate::profile::armed() {
-                let path: Vec<&'static str> =
-                    l.base.iter().chain(l.stack.iter()).copied().collect();
-                crate::profile::record_stack(&path);
-            }
-            let flush = if l.stack.is_empty() {
+            if l.stack.is_empty() {
                 l.base.clear();
                 Some(l.agg.drain().collect::<Vec<_>>())
             } else {
                 None
-            };
-            (flush, traced)
+            }
         });
-        if let Some(path) = traced {
-            crate::trace::span_event(&path, start_ns, end_ns);
-        }
         if let Some(entries) = flush {
             let mut g = global().lock().expect("span aggregate lock");
             for (key, agg) in entries {

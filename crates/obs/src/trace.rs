@@ -3,16 +3,21 @@
 //!
 //! - **JSONL** (`repro --trace-json PATH`): one JSON object per line —
 //!   `span` records as spans close, `slice`/`instant` records from the
-//!   data plane, `metric` records for every registered metric at
-//!   [`finish`], and a final `summary` line. Line order is arrival
-//!   order (wall clock), so the stream is *not* deterministic — it is a
-//!   diagnostic artifact, never a gated one.
+//!   data plane, one `metric` record per registered metric when the
+//!   session closes (`{"type":"metric","name":N,"metric":{…}}`, where
+//!   `{…}` is that metric's `/metrics` object), and a final `summary`
+//!   line. Line order is arrival order (wall clock), so the stream is
+//!   *not* deterministic — it is a diagnostic artifact, never a gated one.
 //! - **Chrome trace-event format** (`repro --trace-chrome PATH`): a JSON
 //!   array of trace events loadable in Perfetto or `chrome://tracing`.
 //!   Spans become `ph:"X"` complete events on their thread's track;
 //!   netsim shards map to dedicated named tracks ([`alloc_tracks`]) with
 //!   window slices, and epoch barriers appear as `ph:"i"` instant
 //!   events spanning the process.
+//!
+//! Streams are opened and closed by the observability session
+//! ([`crate::Session`]). Every emission site builds one `Event` and each
+//! open stream encodes it in its own format.
 //!
 //! Tracing is wall-clock by nature and shares rp-obs' prime directive:
 //! it only *reads* pipeline state. The `results/*` byte-diff matrix in
@@ -21,39 +26,42 @@
 //!
 //! ## Bounded output
 //!
-//! A runaway run could emit unbounded events, so sinks cap at
+//! A runaway run could emit unbounded events, so streams cap at
 //! [`MAX_EVENTS`]; past the cap events are counted but not written, and
 //! the cap is reported explicitly — in the `summary` line, the Chrome
 //! metadata, and a stderr warning — never silently.
 
+use crate::metrics::MetricValue;
+use serde_json::json;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Hard cap on written trace events per sink; the tail is counted and
+/// Hard cap on written trace events per stream; the tail is counted and
 /// reported as dropped.
 pub const MAX_EVENTS: u64 = 1_000_000;
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
-/// Is a trace sink installed? One relaxed load; gates every emission
-/// site so an untraced run costs one branch.
+/// Is a trace stream open? One relaxed load; gates every emission site
+/// so an untraced run costs one branch.
 #[inline(always)]
 pub fn active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
 }
 
-/// Output format of the installed sink.
+/// Output format of an open stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
+pub(crate) enum Format {
     Jsonl,
     Chrome,
 }
 
-struct Sink {
+struct Stream {
     format: Format,
+    path: PathBuf,
     out: BufWriter<File>,
     /// Chrome arrays need comma management.
     wrote_any: bool,
@@ -61,15 +69,34 @@ struct Sink {
     dropped: u64,
 }
 
-fn sinks() -> &'static Mutex<Vec<Sink>> {
-    static SINKS: OnceLock<Mutex<Vec<Sink>>> = OnceLock::new();
-    SINKS.get_or_init(|| Mutex::new(Vec::new()))
+impl Stream {
+    fn write(&mut self, record: &str) {
+        if self.written >= MAX_EVENTS {
+            self.dropped += 1;
+            return;
+        }
+        let sep: &[u8] = match (self.format, self.wrote_any) {
+            (Format::Jsonl, _) => b"",
+            (Format::Chrome, false) => b"\n",
+            (Format::Chrome, true) => b",\n",
+        };
+        let mut r = self
+            .out
+            .write_all(sep)
+            .and_then(|_| self.out.write_all(record.as_bytes()));
+        if self.format == Format::Jsonl {
+            r = r.and_then(|_| self.out.write_all(b"\n"));
+        }
+        if r.is_ok() {
+            self.wrote_any = true;
+            self.written += 1;
+        }
+    }
 }
 
-fn now_ns() -> u64 {
-    // The span layer's monotonic origin, so span events and data-plane
-    // slices share one timebase.
-    crate::span::now_offset_ns()
+fn streams() -> &'static Mutex<Vec<Stream>> {
+    static STREAMS: OnceLock<Mutex<Vec<Stream>>> = OnceLock::new();
+    STREAMS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
 /// Small dense id for the calling thread (Chrome `tid`, JSONL `tid`).
@@ -85,44 +112,190 @@ pub fn tid() -> u32 {
 const SHARD_TRACK_BASE: u32 = 10_000;
 static NEXT_TRACK: AtomicU32 = AtomicU32::new(SHARD_TRACK_BASE);
 
-/// Reserve `n` consecutive track ids for a simulation's shards and name
-/// them `"<label> shard <i>"` in the Chrome output. Returns the base id;
-/// shard `i` uses `base + i`.
-pub fn alloc_tracks(label: &str, n: usize) -> u32 {
-    let base = NEXT_TRACK.fetch_add(n as u32, Ordering::Relaxed);
-    let mut g = sinks().lock().expect("trace sink lock");
-    for s in g.iter_mut().filter(|s| s.format == Format::Chrome) {
-        for i in 0..n {
-            let name = format!("{label} shard {i}");
-            let ev = format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":{}}}}}",
-                base + i as u32,
-                json_escape(&name),
-            );
-            write_raw(s, &ev);
-        }
-    }
-    base
+/// One streamed event. Timestamps are ns since the trace origin.
+enum Event<'a> {
+    /// A closed span, by its full path.
+    Span {
+        path: &'a [&'static str],
+        start_ns: u64,
+        end_ns: u64,
+    },
+    /// A named interval on an explicit track (netsim shard windows).
+    Slice {
+        name: &'a str,
+        track: u32,
+        start_ns: u64,
+        end_ns: u64,
+        events: u64,
+    },
+    /// A process-scoped instant (epoch barriers).
+    Instant {
+        name: &'a str,
+        at_ns: u64,
+        detail: u64,
+    },
+    /// A Chrome track's display name (JSONL has no tracks).
+    TrackName { track: u32, name: &'a str },
 }
 
 fn json_escape(s: &str) -> String {
     serde_json::Value::String(s.to_string()).to_string()
 }
 
-fn install(path: &Path, format: Format) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
+fn us(ns: u64) -> f64 {
+    ns as f64 / 1_000.0
+}
+
+impl Event<'_> {
+    /// The record `format` writes for this event, if any.
+    fn encode(&self, format: Format, thread: u32) -> Option<String> {
+        Some(match (format, self) {
+            (Format::Jsonl, Event::Span { path, start_ns, end_ns }) => format!(
+                "{{\"type\":\"span\",\"path\":{},\"start_ns\":{},\"dur_ns\":{},\"tid\":{}}}",
+                json_escape(&path.join(";")),
+                start_ns,
+                end_ns.saturating_sub(*start_ns),
+                thread,
+            ),
+            (Format::Chrome, Event::Span { path, start_ns, end_ns }) => format!(
+                "{{\"name\":{},\"cat\":\"span\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",
+                json_escape(path.last().copied().unwrap_or("?")),
+                thread,
+                us(*start_ns),
+                us(end_ns.saturating_sub(*start_ns)),
+            ),
+            (Format::Jsonl, Event::Slice { name, track, start_ns, end_ns, events }) => format!(
+                "{{\"type\":\"slice\",\"name\":{},\"track\":{},\"start_ns\":{},\"dur_ns\":{},\"events\":{}}}",
+                json_escape(name),
+                track,
+                start_ns,
+                end_ns.saturating_sub(*start_ns),
+                events,
+            ),
+            (Format::Chrome, Event::Slice { name, track, start_ns, end_ns, events }) => format!(
+                "{{\"name\":{},\"cat\":\"netsim\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"events\":{}}}}}",
+                json_escape(name),
+                track,
+                us(*start_ns),
+                us(end_ns.saturating_sub(*start_ns)),
+                events,
+            ),
+            (Format::Jsonl, Event::Instant { name, at_ns, detail }) => format!(
+                "{{\"type\":\"instant\",\"name\":{},\"at_ns\":{},\"detail\":{}}}",
+                json_escape(name),
+                at_ns,
+                detail,
+            ),
+            (Format::Chrome, Event::Instant { name, at_ns, detail }) => format!(
+                "{{\"name\":{},\"cat\":\"netsim\",\"ph\":\"i\",\"s\":\"p\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"args\":{{\"detail\":{}}}}}",
+                json_escape(name),
+                thread,
+                us(*at_ns),
+                detail,
+            ),
+            (Format::Jsonl, Event::TrackName { .. }) => return None,
+            (Format::Chrome, Event::TrackName { track, name }) => format!(
+                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":{}}}}}",
+                track,
+                json_escape(name),
+            ),
+        })
+    }
+}
+
+/// Hand `event` to every open stream, each in its own format.
+fn emit(event: Event) {
+    let thread = tid();
+    let mut g = streams().lock().expect("trace stream lock");
+    for s in g.iter_mut() {
+        if let Some(record) = event.encode(s.format, thread) {
+            s.write(&record);
         }
     }
-    let file = File::create(path)?;
-    let mut out = BufWriter::new(file);
-    if format == Format::Chrome {
-        out.write_all(b"[")?;
+}
+
+/// Reserve `n` consecutive track ids for a simulation's shards and name
+/// them `"<label> shard <i>"` in the Chrome output. Returns the base id;
+/// shard `i` uses `base + i`.
+pub fn alloc_tracks(label: &str, n: usize) -> u32 {
+    let base = NEXT_TRACK.fetch_add(n as u32, Ordering::Relaxed);
+    for i in 0..n {
+        emit(Event::TrackName {
+            track: base + i as u32,
+            name: &format!("{label} shard {i}"),
+        });
     }
-    let mut g = sinks().lock().expect("trace sink lock");
-    g.push(Sink {
+    base
+}
+
+/// Emit one closed span (called from [`crate::span::SpanGuard`]'s drop).
+/// `path` is the full span path; timestamps are ns since the trace
+/// origin.
+pub fn span_event(path: &[&'static str], start_ns: u64, end_ns: u64) {
+    if active() {
+        emit(Event::Span {
+            path,
+            start_ns,
+            end_ns,
+        });
+    }
+}
+
+/// Emit a named slice on an explicit track (netsim shard windows).
+/// `events` — the simulator events the slice retired — lands in `args`
+/// (Chrome) / inline (JSONL).
+pub fn slice(name: &str, track: u32, start_ns: u64, end_ns: u64, events: u64) {
+    if active() {
+        emit(Event::Slice {
+            name,
+            track,
+            start_ns,
+            end_ns,
+            events,
+        });
+    }
+}
+
+/// Emit a process-scoped instant event (epoch barriers).
+pub fn instant(name: &str, detail: u64) {
+    if active() {
+        emit(Event::Instant {
+            name,
+            at_ns: clock_ns(),
+            detail,
+        });
+    }
+}
+
+/// Current ns since the trace origin (for callers that time their own
+/// slices). The span layer's monotonic origin, so span events and
+/// data-plane slices share one timebase.
+pub fn clock_ns() -> u64 {
+    crate::span::now_offset_ns()
+}
+
+/// `path`'s I/O error, naming the path.
+pub(crate) fn at(path: &Path, e: std::io::Error) -> std::io::Error {
+    std::io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display()))
+}
+
+/// Open a stream at `path` (parent directories are created). Streams
+/// stack: a JSONL and a Chrome stream can record the same run.
+pub(crate) fn open(path: &Path, format: Format) -> std::io::Result<()> {
+    let create = || -> std::io::Result<BufWriter<File>> {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir)?;
+        }
+        let mut out = BufWriter::new(File::create(path)?);
+        if format == Format::Chrome {
+            out.write_all(b"[")?;
+        }
+        Ok(out)
+    };
+    let out = create().map_err(|e| at(path, e))?;
+    streams().lock().expect("trace stream lock").push(Stream {
         format,
+        path: path.to_path_buf(),
         out,
         wrote_any: false,
         written: 0,
@@ -132,234 +305,62 @@ fn install(path: &Path, format: Format) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Install a JSONL sink at `path` (parent directories are created).
-/// Sinks stack: a JSONL and a Chrome sink can record the same run.
-pub fn install_jsonl(path: &Path) -> std::io::Result<()> {
-    install(path, Format::Jsonl)
-}
-
-/// Install a Chrome trace-event sink at `path` (parent directories are
-/// created). Sinks stack: a JSONL and a Chrome sink can record the same
-/// run.
-pub fn install_chrome(path: &Path) -> std::io::Result<()> {
-    install(path, Format::Chrome)
-}
-
-fn write_raw(s: &mut Sink, record: &str) {
-    if s.written >= MAX_EVENTS {
-        s.dropped += 1;
-        return;
-    }
-    let r = match s.format {
-        Format::Jsonl => s
-            .out
-            .write_all(record.as_bytes())
-            .and_then(|_| s.out.write_all(b"\n")),
-        Format::Chrome => {
-            let sep: &[u8] = if s.wrote_any { b",\n" } else { b"\n" };
-            s.out
-                .write_all(sep)
-                .and_then(|_| s.out.write_all(record.as_bytes()))
-        }
-    };
-    if r.is_ok() {
-        s.wrote_any = true;
-        s.written += 1;
-    }
-}
-
-fn with_sinks(mut f: impl FnMut(&mut Sink)) {
-    let mut g = sinks().lock().expect("trace sink lock");
-    for s in g.iter_mut() {
-        f(s);
-    }
-}
-
-fn us(ns: u64) -> f64 {
-    ns as f64 / 1_000.0
-}
-
-/// Emit one closed span (called from [`crate::span::SpanGuard`]'s drop).
-/// `path` is the full span path; timestamps are ns since the trace
-/// origin.
-pub fn span_event(path: &[&'static str], start_ns: u64, end_ns: u64) {
-    if !active() {
-        return;
-    }
-    let thread = tid();
-    let name = path.last().copied().unwrap_or("?");
-    with_sinks(|s| {
-        let record = match s.format {
-            Format::Jsonl => format!(
-                "{{\"type\":\"span\",\"path\":{},\"start_ns\":{},\"dur_ns\":{},\"tid\":{}}}",
-                json_escape(&path.join(";")),
-                start_ns,
-                end_ns.saturating_sub(start_ns),
-                thread,
-            ),
-            Format::Chrome => format!(
-                "{{\"name\":{},\"cat\":\"span\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",
-                json_escape(name),
-                thread,
-                us(start_ns),
-                us(end_ns.saturating_sub(start_ns)),
-            ),
-        };
-        write_raw(s, &record);
-    });
-}
-
-/// Emit a named slice on an explicit track (netsim shard windows).
-/// `detail` lands in `args` (Chrome) / inline (JSONL); pass `""` to omit.
-pub fn slice(name: &str, track: u32, start_ns: u64, end_ns: u64, events: u64) {
-    if !active() {
-        return;
-    }
-    with_sinks(|s| {
-        let record = match s.format {
-            Format::Jsonl => format!(
-                "{{\"type\":\"slice\",\"name\":{},\"track\":{},\"start_ns\":{},\"dur_ns\":{},\"events\":{}}}",
-                json_escape(name),
-                track,
-                start_ns,
-                end_ns.saturating_sub(start_ns),
-                events,
-            ),
-            Format::Chrome => format!(
-                "{{\"name\":{},\"cat\":\"netsim\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"events\":{}}}}}",
-                json_escape(name),
-                track,
-                us(start_ns),
-                us(end_ns.saturating_sub(start_ns)),
-                events,
-            ),
-        };
-        write_raw(s, &record);
-    });
-}
-
-/// Emit a process-scoped instant event (epoch barriers).
-pub fn instant(name: &str, detail: u64) {
-    if !active() {
-        return;
-    }
-    let t = now_ns();
-    let thread = tid();
-    with_sinks(|s| {
-        let record = match s.format {
-            Format::Jsonl => format!(
-                "{{\"type\":\"instant\",\"name\":{},\"at_ns\":{},\"detail\":{}}}",
-                json_escape(name),
-                t,
-                detail,
-            ),
-            Format::Chrome => format!(
-                "{{\"name\":{},\"cat\":\"netsim\",\"ph\":\"i\",\"s\":\"p\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"args\":{{\"detail\":{}}}}}",
-                json_escape(name),
-                thread,
-                us(t),
-                detail,
-            ),
-        };
-        write_raw(s, &record);
-    });
-}
-
-/// Current ns since the trace origin (for callers that time their own
-/// slices).
-pub fn clock_ns() -> u64 {
-    now_ns()
-}
-
-/// Totals reported when a sink closes.
-#[derive(Debug, Clone, Copy)]
-pub struct Summary {
-    /// Events written to the file.
-    pub written: u64,
-    /// Events past [`MAX_EVENTS`], counted but not written.
-    pub dropped: u64,
-}
-
-/// Close every installed sink: append a metric snapshot (JSONL) or
-/// metadata (Chrome), the truncation summary, and flush. Returns `None`
-/// if no sink was installed; with several sinks the summary totals are
-/// summed.
-pub fn finish() -> std::io::Result<Option<Summary>> {
+/// Close every open stream: JSONL gets one `metric` record per entry of
+/// `metrics` and its `summary` line, Chrome its `trace_summary` metadata
+/// event and closing bracket; then flush. Returns the events written and
+/// dropped, summed over the streams, or `None` when no stream was open.
+pub(crate) fn close(
+    metrics: &[(&'static str, MetricValue)],
+) -> std::io::Result<Option<(u64, u64)>> {
     ACTIVE.store(false, Ordering::SeqCst);
-    let drained: Vec<Sink> = {
-        let mut g = sinks().lock().expect("trace sink lock");
-        std::mem::take(&mut *g)
-    };
+    let drained = std::mem::take(&mut *streams().lock().expect("trace stream lock"));
     if drained.is_empty() {
         return Ok(None);
     }
-    let mut total = Summary {
-        written: 0,
-        dropped: 0,
-    };
+    let (mut written, mut dropped) = (0, 0);
     for mut s in drained {
-        // Final metric snapshot: JSONL gets one line per metric; Chrome
-        // gets a single metadata event (per-metric counters would pollute
-        // tracks).
-        if s.format == Format::Jsonl {
-            for (name, v) in crate::metrics::snapshot() {
-                let record = match v {
-                    crate::metrics::MetricValue::Counter(n) => format!(
-                        "{{\"type\":\"metric\",\"name\":{},\"kind\":\"counter\",\"value\":{}}}",
-                        json_escape(name),
-                        n
-                    ),
-                    crate::metrics::MetricValue::Gauge(n) => format!(
-                        "{{\"type\":\"metric\",\"name\":{},\"kind\":\"gauge\",\"max\":{}}}",
-                        json_escape(name),
-                        n
-                    ),
-                    crate::metrics::MetricValue::Histogram { count, sum, .. } => format!(
-                        "{{\"type\":\"metric\",\"name\":{},\"kind\":\"histogram\",\"count\":{},\"sum\":{}}}",
-                        json_escape(name),
-                        count,
-                        sum
-                    ),
-                };
-                // Metric lines bypass the event cap: they are bounded by
-                // the registry size and the summary must stay trustworthy.
-                let _ = s.out.write_all(record.as_bytes());
-                let _ = s.out.write_all(b"\n");
-            }
-        }
-        let summary = Summary {
-            written: s.written,
-            dropped: s.dropped,
-        };
+        let totals = format!(
+            "\"events\":{},\"dropped\":{},\"max_events\":{MAX_EVENTS}",
+            s.written, s.dropped
+        );
+        let mut tail = String::new();
         match s.format {
             Format::Jsonl => {
-                let line = format!(
-                    "{{\"type\":\"summary\",\"events\":{},\"dropped\":{},\"max_events\":{}}}",
-                    summary.written, summary.dropped, MAX_EVENTS
-                );
-                s.out.write_all(line.as_bytes())?;
-                s.out.write_all(b"\n")?;
+                // Metric records bypass the event cap: they are bounded by
+                // the registry size and the summary must stay trustworthy.
+                for (name, v) in metrics {
+                    let record = json!({
+                        "type": "metric",
+                        "name": name,
+                        "metric": crate::report::metric_json(v),
+                    });
+                    // The vendored serializer only pretty-prints; JSON
+                    // strings never hold a raw newline, so joining the
+                    // trimmed lines gives the same document on one line.
+                    tail.extend(record.to_string().lines().map(str::trim_start));
+                    tail.push('\n');
+                }
+                tail.push_str(&format!("{{\"type\":\"summary\",{totals}}}\n"));
             }
             Format::Chrome => {
-                let sep: &[u8] = if s.wrote_any { b",\n" } else { b"\n" };
-                s.out.write_all(sep)?;
-                let meta = format!(
-                    "{{\"name\":\"trace_summary\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{{\"events\":{},\"dropped\":{},\"max_events\":{}}}}}",
-                    summary.written, summary.dropped, MAX_EVENTS
-                );
-                s.out.write_all(meta.as_bytes())?;
-                s.out.write_all(b"\n]\n")?;
+                tail.push_str(if s.wrote_any { ",\n" } else { "\n" });
+                tail.push_str(&format!(
+                    "{{\"name\":\"trace_summary\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{{{totals}}}}}\n]\n"
+                ));
             }
         }
-        s.out.flush()?;
-        if summary.dropped > 0 {
+        s.out
+            .write_all(tail.as_bytes())
+            .and_then(|_| s.out.flush())
+            .map_err(|e| at(&s.path, e))?;
+        if s.dropped > 0 {
             eprintln!(
                 "trace: event cap {MAX_EVENTS} reached; {} events dropped (written {})",
-                summary.dropped, summary.written
+                s.dropped, s.written
             );
         }
-        total.written += summary.written;
-        total.dropped += summary.dropped;
+        written += s.written;
+        dropped += s.dropped;
     }
-    Ok(Some(total))
+    Ok(Some((written, dropped)))
 }

@@ -161,11 +161,22 @@ fn report_document_has_spans_and_metrics() {
         let _root = span("report_root");
         counter!("test.obs.report_counter").inc();
     }
-    let mut report = rp_obs::report::RunReport::new();
-    report.section("meta", serde_json::json!({"seed": 42u64}));
-    let doc = report.finish();
-    let text = serde_json::to_string_pretty(&doc).unwrap();
+    let path = std::env::temp_dir().join(format!("rp_obs_report_{}.json", std::process::id()));
+    let session = rp_obs::Session::open(vec![rp_obs::Sink::Report(path.clone())]).unwrap();
+    session
+        .close(vec![(
+            "meta".to_string(),
+            serde_json::json!({"seed": 42u64}),
+        )])
+        .expect("report written");
+    let text = std::fs::read_to_string(&path).expect("report file");
+    let _ = std::fs::remove_file(&path);
     let back = serde_json::from_str(&text).expect("report round-trips");
+    let keys: Vec<&str> = match &back {
+        serde_json::Value::Object(entries) => entries.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("report is not an object: {other:?}"),
+    };
+    assert_eq!(keys, ["meta", "spans", "metrics"], "caller sections first");
     assert_eq!(
         back.get("meta")
             .and_then(|m| m.get("seed"))
@@ -184,9 +195,42 @@ fn report_document_has_spans_and_metrics() {
             .and_then(|v| v.as_u64()),
         Some(1)
     );
-    let trace = rp_obs::report::render_trace();
-    assert!(trace.contains("report_root"));
-    assert!(trace.contains("count=1"));
+}
+
+#[test]
+fn progress_snapshot_agrees_with_metrics_json() {
+    let _g = serial();
+    for _ in 0..3 {
+        counter!("test.obs.progress_a").inc();
+    }
+    counter!("test.obs.progress_b").add(7);
+    {
+        let _root = span("progress_root");
+        let _child = span("progress_child");
+    }
+    let progress = rp_obs::report::progress_snapshot();
+    let metrics = rp_obs::report::metrics_json();
+    let counters = progress.get("counters").expect("counters");
+    for name in ["test.obs.progress_a", "test.obs.progress_b"] {
+        assert_eq!(
+            counters.get(name).and_then(|v| v.as_u64()),
+            metrics
+                .get(name)
+                .and_then(|m| m.get("value"))
+                .and_then(|v| v.as_u64()),
+            "{name}"
+        );
+    }
+    assert_eq!(
+        counters.get("test.obs.progress_a").and_then(|v| v.as_u64()),
+        Some(3)
+    );
+    let spans = progress.get("spans").and_then(|s| s.as_array()).unwrap();
+    let root = spans
+        .iter()
+        .find(|n| n.get("name").and_then(|v| v.as_str()) == Some("progress_root"))
+        .expect("closed root listed");
+    assert_eq!(root.get("count").and_then(|v| v.as_u64()), Some(1));
 }
 
 #[test]

@@ -76,9 +76,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Configure the world pool, bind the listener, and start the accept
+    /// Enable rp-obs collection (`/metrics` and job progress read it),
+    /// configure the world pool, bind the listener, and start the accept
     /// loop and worker pool.
     pub fn bind(cfg: ServeConfig) -> std::io::Result<Server> {
+        rp_obs::enable();
         remote_peering::memo::configure_world_pool(cfg.pool_entries, cfg.pool_bytes);
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;

@@ -82,3 +82,24 @@ fn help_prints_usage_and_exits_0() {
     assert!(stdout.contains("--trace-chrome"), "new flags documented");
     assert!(stdout.contains("repro profile"), "subcommands documented");
 }
+
+#[test]
+fn report_path_never_swallows_a_subcommand() {
+    // `--report`'s PATH is optional: a subcommand name after it is the
+    // subcommand, not a file to write the report to.
+    let dir = std::env::temp_dir().join(format!("rp_cli_report_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--report", "check", "--faults", "2", "--fuzz", "2"])
+        .args(["--scale", "test", "--out", "out"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "repro failed:\n{stderr}");
+    assert!(dir.join("out/check_report.json").is_file(), "{stderr}");
+    assert!(dir.join("out/run_report.json").is_file(), "{stderr}");
+    assert!(!dir.join("check").exists(), "--report took `check` as PATH");
+    let _ = std::fs::remove_dir_all(&dir);
+}

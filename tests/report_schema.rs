@@ -3,8 +3,9 @@
 //! Drives the real `repro` binary (via `CARGO_BIN_EXE_repro`) at test
 //! scale and asserts that (a) the emitted `run_report.json` parses and its
 //! span tree is well-formed, (b) the filter funnel balances against the
-//! probing metrics, and (c) turning the instrumentation on does not change
-//! a single byte of the scientific outputs under `results/`.
+//! probing metrics, (c) turning the instrumentation on does not change
+//! a single byte of the scientific outputs under `results/`, and (d) every
+//! subcommand feeds all four sinks.
 
 use serde_json::Value;
 use std::path::Path;
@@ -290,4 +291,71 @@ fn timelines_and_outputs_are_shard_and_trace_invariant() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// `sweep`, `job` and `profile` honour all four sinks at once: the run
+/// report names the subcommand and holds `repro.run`, both trace files are
+/// complete, and the span tree reaches stderr.
+#[test]
+fn every_subcommand_feeds_every_sink() {
+    let dir = temp_dir("sinks");
+    let spec = dir.join("check_spec.json");
+    std::fs::write(
+        &spec,
+        r#"{"kind": "check", "scale": "test", "faults": 2, "fuzz": 2}"#,
+    )
+    .expect("write job spec");
+    let read = |p: &Path| std::fs::read_to_string(p).expect("sink output exists");
+    let name_is = |v: &Value, name: &str| v.get("name").and_then(Value::as_str) == Some(name);
+    for argv in [
+        vec!["sweep", "smoke", "--replicates", "1"],
+        vec!["job", spec.to_str().unwrap()],
+        vec!["profile", "fig2"],
+    ] {
+        let sub = argv[0];
+        let report = dir.join(format!("{sub}_report.json"));
+        let jsonl = dir.join(format!("{sub}.jsonl"));
+        let chrome = dir.join(format!("{sub}_chrome.json"));
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(&argv)
+            .args(["--scale", "test", "--trace", "--out"])
+            .arg(&dir)
+            .arg("--report")
+            .arg(&report)
+            .arg("--trace-json")
+            .arg(&jsonl)
+            .arg("--trace-chrome")
+            .arg(&chrome)
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{sub} failed:\n{stderr}");
+
+        let doc: Value = serde_json::from_str(&read(&report)).expect("report parses");
+        let meta = doc.get("meta").expect("meta section");
+        assert_eq!(meta.get("experiment").and_then(Value::as_str), Some(sub));
+        let spans = doc.get("spans").and_then(Value::as_array).expect("spans");
+        assert!(
+            spans.iter().any(|n| name_is(n, "repro.run")),
+            "{sub}: no repro.run"
+        );
+
+        let last = read(&jsonl).lines().last().map(str::to_string);
+        let last: Value = serde_json::from_str(&last.expect("jsonl lines")).expect("parses");
+        assert_eq!(
+            last.get("type").and_then(Value::as_str),
+            Some("summary"),
+            "{sub}"
+        );
+
+        let events: Value = serde_json::from_str(&read(&chrome)).expect("chrome trace parses");
+        let events = events.as_array().expect("trace-event array");
+        assert!(events.iter().any(|e| name_is(e, "trace_summary")), "{sub}");
+
+        assert!(
+            stderr.lines().any(|l| l.starts_with("repro.run  count=")),
+            "{sub}: no span tree on stderr:\n{stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

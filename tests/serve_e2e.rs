@@ -286,10 +286,15 @@ fn served_sweep_and_check_match_cli_artifacts() {
 #[test]
 fn sigterm_drain_loses_no_accepted_job() {
     let results = temp_dir("drain");
+    let (chrome, report) = (results.join("trace.json"), results.join("run_report.json"));
     let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
         .arg("--out")
         .arg(&results)
+        .arg("--trace-chrome")
+        .arg(&chrome)
+        .arg("--report")
+        .arg(&report)
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -360,5 +365,24 @@ fn sigterm_drain_loses_no_accepted_job() {
             "drained artifact {rel} differs from a fresh run"
         );
     }
+
+    // The drain closed the sinks: the Chrome trace is a complete array and
+    // the run report counts one `repro.run` span per drained job.
+    let trace = std::fs::read_to_string(&chrome).expect("chrome trace");
+    let events = serde_json::from_str(&trace).expect("chrome trace parses");
+    assert!(!events.as_array().expect("trace-event array").is_empty());
+    let doc = json(&std::fs::read(&report).expect("run report"));
+    let run = doc
+        .get("spans")
+        .and_then(serde_json::Value::as_array)
+        .and_then(|s| {
+            s.iter()
+                .find(|n| n.get("name").and_then(|v| v.as_str()) == Some("repro.run"))
+        })
+        .expect("repro.run span");
+    assert_eq!(
+        run.get("count").and_then(serde_json::Value::as_u64),
+        Some(6)
+    );
     let _ = std::fs::remove_dir_all(&results);
 }
