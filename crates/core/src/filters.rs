@@ -205,8 +205,8 @@ impl FilterStats {
 
 /// Apply the six filters to one interface's samples and registry entry.
 ///
-/// Generic over [`ProbeRow`] so the funnel streams [`ProbePlane`]
-/// (`crate::probe::ProbePlane`) rows — contiguous slices, no per-row
+/// Generic over [`ProbeRow`] so the funnel streams
+/// [`ProbePlane`](crate::probe::ProbePlane) rows — contiguous slices, no per-row
 /// allocation — and still accepts owned
 /// [`InterfaceSamples`](crate::probe::InterfaceSamples) from the testkit's
 /// perturbation harness.

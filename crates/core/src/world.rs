@@ -88,7 +88,7 @@ impl WorldConfig {
     /// `world_scale` (~317k ASes) with membership density raised until the
     /// scene crosses 10⁵ member interfaces (~109k at density 12). The
     /// largest studied IXP stays well inside the 60,000-slot per-IXP
-    /// address plan. Tens of seconds to build; pair with a
+    /// address plan. About a second to build; pair with a
     /// [`crate::campaign::Campaign`] memory budget so probing stays inside
     /// a bounded footprint.
     pub fn production_scale(seed: u64) -> Self {

@@ -17,10 +17,14 @@
 //!   ~20%, zero at DIX-IE and CABASE — figure 3).
 
 use crate::dataset::IxpMeta;
-use crate::model::{Access, IxpInstance, IxpScene, ListingInfo, MemberInterface, ResponderProfile};
+use crate::model::{
+    Access, IxpInstance, IxpScene, ListingInfo, MemberInterface, ResponderProfile, MAX_IXPS,
+    MAX_SLOTS,
+};
 use crate::provider::default_providers;
 use rand::rngs::StdRng;
 use rand::RngExt;
+use rayon::prelude::*;
 use rp_topology::{AsType, Topology};
 use rp_types::dist::{coin, pareto};
 use rp_types::geo::WORLD_CITIES;
@@ -179,8 +183,7 @@ fn propensity(
 /// distance-decayed, so a Miami exchange draws Caribbean and northern
 /// South-American members while Amsterdam draws the European core. The
 /// IXP's `magnet` catchment (Terremark ↔ Latin America) adds on top.
-fn locality(topo: &Topology, net: NetworkId, meta: &IxpMeta, ixp_city: u16) -> f64 {
-    let home = topo.node(net).home_city;
+fn locality(home: u16, meta: &IxpMeta, ixp_city: u16) -> f64 {
     if home == ixp_city {
         return 30.0;
     }
@@ -194,10 +197,24 @@ fn locality(topo: &Topology, net: NetworkId, meta: &IxpMeta, ixp_city: u16) -> f
     magnet * (1.0 + 11.0 * (-km / 1_500.0).exp())
 }
 
+/// [`locality`] for every (home city, IXP) pair, row-major by home city:
+/// it depends on nothing else, so the assignment and fill loops look it up
+/// instead of recomputing a haversine distance and an `exp` per candidate.
+fn locality_table(metas: &[IxpMeta], ixp_cities: &[u16]) -> Vec<f64> {
+    (0..WORLD_CITIES.len() as u16)
+        .flat_map(|home| {
+            metas
+                .iter()
+                .zip(ixp_cities)
+                .map(move |(meta, &city)| locality(home, meta, city))
+        })
+        .collect()
+}
+
 /// Weighted sampling without replacement (Efraimidis–Spirakis): take the
 /// `m` largest keys `u^(1/w)`.
 fn weighted_sample(rng: &mut StdRng, weights: &[f64], m: usize) -> Vec<usize> {
-    let mut keyed: Vec<(f64, usize)> = weights
+    let keyed: Vec<(f64, usize)> = weights
         .iter()
         .enumerate()
         .filter(|(_, w)| **w > 0.0)
@@ -206,10 +223,30 @@ fn weighted_sample(rng: &mut StdRng, weights: &[f64], m: usize) -> Vec<usize> {
             (u.ln() / w, i)
         })
         .collect();
-    let m = m.min(keyed.len());
     // ln(u)/w is negative; larger (closer to zero) = better.
-    keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("keys are finite"));
-    keyed.truncate(m);
+    top_m(keyed, m)
+}
+
+/// Indices of the `m` largest keys of `keyed` (given in ascending index
+/// order), best first, ties to the lower index. That total order (key
+/// descending, index ascending) is exactly what a stable descending sort of
+/// index-ordered input produces, so selecting the top `m` and sorting only
+/// them returns the same list as sorting everything and truncating.
+fn top_m(mut keyed: Vec<(f64, usize)>, m: usize) -> Vec<usize> {
+    let order = |a: &(f64, usize), b: &(f64, usize)| {
+        b.0.partial_cmp(&a.0)
+            .expect("keys are finite")
+            .then(a.1.cmp(&b.1))
+    };
+    let m = m.min(keyed.len());
+    if m == 0 {
+        return Vec::new();
+    }
+    if m < keyed.len() {
+        keyed.select_nth_unstable_by(m - 1, order);
+        keyed.truncate(m);
+    }
+    keyed.sort_unstable_by(order);
     keyed.into_iter().map(|(_, i)| i).collect()
 }
 
@@ -231,6 +268,11 @@ fn remote_eligible(kind: AsType) -> bool {
 /// Build the scene: memberships, attachments, pathologies.
 pub fn build_scene(topo: &Topology, metas: &[IxpMeta], cfg: &SceneConfig) -> IxpScene {
     let _sp = rp_obs::span("ixp.build_scene");
+    assert!(
+        metas.len() <= MAX_IXPS as usize,
+        "{} IXPs are past the {MAX_IXPS}-IXP subnet plan",
+        metas.len()
+    );
     let providers = default_providers();
     let n = topo.len();
 
@@ -268,6 +310,9 @@ pub fn build_scene(topo: &Topology, metas: &[IxpMeta], cfg: &SceneConfig) -> Ixp
         .collect();
     let quota_total: usize = m_targets.iter().sum();
     let ixp_cities: Vec<u16> = metas.iter().map(|m| city_index(m.city)).collect();
+    let localities = locality_table(metas, &ixp_cities);
+    let locality_of =
+        |net: usize, x: usize| localities[topo.ases[net].home_city as usize * metas.len() + x];
 
     let mut members_per_ixp: Vec<Vec<usize>> = vec![Vec::new(); metas.len()];
     {
@@ -296,15 +341,11 @@ pub fn build_scene(topo: &Topology, metas: &[IxpMeta], cfg: &SceneConfig) -> Ixp
             if k == 0 {
                 continue;
             }
-            let net = NetworkId(net_idx as u32);
             let mut scored: Vec<(f64, usize)> = (0..metas.len())
                 .filter(|&x| capacity[x] > 0)
                 .map(|x| {
                     let noise = 0.7 + 0.6 * assign_rng.random::<f64>();
-                    (
-                        locality(topo, net, &metas[x], ixp_cities[x]) * size_factor[x] * noise,
-                        x,
-                    )
+                    (locality_of(net_idx, x) * size_factor[x] * noise, x)
                 })
                 .collect();
             scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite").then(a.1.cmp(&b.1)));
@@ -316,30 +357,37 @@ pub fn build_scene(topo: &Topology, metas: &[IxpMeta], cfg: &SceneConfig) -> Ixp
 
         // Quota capping (a network can join at most every IXP once) leaves
         // some capacity unclaimed; fill it with gravity-sampled locals so
-        // membership counts land on the Table 1 / Euro-IX targets.
-        for x in 0..metas.len() {
-            if capacity[x] == 0 {
-                continue;
-            }
-            let mut taken = vec![false; n];
-            for &m in &members_per_ixp[x] {
-                taken[m] = true;
-            }
-            let weights: Vec<f64> = (0..n)
-                .map(|i| {
-                    if taken[i] {
-                        0.0
-                    } else {
-                        propensities[i]
-                            * locality(topo, NetworkId(i as u32), &metas[x], ixp_cities[x])
-                    }
-                })
-                .collect();
-            let mut fill_rng = seed::rng(cfg.seed, "assign-fill", x as u64);
-            for i in weighted_sample(&mut fill_rng, &weights, capacity[x]) {
-                members_per_ixp[x].push(i);
-            }
-            capacity[x] = 0;
+        // membership counts land on the Table 1 / Euro-IX targets. Each
+        // IXP's fill reads only its own row and draws from its own
+        // `"assign-fill"` stream, so the fills run in parallel and are
+        // appended in IXP order: the result is the serial loop's at any
+        // thread count.
+        let ixp_order: Vec<usize> = (0..metas.len()).collect();
+        let fills: Vec<Vec<usize>> = ixp_order
+            .par_iter()
+            .map(|&x| {
+                if capacity[x] == 0 {
+                    return Vec::new();
+                }
+                let mut taken = vec![false; n];
+                for &m in &members_per_ixp[x] {
+                    taken[m] = true;
+                }
+                let weights: Vec<f64> = (0..n)
+                    .map(|i| {
+                        if taken[i] {
+                            0.0
+                        } else {
+                            propensities[i] * locality_of(i, x)
+                        }
+                    })
+                    .collect();
+                let mut fill_rng = seed::rng(cfg.seed, "assign-fill", x as u64);
+                weighted_sample(&mut fill_rng, &weights, capacity[x])
+            })
+            .collect();
+        for (members, fill) in members_per_ixp.iter_mut().zip(fills) {
+            members.extend(fill);
         }
     }
 
@@ -436,6 +484,21 @@ pub fn build_scene(topo: &Topology, metas: &[IxpMeta], cfg: &SceneConfig) -> Ixp
                 })
                 .collect(),
         };
+
+        // Every planned interface, phantoms included, needs a subnet slot.
+        let planned: usize = plan.iter().map(|&(_, l, u)| (l + u) as usize).sum();
+        let phantoms = if iface_target.is_some() {
+            ((planned as f64) * cfg.rates.absent).round() as usize
+        } else {
+            0
+        };
+        assert!(
+            planned + phantoms <= MAX_SLOTS as usize,
+            "IXP {} plans {} interfaces (listed + unlisted + phantoms), past the \
+             {MAX_SLOTS}-slot per-IXP address plan",
+            meta.acronym,
+            planned + phantoms
+        );
 
         // --- Materialize interfaces.
         let mut members: Vec<MemberInterface> = Vec::new();
@@ -552,26 +615,23 @@ pub fn build_scene(topo: &Topology, metas: &[IxpMeta], cfg: &SceneConfig) -> Ixp
         // --- Phantom listings: addresses present in registries with no
         // device behind them (stale website data). Only studied IXPs have
         // registries worth salting.
-        if iface_target.is_some() && !members.is_empty() {
-            let phantoms = ((members.len() as f64) * cfg.rates.absent).round() as usize;
-            for _ in 0..phantoms {
-                let donor = members[rng.random_range(0..members.len())];
-                members.push(MemberInterface {
-                    network: donor.network,
-                    ip: IxpInstance::ip_for_slot(id, slot),
-                    access: donor.access,
-                    profile: ResponderProfile {
-                        absent: true,
-                        ..ResponderProfile::default()
-                    },
-                    listing: ListingInfo {
-                        listed: true,
-                        identifiable: false,
-                        asn_change: false,
-                    },
-                });
-                slot += 1;
-            }
+        for _ in 0..phantoms {
+            let donor = members[rng.random_range(0..members.len())];
+            members.push(MemberInterface {
+                network: donor.network,
+                ip: IxpInstance::ip_for_slot(id, slot),
+                access: donor.access,
+                profile: ResponderProfile {
+                    absent: true,
+                    ..ResponderProfile::default()
+                },
+                listing: ListingInfo {
+                    listed: true,
+                    identifiable: false,
+                    asn_change: false,
+                },
+            });
+            slot += 1;
         }
 
         ixps.push(std::sync::Arc::new(IxpInstance {
@@ -768,6 +828,45 @@ mod tests {
             ips.sort_unstable();
             ips.dedup();
             assert_eq!(before, ips.len(), "{}", ixp.meta.acronym);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 250-IXP subnet plan")]
+    fn scenes_past_the_ixp_plan_are_rejected() {
+        let topo = generate(&TopologyConfig::test_scale(31));
+        let metas: Vec<IxpMeta> = STUDIED_22.iter().cycle().take(251).cloned().collect();
+        build_scene(&topo, &metas, &SceneConfig::test_scale(32));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 60000-slot per-IXP address plan")]
+    fn ixps_past_the_slot_plan_are_rejected() {
+        // 500× density plans ~10⁵ listed interfaces at the larger studied
+        // IXPs; the build must stop before addressing any of them.
+        let topo = generate(&TopologyConfig::test_scale(31));
+        let cfg = SceneConfig {
+            scale: 500.0,
+            ..SceneConfig::test_scale(32)
+        };
+        build_scene(&topo, STUDIED_22, &cfg);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn top_m_matches_a_stable_full_sort(
+            picks in proptest::collection::vec(0usize..5, 0..40),
+            m in 0usize..45,
+        ) {
+            // Five distinct keys (both zeros included) force many ties.
+            const KEYS: [f64; 5] = [-0.0, 0.0, -1.0, -2.5, -1e-300];
+            let keyed: Vec<(f64, usize)> =
+                picks.iter().enumerate().map(|(i, &k)| (KEYS[k], i)).collect();
+            let mut reference = keyed.clone();
+            reference.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+            reference.truncate(m);
+            let reference: Vec<usize> = reference.into_iter().map(|(_, i)| i).collect();
+            proptest::prop_assert_eq!(top_m(keyed, m), reference);
         }
     }
 

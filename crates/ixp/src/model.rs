@@ -150,6 +150,13 @@ pub struct MemberInterface {
     pub listing: ListingInfo,
 }
 
+/// IXP subnets in the member address plan (`10.<id>.0.0/16`, `id < 250`).
+pub const MAX_IXPS: u32 = 250;
+
+/// Member interface slots per IXP subnet: 240 third-octet values × 250
+/// fourth-octet values.
+pub const MAX_SLOTS: u32 = 60_000;
+
 /// One IXP with its membership.
 #[derive(Debug, Clone, Serialize)]
 pub struct IxpInstance {
@@ -191,18 +198,32 @@ impl IxpInstance {
         self.members.iter().filter(|m| m.access.is_remote()).count()
     }
 
-    /// The IXP-subnet address of interface slot `slot`. Each IXP owns
-    /// `10.<id>.0.0/16`-style space; slots map into it leaving the first
-    /// octet pairs for infrastructure (LG servers, route servers).
+    /// The IXP-subnet address of interface slot `slot`, or `None` past the
+    /// address plan: [`MAX_IXPS`] subnets of [`MAX_SLOTS`] member slots.
+    /// Each IXP owns `10.<id>.0.0/16`-style space; slots map into it
+    /// leaving the first octet pairs for infrastructure (LG servers, route
+    /// servers).
+    pub fn try_ip_for_slot(id: IxpId, slot: u32) -> Option<Ipv4Addr> {
+        (id.0 < MAX_IXPS && slot < MAX_SLOTS).then(|| {
+            Ipv4Addr::new(
+                10,
+                id.0 as u8,
+                (2 + slot / 250) as u8,
+                (2 + slot % 250) as u8,
+            )
+        })
+    }
+
+    /// [`try_ip_for_slot`](Self::try_ip_for_slot) for an address inside
+    /// the plan. Panics, in release builds too, rather than wrap an octet
+    /// and alias another interface's address.
     pub fn ip_for_slot(id: IxpId, slot: u32) -> Ipv4Addr {
-        debug_assert!(id.0 < 250, "subnet scheme holds 250 IXPs");
-        debug_assert!(slot < 60_000, "slot {slot} too large");
-        Ipv4Addr::new(
-            10,
-            id.0 as u8,
-            (2 + slot / 250) as u8,
-            (2 + slot % 250) as u8,
-        )
+        Self::try_ip_for_slot(id, slot).unwrap_or_else(|| {
+            if id.0 >= MAX_IXPS {
+                panic!("IXP {id} is past the {MAX_IXPS}-IXP subnet plan");
+            }
+            panic!("slot {slot} of IXP {id} is past the {MAX_SLOTS}-slot per-IXP address plan")
+        })
     }
 
     /// Address of the `k`-th LG server of this IXP.
@@ -315,6 +336,26 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 22 * 803);
+    }
+
+    #[test]
+    fn slot_plan_boundaries() {
+        let last = IxpInstance::try_ip_for_slot(IxpId(249), 59_999).expect("inside the plan");
+        assert_eq!(IxpInstance::slot_of_ip(IxpId(249), last), Some(59_999));
+        assert_eq!(IxpInstance::try_ip_for_slot(IxpId(0), 60_000), None);
+        assert_eq!(IxpInstance::try_ip_for_slot(IxpId(250), 0), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "60000-slot per-IXP address plan")]
+    fn ip_for_slot_rejects_slots_past_the_plan() {
+        IxpInstance::ip_for_slot(IxpId(0), MAX_SLOTS);
+    }
+
+    #[test]
+    #[should_panic(expected = "250-IXP subnet plan")]
+    fn ip_for_slot_rejects_ixps_past_the_plan() {
+        IxpInstance::ip_for_slot(IxpId(MAX_IXPS), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::model::{AsNode, AsType, Edge, Org, PeeringPolicy, Relationship, Topology};
 use rand::rngs::StdRng;
 use rand::RngExt;
-use rp_types::dist::{coin, log_normal, weighted_index};
+use rp_types::dist::{coin, log_normal, weighted_index, WeightTree};
 use rp_types::geo::{Continent, WORLD_CITIES};
 use rp_types::{seed, Asn, NetworkId, OrgId};
 use serde::{Deserialize, Serialize};
@@ -193,6 +193,88 @@ fn address_scale(kind: AsType) -> f64 {
     }
 }
 
+/// Locality boost of a provider candidate for a customer on `continent`.
+fn locality_boost(cand: &AsNode, continent: Continent) -> u64 {
+    if WORLD_CITIES[cand.home_city as usize].continent == continent {
+        3
+    } else {
+        1
+    }
+}
+
+/// One provider candidate pool (tier-1s, level-1 transit, or all transit)
+/// with its attachment weights `(1 + customer count) · locality boost` kept
+/// in one [`WeightTree`] per continent of the choosing AS. The weights are
+/// small integers, so a tree draw is exactly the `weighted_index` draw over
+/// the same weights as `f64` (see [`WeightTree`]), in O(log n) instead of a
+/// rebuilt weight vector and a linear scan per customer.
+struct ProviderPool {
+    ids: Vec<NetworkId>,
+    /// Position of each network in `ids`, `u32::MAX` if not a candidate.
+    pos: Vec<u32>,
+    /// Indexed by `Continent as usize`.
+    trees: Vec<WeightTree>,
+}
+
+impl ProviderPool {
+    fn new(ids: &[NetworkId], ases: &[AsNode]) -> Self {
+        let mut pos = vec![u32::MAX; ases.len()];
+        for (k, id) in ids.iter().enumerate() {
+            pos[id.index()] = k as u32;
+        }
+        let trees = Continent::ALL
+            .iter()
+            .map(|&cont| {
+                let weights: Vec<u64> = ids
+                    .iter()
+                    .map(|c| locality_boost(&ases[c.index()], cont))
+                    .collect();
+                WeightTree::new(&weights)
+            })
+            .collect();
+        ProviderPool {
+            ids: ids.to_vec(),
+            pos,
+            trees,
+        }
+    }
+
+    fn position(&self, id: NetworkId) -> Option<usize> {
+        match self.pos[id.index()] {
+            u32::MAX => None,
+            k => Some(k as usize),
+        }
+    }
+
+    /// Draw up to `want` distinct providers for a customer on `continent`,
+    /// without replacement: each pick's weight is zeroed for the remaining
+    /// picks and restored afterwards.
+    fn pick(&mut self, rng: &mut StdRng, continent: Continent, want: usize) -> Vec<NetworkId> {
+        let tree = &mut self.trees[continent as usize];
+        let mut picked: Vec<(usize, u64)> = Vec::with_capacity(want);
+        for _ in 0..want.min(self.ids.len()) {
+            match tree.draw(rng) {
+                Some(k) => picked.push((k, tree.set(k, 0))),
+                None => break,
+            }
+        }
+        for &(k, w) in &picked {
+            tree.set(k, w);
+        }
+        picked.into_iter().map(|(k, _)| self.ids[k]).collect()
+    }
+
+    /// `p` gained a customer: its weight grows by its locality boost in
+    /// every continent's tree.
+    fn add_customer(&mut self, p: NetworkId, ases: &[AsNode]) {
+        if let Some(k) = self.position(p) {
+            for (&cont, tree) in Continent::ALL.iter().zip(&mut self.trees) {
+                tree.add(k, locality_boost(&ases[p.index()], cont));
+            }
+        }
+    }
+}
+
 /// Generate a topology from the config. Panics only on configs that are
 /// structurally impossible (zero tier-1s with nonzero stubs).
 pub fn generate(cfg: &TopologyConfig) -> Topology {
@@ -255,12 +337,12 @@ pub fn generate(cfg: &TopologyConfig) -> Topology {
             .expect("hub city exists") as u16
     })
     .collect();
+    // The first few hubs (the biggest markets) draw more.
+    let hub_weights: Vec<f64> = (0..hub_cities.len())
+        .map(|i| 1.0 / (1.0 + i as f64 * 0.35))
+        .collect();
     let pick_hub = |rng: &mut StdRng| -> u16 {
-        // The first few hubs (the biggest markets) draw more.
-        let weights: Vec<f64> = (0..hub_cities.len())
-            .map(|i| 1.0 / (1.0 + i as f64 * 0.35))
-            .collect();
-        hub_cities[weighted_index(rng, &weights).expect("positive weights")]
+        hub_cities[weighted_index(rng, &hub_weights).expect("positive weights")]
     };
 
     // --- 1. Create nodes ------------------------------------------------
@@ -353,7 +435,6 @@ pub fn generate(cfg: &TopologyConfig) -> Topology {
     // Preferential attachment with geographic locality: the probability of
     // choosing a provider is (1 + current customer count) · locality boost.
     let mut edges: Vec<Edge> = Vec::new();
-    let mut customer_count = vec![0u32; n];
 
     // Tier-1 clique (settlement-free peering among all tier-1s).
     let tier1_ids: Vec<NetworkId> = ases
@@ -376,39 +457,6 @@ pub fn generate(cfg: &TopologyConfig) -> Topology {
     // Provider candidates per level: level-l networks choose providers among
     // strictly lower levels (tier-1 for level 1; tier-1 + level-1 transit for
     // level 2; transit for level 3).
-    let choose_providers = |rng: &mut StdRng,
-                            node: &AsNode,
-                            candidates: &[NetworkId],
-                            customer_count: &[u32],
-                            ases: &[AsNode],
-                            want: usize|
-     -> Vec<NetworkId> {
-        let weights: Vec<f64> = candidates
-            .iter()
-            .map(|c| {
-                let cand = &ases[c.index()];
-                let locality = if continent_of(cand) == continent_of(node) {
-                    3.0
-                } else {
-                    1.0
-                };
-                (1.0 + customer_count[c.index()] as f64) * locality
-            })
-            .collect();
-        let mut picked = Vec::with_capacity(want);
-        let mut weights = weights;
-        for _ in 0..want.min(candidates.len()) {
-            match weighted_index(rng, &weights) {
-                Some(i) => {
-                    picked.push(candidates[i]);
-                    weights[i] = 0.0; // without replacement
-                }
-                None => break,
-            }
-        }
-        picked
-    };
-
     let level1: Vec<NetworkId> = ases
         .iter()
         .filter(|a| a.kind == AsType::Transit && a.level == 1)
@@ -419,32 +467,35 @@ pub fn generate(cfg: &TopologyConfig) -> Topology {
         .filter(|a| a.kind == AsType::Transit)
         .map(|a| a.id)
         .collect();
+    let mut tier1_pool = ProviderPool::new(&tier1_ids, &ases);
+    let mut level1_pool = ProviderPool::new(&level1, &ases);
+    let mut transit_pool = ProviderPool::new(&all_transit, &ases);
 
-    let ids: Vec<NetworkId> = ases.iter().map(|a| a.id).collect();
-    for &id in &ids {
-        let node = ases[id.index()].clone();
-        let (candidates, want): (&[NetworkId], usize) = match (node.kind, node.level) {
+    for node in &ases {
+        let (pool, want) = match (node.kind, node.level) {
             (AsType::Tier1, _) => continue,
-            (AsType::Transit, 1) => (&tier1_ids, 1 + rng.random_range(0..2usize)),
-            (AsType::Transit, _) => (&level1, 1 + rng.random_range(0..2usize)),
+            (AsType::Transit, 1) => (&mut tier1_pool, 1 + rng.random_range(0..2usize)),
+            (AsType::Transit, _) => (&mut level1_pool, 1 + rng.random_range(0..2usize)),
             // NRENs buy from tier-1s directly (RedIRIS buys transit from two
             // tier-1 providers).
-            (AsType::Nren, _) => (&tier1_ids, 2),
+            (AsType::Nren, _) => (&mut tier1_pool, 2),
             // Other stubs: usually regional transit, sometimes straight
             // from a tier-1.
             _ => {
                 if coin(&mut rng, cfg.stub_tier1_prob) {
-                    (&tier1_ids, 1 + rng.random_range(0..2usize))
+                    (&mut tier1_pool, 1 + rng.random_range(0..2usize))
                 } else {
-                    (&all_transit, 1 + rng.random_range(0..3usize))
+                    (&mut transit_pool, 1 + rng.random_range(0..3usize))
                 }
             }
         };
-        for p in choose_providers(&mut rng, &node, candidates, &customer_count, &ases, want) {
-            customer_count[p.index()] += 1;
+        for p in pool.pick(&mut rng, continent_of(node), want) {
+            for pool in [&mut tier1_pool, &mut level1_pool, &mut transit_pool] {
+                pool.add_customer(p, &ases);
+            }
             edges.push(Edge {
                 a: p,
-                b: id,
+                b: node.id,
                 rel: Relationship::ProviderOf,
             });
         }
@@ -453,21 +504,37 @@ pub fn generate(cfg: &TopologyConfig) -> Topology {
     // Sparse settlement-free peering among same-continent transit networks.
     // A pair of ASes holds at most one relationship: skip pairs already
     // connected by a transit edge (being both peer and provider of the same
-    // network would make route classification ambiguous).
-    let connected: std::collections::HashSet<(u32, u32)> = edges
+    // network would make route classification ambiguous). Every
+    // same-continent, unconnected pair draws one coin, in (i, j) order; the
+    // walk visits only same-continent pairs, so it draws the same coins as
+    // a walk over all pairs that skips the rest.
+    let transit_continent: Vec<Continent> = all_transit
         .iter()
-        .map(|e| (e.a.0.min(e.b.0), e.a.0.max(e.b.0)))
+        .map(|a| continent_of(&ases[a.index()]))
         .collect();
+    let mut transit_neighbours: Vec<Vec<u32>> = vec![Vec::new(); all_transit.len()];
+    for e in &edges {
+        if let (Some(a), Some(b)) = (transit_pool.position(e.a), transit_pool.position(e.b)) {
+            transit_neighbours[a].push(b as u32);
+            transit_neighbours[b].push(a as u32);
+        }
+    }
+    for list in &mut transit_neighbours {
+        list.sort_unstable();
+    }
+    let mut transit_by_continent: Vec<Vec<u32>> = vec![Vec::new(); Continent::ALL.len()];
+    for (k, c) in transit_continent.iter().enumerate() {
+        transit_by_continent[*c as usize].push(k as u32);
+    }
     for i in 0..all_transit.len() {
-        for j in (i + 1)..all_transit.len() {
-            let (a, b) = (all_transit[i], all_transit[j]);
-            if continent_of(&ases[a.index()]) == continent_of(&ases[b.index()])
-                && !connected.contains(&(a.0.min(b.0), a.0.max(b.0)))
+        let same = &transit_by_continent[transit_continent[i] as usize];
+        for &j in &same[same.partition_point(|&j| j <= i as u32)..] {
+            if transit_neighbours[i].binary_search(&j).is_err()
                 && coin(&mut rng, cfg.transit_peering_prob)
             {
                 edges.push(Edge {
-                    a,
-                    b,
+                    a: all_transit[i],
+                    b: all_transit[j as usize],
                     rel: Relationship::PeerOf,
                 });
             }

@@ -49,9 +49,9 @@ pub fn zipf_weight(rank: usize, s: f64) -> f64 {
 
 /// Sample an index in `[0, weights.len())` proportionally to `weights`.
 ///
-/// Linear scan; the generators use it on small candidate sets (providers for
-/// one AS, cities for one PoP). Returns `None` for an empty or all-zero
-/// weight vector.
+/// Linear scan, for small candidate sets (continents, hub cities); large
+/// pools of integer weights draw the same index through [`WeightTree`].
+/// Returns `None` for an empty or all-zero weight vector.
 pub fn weighted_index<R: RngExt + ?Sized>(rng: &mut R, weights: &[f64]) -> Option<usize> {
     let total: f64 = weights.iter().copied().filter(|w| *w > 0.0).sum();
     if total <= 0.0 || !total.is_finite() {
@@ -68,6 +68,101 @@ pub fn weighted_index<R: RngExt + ?Sized>(rng: &mut R, weights: &[f64]) -> Optio
     }
     // Floating-point residue: fall back to the last positive weight.
     weights.iter().rposition(|w| *w > 0.0)
+}
+
+/// Integer weights in a Fenwick (binary indexed) tree: O(log n) updates and
+/// weighted draws that return exactly what [`weighted_index`] returns on the
+/// same weights (as `f64`) and the same RNG state.
+///
+/// Exactness: while the total stays below 2^53, every partial sum of integer
+/// weights is exact in `f64`, and so is every `target - S_k` that
+/// `weighted_index` computes while it is still positive (`target` is a
+/// multiple of its own ulp ≤ 1, so the difference is too and fits in 53
+/// bits). Its scan therefore returns the first positive-weight index whose
+/// integer prefix sum `S_k` reaches `target`, i.e. the first index with
+/// `S_k ≥ max(ceil(target), 1)` — a Fenwick lower-bound search. An all-zero
+/// tree draws nothing from the RNG, as `weighted_index` does.
+#[derive(Debug, Clone)]
+pub struct WeightTree {
+    /// 1-based Fenwick partial sums (`tree[0]` unused), kept modulo 2^64 so
+    /// a decrease is a wrapping add; the true sums are never negative.
+    tree: Vec<u64>,
+    weights: Vec<u64>,
+    total: u64,
+}
+
+impl WeightTree {
+    /// A tree over `weights`, built in O(n).
+    pub fn new(weights: &[u64]) -> Self {
+        let n = weights.len();
+        let mut tree = vec![0u64; n + 1];
+        tree[1..].copy_from_slice(weights);
+        for i in 1..=n {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= n {
+                tree[parent] = tree[parent].wrapping_add(tree[i]);
+            }
+        }
+        let total = weights.iter().sum();
+        assert!(total < 1 << 53, "weight total {total} is not exact in f64");
+        WeightTree {
+            tree,
+            weights: weights.to_vec(),
+            total,
+        }
+    }
+
+    /// Sum of all weights.
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// Set the weight at `i` to `w`, returning the old weight.
+    pub fn set(&mut self, i: usize, w: u64) -> u64 {
+        let old = std::mem::replace(&mut self.weights[i], w);
+        let delta = w.wrapping_sub(old);
+        self.total = self.total.wrapping_add(delta);
+        assert!(self.total < 1 << 53, "weight total is not exact in f64");
+        let mut k = i + 1;
+        while k < self.tree.len() {
+            self.tree[k] = self.tree[k].wrapping_add(delta);
+            k += k & k.wrapping_neg();
+        }
+        old
+    }
+
+    /// Add `delta` to the weight at `i`.
+    pub fn add(&mut self, i: usize, delta: u64) {
+        self.set(i, self.weights[i] + delta);
+    }
+
+    /// Draw an index proportionally to the weights; see the type docs for
+    /// why this equals [`weighted_index`] draw for draw.
+    pub fn draw<R: RngExt + ?Sized>(&self, rng: &mut R) -> Option<usize> {
+        if self.total == 0 {
+            return None;
+        }
+        let target = rng.random::<f64>() * self.total as f64;
+        Some(self.lower_bound((target.ceil() as u64).max(1)))
+    }
+
+    /// The smallest index whose inclusive prefix sum is at least `k`, for
+    /// `1 ≤ k ≤ total`.
+    fn lower_bound(&self, k: u64) -> usize {
+        let n = self.weights.len();
+        let mut pos = 0usize;
+        let mut rest = k;
+        let mut step = if n == 0 { 0 } else { 1 << n.ilog2() };
+        while step > 0 {
+            let next = pos + step;
+            if next <= n && self.tree[next] < rest {
+                pos = next;
+                rest -= self.tree[next];
+            }
+            step >>= 1;
+        }
+        pos
+    }
 }
 
 /// Bernoulli draw with probability `p` (clamped to [0, 1]).

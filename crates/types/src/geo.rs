@@ -43,6 +43,18 @@ pub enum Continent {
     SouthAmerica,
 }
 
+impl Continent {
+    /// Every continent, in declaration order: `ALL[c as usize] == c`.
+    pub const ALL: [Continent; 6] = [
+        Continent::Africa,
+        Continent::Asia,
+        Continent::Europe,
+        Continent::NorthAmerica,
+        Continent::Oceania,
+        Continent::SouthAmerica,
+    ];
+}
+
 impl fmt::Display for Continent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
@@ -292,6 +304,13 @@ pub fn try_city(name: &str) -> Option<City> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_continents_are_indexed_by_discriminant() {
+        for (i, c) in Continent::ALL.iter().enumerate() {
+            assert_eq!(*c as usize, i, "{c}");
+        }
+    }
 
     #[test]
     fn haversine_known_distances() {

@@ -1,7 +1,9 @@
 //! Property-based tests on the foundation types.
 
 use proptest::prelude::*;
-use rp_types::dist;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
+use rp_types::dist::{self, WeightTree};
 use rp_types::geo::{GeoPoint, EARTH_RADIUS_KM};
 use rp_types::seed;
 use rp_types::{Bps, SimDuration, SimTime};
@@ -75,6 +77,96 @@ proptest! {
         match dist::weighted_index(&mut rng, &weights) {
             Some(i) => prop_assert!(weights[i] > 0.0),
             None => prop_assert!(weights.iter().all(|w| *w <= 0.0)),
+        }
+    }
+
+    #[test]
+    fn weight_tree_draws_match_weighted_index(
+        seed in any::<u64>(),
+        weights in proptest::collection::vec(0u64..6, 0..60),
+        scale in prop_oneof![Just(1u64), Just(3), Just(1_000), Just(1 << 30)],
+        increments in proptest::collection::vec((0usize..60, 1u64..4), 0..12),
+        rounds in 1usize..5,
+        want in 0usize..6,
+    ) {
+        // The provider-attachment pattern: per round, `want` picks without
+        // replacement, the picks restored, then a few weights grow.
+        let weights: Vec<u64> = weights.iter().map(|w| w * scale).collect();
+        let mut tree = WeightTree::new(&weights);
+        let mut flat: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
+        let mut a = StdRng::seed_from_u64(seed);
+        let mut b = StdRng::seed_from_u64(seed);
+        for round in 0..rounds {
+            let mut picked = Vec::new();
+            for _ in 0..want {
+                let expected = dist::weighted_index(&mut a, &flat);
+                let got = tree.draw(&mut b);
+                prop_assert_eq!(got, expected, "round {}", round);
+                let Some(i) = got else { break };
+                picked.push((i, tree.set(i, 0)));
+                flat[i] = 0.0;
+            }
+            for (i, w) in picked {
+                tree.set(i, w);
+                flat[i] = w as f64;
+            }
+            for &(i, delta) in &increments {
+                if i < weights.len() {
+                    tree.add(i, delta * scale);
+                    flat[i] += (delta * scale) as f64;
+                }
+            }
+            prop_assert_eq!(tree.total() as f64, flat.iter().sum::<f64>());
+        }
+        // Both consumed the same number of draws.
+        prop_assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn weight_tree_matches_weighted_index_on_exact_integer_targets(
+        weights in proptest::collection::vec(0u64..9, 1..40),
+        frac in 0.0f64..1.0,
+    ) {
+        // Pad the total to a power of two so `u · total` lands exactly on
+        // the integer k: weighted_index's `target <= 0` boundary case.
+        let mut weights = weights;
+        let sum: u64 = weights.iter().sum();
+        let total = sum.next_power_of_two();
+        weights.push(total - sum);
+        let k = ((frac * total as f64) as u64).min(total - 1);
+        let word = (k * ((1u64 << 53) / total)) << 11;
+        let flat: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
+        let expected = dist::weighted_index(&mut Replay(vec![word]), &flat);
+        prop_assert_eq!(WeightTree::new(&weights).draw(&mut Replay(vec![word])), expected);
+    }
+}
+
+/// An RNG replaying fixed raw words, to aim a draw's target exactly.
+struct Replay(Vec<u64>);
+
+impl RngCore for Replay {
+    fn next_u64(&mut self) -> u64 {
+        self.0.remove(0)
+    }
+}
+
+#[test]
+fn weight_tree_degenerate_inputs_match_weighted_index() {
+    for weights in [vec![], vec![0u64], vec![0, 0, 0], vec![0, 7, 0], vec![5]] {
+        let flat: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
+        let tree = WeightTree::new(&weights);
+        // u = 0 (target 0), the largest u (target rounds up to the total)
+        // and a middle one.
+        for word in [0, u64::MAX, 1 << 63] {
+            let mut a = Replay(vec![word, 42]);
+            let mut b = Replay(vec![word, 42]);
+            assert_eq!(
+                tree.draw(&mut b),
+                dist::weighted_index(&mut a, &flat),
+                "{weights:?} at {word:#x}"
+            );
+            // An all-zero tree consumes no draw, like weighted_index.
+            assert_eq!(a.0, b.0, "{weights:?}");
         }
     }
 }
