@@ -34,7 +34,7 @@
 use remote_peering::campaign::Campaign;
 use remote_peering::detect::DetectionReport;
 use remote_peering::identify::Identification;
-use remote_peering::offload::OffloadStudy;
+use remote_peering::offload::{GreedyMetric, OffloadStudy, PeerGroup};
 use remote_peering::world::{Scale, World, WorldConfig};
 use rp_bench::experiments::{self, ExperimentOutput};
 use rp_obs::Sink;
@@ -86,10 +86,6 @@ struct Args {
     /// `--trace`, `--report [PATH]`, `--trace-json P`, `--trace-chrome P`:
     /// at most one sink of each kind, the last flag winning.
     sinks: Vec<Sink>,
-    /// `--compare` baseline file for `bench` (raw same-host comparison).
-    compare: Option<PathBuf>,
-    /// `--warn-only`: report `--compare` regressions without failing.
-    warn_only: bool,
     /// The operand of `sweep` (spec file or preset), `job` (spec file) or
     /// `profile` (experiment).
     operand: Option<String>,
@@ -99,8 +95,6 @@ struct Args {
     faults: Option<u64>,
     /// `--fuzz` iteration count for `check` (default 500).
     fuzz: Option<u64>,
-    /// `--json` output path for `bench` (default `BENCH_10.json`).
-    json_out: Option<PathBuf>,
     /// `--quick` single-repetition smoke mode for `bench` (CI).
     quick: bool,
     /// `--shards` data-plane shards per simulated IXP network; 0 resolves
@@ -125,7 +119,7 @@ fn usage_text() -> String {
          \x20            [--threads N] [--shards N]\n\
          \x20      repro sweep <SPEC.json|PRESET> [--replicates N] [other flags]\n\
          \x20      repro check [--faults N] [--fuzz N] [other flags]\n\
-         \x20      repro bench [--json PATH] [--quick] [--compare OLD.json] [other flags]\n\
+         \x20      repro bench [--quick] [other flags]\n\
          \x20      repro profile <EXPERIMENT> [other flags]\n\
          \x20      repro serve [--addr HOST:PORT] [--workers N] [--queue-cap N]\n\
          \x20            [--pool-bytes N] [other flags]\n\
@@ -151,11 +145,7 @@ fn usage_text() -> String {
          \x20 --replicates N    sweep replicate seeds per cell (default: the spec's)\n\
          \x20 --faults N        check: perturbation trials (default 200)\n\
          \x20 --fuzz N          check: fuzzer iterations per target (default 500)\n\
-         \x20 --json PATH       bench: result file (default BENCH_10.json)\n\
          \x20 --quick           bench: single repetition (CI smoke run)\n\
-         \x20 --compare OLD     bench: compare against a previous result file,\n\
-         \x20                   exit 1 past the tolerance unless --warn-only\n\
-         \x20 --warn-only       bench: report --compare regressions, never fail\n\
          \x20 --addr HOST:PORT  serve: listen address (default 127.0.0.1:8080,\n\
          \x20                   port 0 picks a free port)\n\
          \x20 --workers N       serve: job worker threads (default 2)\n\
@@ -201,13 +191,10 @@ fn parse_args() -> Args {
         out: PathBuf::from("results"),
         threads: 0,
         sinks: Vec::new(),
-        compare: None,
-        warn_only: false,
         operand: None,
         replicates: None,
         faults: None,
         fuzz: None,
-        json_out: None,
         quick: false,
         shards: 0,
         addr: "127.0.0.1:8080".into(),
@@ -285,13 +272,6 @@ fn parse_args() -> Args {
                         .unwrap_or_else(|| bad_usage("--fuzz requires a numeric count")),
                 )
             }
-            "--json" => {
-                args.json_out = Some(
-                    it.next()
-                        .map(PathBuf::from)
-                        .unwrap_or_else(|| bad_usage("--json requires a file path")),
-                )
-            }
             "--quick" => args.quick = true,
             "--trace" => set_sink(&mut args.sinks, Sink::Tree),
             "--trace-json" => {
@@ -306,14 +286,6 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|| bad_usage("--trace-chrome requires a file path"));
                 set_sink(&mut args.sinks, Sink::Chrome(path.into()));
             }
-            "--compare" => {
-                args.compare = Some(
-                    it.next()
-                        .map(PathBuf::from)
-                        .unwrap_or_else(|| bad_usage("--compare requires a baseline file")),
-                )
-            }
-            "--warn-only" => args.warn_only = true,
             "--addr" => {
                 args.addr = it
                     .next()
@@ -639,17 +611,20 @@ impl BenchRow {
     }
 }
 
-/// The `bench` subcommand: a fixed suite of data-plane benchmarks whose
-/// JSON output keeps the same keys from run to run (`BENCH_10.json` in CI
-/// artifacts and at the repository root). Besides the microbench rows, a
+/// The `bench` subcommand: a fixed suite of pipeline benchmarks whose
+/// JSON output (`<out>/bench.json`) keeps the same keys from run to run;
+/// the committed `BENCH_*.json` baselines at the repository root are
+/// copies of it, compared by `scripts/check_bench_trend.py`. Each paired
+/// row (serial vs parallel probing, uncached vs cached greedy) is asserted
+/// equal before it is timed. Besides the microbench rows, a
 /// `fork_vs_rebuild` section quantifies what copy-on-write forking and
 /// incremental recompute buy over from-scratch rebuilds, with each pair
 /// asserted byte-identical in-process before its speedup is reported, and
 /// a `production_world` section records what the `--scale production`
-/// preset costs to build, probe, and drain under its memory budget.
-/// `--quick` drops to a single repetition and smaller sharded/production
-/// worlds so CI can smoke-run the suite without paying for stable
-/// numbers. Fails past the `--compare` tolerance unless `--warn-only`.
+/// preset costs to build, probe, and drain under its memory budget, with
+/// the measured peak RSS beside the modelled bytes. `--quick` drops to a
+/// single repetition and smaller sharded/production worlds so CI can
+/// smoke-run the suite without paying for stable numbers.
 fn run_bench_command(args: &Args) -> Outcome {
     use rp_netsim::event::{Event, EventKey, EventQueue};
     use rp_netsim::NodeId;
@@ -704,7 +679,13 @@ fn run_bench_command(args: &Args) -> Outcome {
     });
 
     // The production path: parallel over IXPs, with sample collection.
-    std::hint::black_box(campaign.probe_all(&world));
+    // The untimed first pass must equal the serial reference arm, so the
+    // serial/parallel pair above and below races on identical work.
+    assert_eq!(
+        campaign.probe_all(&world),
+        rp_testkit::differential::probe_all_serial(&campaign, &world),
+        "parallel probe_all diverged from serial"
+    );
     let t = Instant::now();
     for _ in 0..reps {
         std::hint::black_box(campaign.probe_all(&world));
@@ -715,6 +696,32 @@ fn run_bench_command(args: &Args) -> Outcome {
         ns_per_op: t.elapsed().as_nanos() as f64 / reps as f64,
         events_per_op: events as f64,
     });
+
+    // Greedy IXP expansion (figs 9/10), recomputing every cone from the
+    // member lists vs over the study's memoized per-IXP cone cache. The
+    // equality assert runs the cached arm first, so the cache is warm
+    // before either arm is timed.
+    let study = OffloadStudy::new(&world);
+    let greedy = |cached: bool| {
+        if cached {
+            study.greedy_by(PeerGroup::All, 30, GreedyMetric::Traffic)
+        } else {
+            study.greedy_by_uncached(PeerGroup::All, 30, GreedyMetric::Traffic)
+        }
+    };
+    assert_eq!(greedy(true), greedy(false), "cached greedy diverged");
+    for (name, cached) in [("greedy_uncached_30", false), ("greedy_cached_30", true)] {
+        let t = Instant::now();
+        for _ in 0..reps {
+            std::hint::black_box(greedy(cached));
+        }
+        rows.push(BenchRow {
+            name,
+            ops: reps,
+            ns_per_op: t.elapsed().as_nanos() as f64 / reps as f64,
+            events_per_op: 0.0,
+        });
+    }
 
     // Calendar-queue microbenches. Spread: pops chase pushes through
     // distinct buckets. Burst: 200 same-time events per drain round (the
@@ -851,6 +858,7 @@ fn run_bench_command(args: &Args) -> Outcome {
     let t = Instant::now();
     let prod_probes = prod_campaign.probe_all(&prod);
     let prod_probe_ns = t.elapsed().as_nanos() as f64;
+    let prod_peak_rss = rp_obs::peak_rss_bytes();
     let prod_plane_bytes: u64 = prod_probes.iter().map(|(_, p)| p.plane_bytes()).sum();
     drop(prod_probes);
     // Pure shard-drain throughput, one shard vs the `--shards` default:
@@ -898,6 +906,7 @@ fn run_bench_command(args: &Args) -> Outcome {
         "ases": prod.topology.len(),
         "interfaces": prod.scene.total_interfaces(),
         "approx_bytes": prod.approx_bytes(),
+        "peak_rss_bytes": prod_peak_rss,
         "memory_budget_bytes": prod_budget,
         "events_per_campaign": prod_events,
         "probe_plane_bytes": prod_plane_bytes,
@@ -1108,41 +1117,13 @@ fn run_bench_command(args: &Args) -> Outcome {
         ),
         "benches": bench_values,
     });
-    let path = args
-        .json_out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("BENCH_10.json"));
+    let path = args.out.join("bench.json");
     write_output(
         &path,
         &serde_json::to_string_pretty(&out).expect("serialize bench output"),
     );
     eprintln!("bench results: {}", path.display());
-
-    // `--compare OLD.json`: raw same-host regression gate against a
-    // previous result file. Cross-host trend analysis (normalized by the
-    // queue microbenches) lives in `scripts/check_bench_trend.py`.
-    let Some(old_path) = &args.compare else {
-        return (Vec::new(), true);
-    };
-    let old_doc = std::fs::read_to_string(old_path)
-        .map_err(|e| e.to_string())
-        .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()))
-        .unwrap_or_else(|e| fail(format_args!("cannot read {}: {e}", old_path.display())));
-    let cmp = rp_obs::compare::compare(&old_doc, &out)
-        .unwrap_or_else(|e| fail(format_args!("{}: {e}", old_path.display())));
-    let tol = rp_obs::compare::DEFAULT_TOLERANCE;
-    println!("==== bench compare vs {} ====", old_path.display());
-    print!("{}", cmp.render(tol));
-    let regressed = cmp.regressions(tol);
-    if !regressed.is_empty() {
-        eprintln!(
-            "bench compare: {} regression(s) past {:.0}%{}",
-            regressed.len(),
-            tol * 100.0,
-            if args.warn_only { " (warn-only)" } else { "" }
-        );
-    }
-    (Vec::new(), regressed.is_empty() || args.warn_only)
+    (Vec::new(), true)
 }
 
 /// The job `check`, `sweep` or `job` runs: built from flags, from a sweep

@@ -1,9 +1,8 @@
 //! # rp-bench
 //!
 //! The experiment harness: one regeneration function per table/figure of
-//! the paper, shared between the `repro` binary (full paper-scale runs,
-//! text + JSON output) and the criterion benches (performance tracking at
-//! reduced scale).
+//! the paper, called by the `repro` binary (text + JSON output). The
+//! binary's `bench` subcommand times the pipeline itself.
 //!
 //! | paper artifact | function |
 //! |---|---|

@@ -6,7 +6,7 @@
 //! pipeline *did* and how long each part took, without perturbing what it
 //! *computed*.
 //!
-//! Seven modules:
+//! Six modules, plus [`peak_rss_bytes`] for measured process memory:
 //!
 //! - [`mod@span`] — hierarchical spans with monotonic timing. Each thread
 //!   accumulates span statistics in a thread-local collector; when the
@@ -28,7 +28,6 @@
 //!   `/metrics` and progress views `repro serve` answers with.
 //! - [`profile`] — a sampling profiler over the live span stacks,
 //!   emitting collapsed (flamegraph-ready) stacks.
-//! - [`compare`] — same-host comparison of two `repro bench` result files.
 //!
 //! ## Cost model
 //!
@@ -36,9 +35,8 @@
 //! relaxed atomic load). While disabled — the default — [`span()`] returns an
 //! inert guard, counters skip their atomic write, and histograms skip the
 //! bucket scan, so instrumented code paths cost one load and one branch.
-//! The `obs/*` benches in `benches/parallel.rs` quantify the enabled
-//! overhead (<2% on the probing campaign) and confirm the disabled cost is
-//! unmeasurable.
+//! The rpbench harness measures the enabled overhead as
+//! `trace.overhead_ms`: a traced op's median minus the untraced one's.
 //!
 //! ## Determinism contract
 //!
@@ -56,7 +54,6 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-pub mod compare;
 pub mod metrics;
 pub mod profile;
 pub mod report;
@@ -98,6 +95,23 @@ pub fn reset() {
     timeline::reset();
 }
 
+/// The process's peak resident set size (`VmHWM`) in bytes, read from
+/// `/proc/self/status`; `None` where that file does not exist (off Linux).
+pub fn peak_rss_bytes() -> Option<u64> {
+    parse_vm_hwm(&std::fs::read_to_string("/proc/self/status").ok()?)
+}
+
+/// `VmHWM` in bytes from the text of a `/proc/<pid>/status` file.
+fn parse_vm_hwm(status: &str) -> Option<u64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let mut parts = line.split_whitespace();
+    let kb: u64 = parts.next()?.parse().ok()?;
+    if parts.next()? != "kB" {
+        return None;
+    }
+    kb.checked_mul(1024)
+}
+
 /// Resolve (or register) a counter by name, caching the handle per call
 /// site so the hot path is one `OnceLock` load.
 #[macro_export]
@@ -130,4 +144,19 @@ macro_rules! histogram {
             ::std::sync::OnceLock::new();
         *CELL.get_or_init(|| $crate::metrics::histogram($name, $bounds))
     }};
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn vm_hwm_parses_from_status_text() {
+        let status = "Name:\trepro\nVmPeak:\t  999999 kB\nVmHWM:\t   204800 kB\nVmRSS:\t 1024 kB\n";
+        assert_eq!(parse_vm_hwm(status), Some(204_800 * 1024));
+        assert_eq!(parse_vm_hwm("VmRSS:\t1024 kB\n"), None);
+        assert_eq!(parse_vm_hwm("VmHWM:\tlots kB\n"), None);
+        assert_eq!(parse_vm_hwm("VmHWM:\t1024 MB\n"), None);
+        assert_eq!(parse_vm_hwm("VmHWM:\n"), None);
+    }
 }

@@ -12,8 +12,7 @@ a machine-speed unit — so what is compared is "how many queue-ops does
 one op of this bench cost", which is stable across hosts. The
 `event_queue_*` microbenches themselves are the normalizer family, so
 they are excluded from the gate and reported informationally; pass
-`--raw` to skip normalization for a strictly same-host comparison (the
-same check `repro bench --compare` performs in-process).
+`--raw` to skip normalization for a strictly same-host comparison.
 
 With several baselines the per-bench reference is the median, and the
 effective tolerance widens to the baselines' own relative spread when

@@ -38,8 +38,18 @@ fn assert_usage_error(out: &Output, expected_first_line: &str) {
 
 #[test]
 fn unknown_flag_is_one_line_error_exit_2() {
-    let out = repro(&["--definitely-bogus"]);
-    assert_usage_error(&out, "error: unknown flag --definitely-bogus");
+    // `bench` always writes `<out>/bench.json`, and bench results are
+    // compared by `scripts/check_bench_trend.py`, so these are no flags.
+    for args in [
+        &["--definitely-bogus"][..],
+        &["bench", "--compare", "x"],
+        &["bench", "--warn-only"],
+        &["bench", "--json", "x"],
+    ] {
+        let out = repro(args);
+        let flag = args.iter().find(|a| a.starts_with("--")).expect("a flag");
+        assert_usage_error(&out, &format!("error: unknown flag {flag}"));
+    }
 }
 
 #[test]
