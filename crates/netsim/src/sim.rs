@@ -31,7 +31,7 @@
 
 use crate::event::{Event, EventKey, EventQueue};
 use crate::fault::{FaultCounts, FaultEvent, FaultInjector, TxFaults, DUPLICATE_GAP};
-use crate::frame::{Frame, FrameArena, MacAddr, Payload};
+use crate::frame::{ArpOp, Frame, FrameArena, MacAddr, Payload};
 use crate::host::Host;
 use crate::link::DelayModel;
 use crate::router::{Router, RouterBehavior};
@@ -248,6 +248,9 @@ struct Shard {
     /// are keyed by `(link, dir)`, so the split cannot change outcomes.
     faults: Option<FaultInjector>,
     events_processed: u64,
+    /// Dispatched events by kind (`EV_*` index order); flushed as the
+    /// `netsim.sim.events.<kind>` counters.
+    events_by_kind: [u64; 4],
     /// Frames dropped because a device transmitted on an unconnected port.
     dropped_unconnected: u64,
     /// Largest per-link transmit-queue depth seen (frames waiting ahead of
@@ -271,12 +274,32 @@ struct Shard {
     /// function of the shard-invariant event trace — see the
     /// `rp_obs::timeline` module docs for the rules.
     timeline: rp_obs::TimelineRecorder,
-    /// Batched `netsim.events` count for the current sim-time bucket:
-    /// dispatch is the hottest loop in the repo, so per-event recording
-    /// folds into one add until the bucket changes.
-    tl_ev_bucket: u64,
-    tl_ev_accum: u64,
+    /// The per-event rate series ([`TL_RATES`]) batched per sim-time
+    /// bucket in front of `timeline`: dispatch is the hottest loop in the
+    /// repo, so each event costs one register add until the bucket changes.
+    tl_rates: rp_obs::RateRegister<5>,
 }
+
+/// The rate series every shard records per event or per transmitted
+/// frame, in [`Shard::tl_rates`] index order.
+const TL_RATES: [&str; 5] = [
+    "netsim.events",
+    "netsim.access_bytes",
+    "netsim.inter_site_bytes",
+    "netsim.inter_site_frames",
+    "netsim.pseudowire_bytes",
+];
+const TL_EVENTS: usize = 0;
+const TL_ACCESS_BYTES: usize = 1;
+const TL_INTER_SITE_BYTES: usize = 2;
+const TL_INTER_SITE_FRAMES: usize = 3;
+const TL_PSEUDOWIRE_BYTES: usize = 4;
+
+/// Kinds of dispatched event, as indices into [`Shard::events_by_kind`].
+const EV_ARP_REQUEST: usize = 0;
+const EV_ARP_REPLY: usize = 1;
+const EV_IPV4: usize = 2;
+const EV_TIMER: usize = 3;
 
 /// Minimum total pending events before a window is drained on the rayon
 /// pool. Below this, thread spawn/handoff costs more than the work; the
@@ -320,14 +343,14 @@ impl Shard {
             scratch: Vec::new(),
             faults: None,
             events_processed: 0,
+            events_by_kind: [0; 4],
             dropped_unconnected: 0,
             queue_depth_hwm: 0,
             digest: 0,
             outbox: (0..total).map(|_| Vec::new()).collect(),
             handoffs: 0,
             timeline: rp_obs::TimelineRecorder::new(),
-            tl_ev_bucket: 0,
-            tl_ev_accum: 0,
+            tl_rates: rp_obs::RateRegister::new(TL_RATES),
         }
     }
 
@@ -336,28 +359,6 @@ impl Shard {
     /// quantity [`Network::set_memory_budget`] bounds.
     fn retained_bytes(&self) -> u64 {
         self.queue.retained_bytes() + self.frames.retained_bytes()
-    }
-
-    /// Count one dispatched event on the `netsim.events` rate series,
-    /// batching within a bucket (events are near-sorted in time, so the
-    /// common case is one register add).
-    #[inline]
-    fn tl_event(&mut self) {
-        let b = rp_obs::timeline::bucket_of(self.now.nanos());
-        if b != self.tl_ev_bucket {
-            self.tl_flush_events();
-            self.tl_ev_bucket = b;
-        }
-        self.tl_ev_accum += 1;
-    }
-
-    /// Flush the batched event count into the recorder.
-    fn tl_flush_events(&mut self) {
-        if self.tl_ev_accum > 0 {
-            self.timeline
-                .rate_bucket("netsim.events", self.tl_ev_bucket, self.tl_ev_accum);
-            self.tl_ev_accum = 0;
-        }
     }
 
     /// Mint the next event key for the device at `loc` (global id `node`).
@@ -387,7 +388,8 @@ impl Shard {
         };
         self.digest = self.digest.wrapping_add(event_hash(self.now, node.0, kind));
         if ctx.obs_active {
-            self.tl_event();
+            self.tl_rates
+                .add(&mut self.timeline, TL_EVENTS, self.now.nanos(), 1);
         }
         let meta = &ctx.nodes[node.index()];
         let loc = meta.loc as usize;
@@ -398,6 +400,11 @@ impl Shard {
                 // Copy the frame out of the arena and release its slot
                 // immediately: delivery ends the in-flight lifetime.
                 let frame = self.frames.take(frame);
+                self.events_by_kind[match &frame.payload {
+                    Payload::Arp(a) if a.op == ArpOp::Request => EV_ARP_REQUEST,
+                    Payload::Arp(_) => EV_ARP_REPLY,
+                    Payload::Ipv4(_) => EV_IPV4,
+                }] += 1;
                 let n_ports = meta.ports.len() as u16;
                 let now = self.now;
                 match &mut self.devices[loc] {
@@ -430,6 +437,7 @@ impl Shard {
                 }
             }
             Event::Timer { token, .. } => {
+                self.events_by_kind[EV_TIMER] += 1;
                 let now = self.now;
                 if let Device::Host(h) = &mut self.devices[loc] {
                     h.on_timer_into(now, token, &mut actions);
@@ -485,18 +493,15 @@ impl Shard {
                         // canonical cross-shard handoff volume.
                         let bytes = frame.wire_size() as u64;
                         let t = start.nanos();
+                        let (rates, rec) = (&mut self.tl_rates, &mut self.timeline);
                         match ctx.links[att.link as usize].class {
                             LinkClass::Core => {}
-                            LinkClass::Access => {
-                                self.timeline.rate("netsim.access_bytes", t, bytes);
-                            }
+                            LinkClass::Access => rates.add(rec, TL_ACCESS_BYTES, t, bytes),
                             LinkClass::InterSite => {
-                                self.timeline.rate("netsim.inter_site_bytes", t, bytes);
-                                self.timeline.rate("netsim.inter_site_frames", t, 1);
+                                rates.add(rec, TL_INTER_SITE_BYTES, t, bytes);
+                                rates.add(rec, TL_INTER_SITE_FRAMES, t, 1);
                             }
-                            LinkClass::Pseudowire => {
-                                self.timeline.rate("netsim.pseudowire_bytes", t, bytes);
-                            }
+                            LinkClass::Pseudowire => rates.add(rec, TL_PSEUDOWIRE_BYTES, t, bytes),
                         }
                     }
                     let delay = match ds.rng.as_mut() {
@@ -590,6 +595,7 @@ pub struct Network {
     /// of the atomic, and counters flush to the registry once per run.
     obs_active: bool,
     obs_flushed_events: u64,
+    obs_flushed_kinds: [u64; 4],
     obs_flushed_drops: u64,
     obs_flushed_barriers: u64,
     obs_flushed_handoffs: u64,
@@ -650,6 +656,7 @@ impl Network {
             router_key: seed::domain_key(seed, "router-frame"),
             obs_active: false,
             obs_flushed_events: 0,
+            obs_flushed_kinds: [0; 4],
             obs_flushed_drops: 0,
             obs_flushed_barriers: 0,
             obs_flushed_handoffs: 0,
@@ -991,6 +998,18 @@ impl Network {
         self.shards.iter().map(|s| s.events_processed).sum()
     }
 
+    /// Events processed so far by kind, across all shards, in the order
+    /// `arp_request`, `arp_reply`, `ipv4`, `timer`.
+    pub fn events_by_kind(&self) -> [u64; 4] {
+        let mut total = [0; 4];
+        for s in &self.shards {
+            for (t, n) in total.iter_mut().zip(s.events_by_kind) {
+                *t += n;
+            }
+        }
+        total
+    }
+
     /// Frames dropped so far at unconnected ports.
     pub fn frames_dropped_unconnected(&self) -> u64 {
         self.shards.iter().map(|s| s.dropped_unconnected).sum()
@@ -1200,6 +1219,17 @@ impl Network {
         let events = self.events_processed();
         rp_obs::counter!("netsim.sim.events_processed").add(events - self.obs_flushed_events);
         self.obs_flushed_events = events;
+        let kinds = self.events_by_kind();
+        let counters = [
+            rp_obs::counter!("netsim.sim.events.arp_request"),
+            rp_obs::counter!("netsim.sim.events.arp_reply"),
+            rp_obs::counter!("netsim.sim.events.ipv4"),
+            rp_obs::counter!("netsim.sim.events.timer"),
+        ];
+        for ((c, n), flushed) in counters.iter().zip(kinds).zip(&mut self.obs_flushed_kinds) {
+            c.add(n - *flushed);
+            *flushed = n;
+        }
         let drops = self.frames_dropped_unconnected();
         rp_obs::counter!("netsim.sim.frames_dropped_unconnected")
             .add(drops - self.obs_flushed_drops);
@@ -1241,7 +1271,7 @@ impl Network {
         // port-utilization is re-published per IXP when a scope is set.
         let mut tl = rp_obs::TimelineRecorder::new();
         for s in &mut self.shards {
-            s.tl_flush_events();
+            s.tl_rates.flush(&mut s.timeline);
             tl.merge(&s.timeline);
             s.timeline = rp_obs::TimelineRecorder::new();
         }
@@ -1444,9 +1474,12 @@ mod tests {
             ping_n(&mut f.net, f.lg, f.direct_ip, 6);
             ping_n(&mut f.net, f.lg, f.remote_ip, 6);
             f.net.run_to_completion();
+            let kinds = f.net.events_by_kind();
+            assert_eq!(kinds.iter().sum::<u64>(), f.net.events_processed());
+            assert!(kinds.iter().all(|&n| n > 0), "every kind occurs: {kinds:?}");
             (
                 f.net.host(f.lg).outcomes().to_vec(),
-                f.net.events_processed(),
+                kinds,
                 f.net.trace_digest(),
                 f.net.cross_shard_handoffs(),
             )

@@ -63,7 +63,7 @@ pub mod trace;
 
 pub use report::{Session, Sink};
 pub use span::{span, span_under, SpanGuard, SpanPath};
-pub use timeline::TimelineRecorder;
+pub use timeline::{RateRegister, TimelineRecorder};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 

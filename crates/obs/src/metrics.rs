@@ -408,10 +408,34 @@ pub const CATALOG: &[CatalogEntry] = &[
         doc: "Frames handed across shard boundaries at epoch barriers",
     },
     CatalogEntry {
+        name: "netsim.sim.events.arp_reply",
+        kind: "counter",
+        scale: "events",
+        doc: "Dispatched events that delivered an ARP reply frame",
+    },
+    CatalogEntry {
+        name: "netsim.sim.events.arp_request",
+        kind: "counter",
+        scale: "events",
+        doc: "Dispatched events that delivered an ARP request frame (mostly the fabric broadcast flood)",
+    },
+    CatalogEntry {
+        name: "netsim.sim.events.ipv4",
+        kind: "counter",
+        scale: "events",
+        doc: "Dispatched events that delivered an IPv4 frame (probes and their replies)",
+    },
+    CatalogEntry {
+        name: "netsim.sim.events.timer",
+        kind: "counter",
+        scale: "events",
+        doc: "Dispatched timer events (planned probes and host timeouts)",
+    },
+    CatalogEntry {
         name: "netsim.sim.events_processed",
         kind: "counter",
         scale: "events",
-        doc: "Simulation events dispatched across all networks",
+        doc: "Simulation events dispatched across all networks (the sum of the four netsim.sim.events.* kinds)",
     },
     CatalogEntry {
         name: "netsim.sim.frames_dropped_unconnected",

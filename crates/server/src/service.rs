@@ -1,10 +1,12 @@
 //! The `repro serve` server: TCP accept loop, request routing, and the
 //! graceful-drain protocol.
 //!
-//! Concurrency model: one nonblocking accept loop polling at ~50 Hz, one
-//! short-lived thread per connection (the API is one request per
-//! connection), and a fixed worker pool draining the job queue. Shutdown
-//! — SIGTERM, ctrl-c, or `POST /v1/shutdown` — follows one protocol:
+//! Concurrency model: one blocking accept loop, woken by a self-connect
+//! when the server stops; connection handler threads that serve one
+//! connection at a time (the API is one request per connection) and are
+//! reused while idle; and a fixed worker pool draining the job queue.
+//! Shutdown — SIGTERM, ctrl-c, or `POST /v1/shutdown` — follows one
+//! protocol:
 //! stop accepting connections and submissions, let the workers finish
 //! every accepted job, flush results to disk, then return so the process
 //! can exit 0. No accepted job is ever dropped by a drain.
@@ -13,12 +15,13 @@ use crate::http::{read_request, Request, Response};
 use crate::job::JobSpec;
 use crate::queue::{JobQueue, JobRecord, JobState, Submit, WorkerContext};
 use serde_json::{json, Value};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::VecDeque;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Everything `Server::bind` needs.
 #[derive(Debug, Clone)]
@@ -66,10 +69,113 @@ pub struct DrainStats {
     pub cancelled: usize,
 }
 
+/// The server's stop flag. The accept loop blocks in `accept`, so
+/// setting the flag also wakes it with one connection to the listener's
+/// own address; the loop sees the flag and drops that connection.
+struct Stop {
+    flag: AtomicBool,
+    /// Where the wake-up connects: the bound address, with an unspecified
+    /// IP (`0.0.0.0`, `::`) replaced by loopback.
+    wake_addr: SocketAddr,
+}
+
+impl Stop {
+    fn new(local_addr: SocketAddr) -> Stop {
+        let mut wake_addr = local_addr;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        Stop {
+            flag: AtomicBool::new(false),
+            wake_addr,
+        }
+    }
+
+    fn is_set(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+
+    /// Set the flag; the first call wakes the accept loop. A failed
+    /// connect means the listener is already gone, which is the goal.
+    fn trigger(&self) {
+        if !self.flag.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        }
+    }
+}
+
+/// How long an idle connection handler waits for another connection
+/// before its thread exits.
+const HANDLER_IDLE: Duration = Duration::from_secs(10);
+
+/// Hand-off of accepted connections to idle handler threads. Spawning a
+/// thread costs more than answering a status poll, so a handler that
+/// finishes a connection waits for the next one. A connection goes to an
+/// idle handler only when one is free (`pending.len() < idle`); otherwise
+/// the accept loop spawns a new handler, so a slow client never delays
+/// another one.
+#[derive(Default)]
+struct Handlers {
+    state: Mutex<HandlerState>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct HandlerState {
+    /// Connections handed off and not yet taken; never more than `idle`.
+    pending: VecDeque<TcpStream>,
+    /// Handlers waiting in [`Handlers::next`].
+    idle: usize,
+    /// Set when the accept loop exits: waiting handlers return.
+    closed: bool,
+}
+
+impl Handlers {
+    /// Give `stream` to an idle handler, or return it when none is free.
+    fn offer(&self, stream: TcpStream) -> Option<TcpStream> {
+        let mut st = self.state.lock().unwrap();
+        if st.pending.len() < st.idle {
+            st.pending.push_back(stream);
+            self.cv.notify_one();
+            None
+        } else {
+            Some(stream)
+        }
+    }
+
+    /// Wait for the next handed-off connection; `None` after
+    /// [`HANDLER_IDLE`] without one, or once the loop has closed.
+    fn next(&self) -> Option<TcpStream> {
+        let deadline = Instant::now() + HANDLER_IDLE;
+        let mut st = self.state.lock().unwrap();
+        st.idle += 1;
+        let stream = loop {
+            if let Some(stream) = st.pending.pop_front() {
+                break Some(stream);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if st.closed || left.is_zero() {
+                break None;
+            }
+            st = self.cv.wait_timeout(st, left).unwrap().0;
+        };
+        st.idle -= 1;
+        stream
+    }
+
+    fn close(&self) {
+        self.state.lock().unwrap().closed = true;
+        self.cv.notify_all();
+    }
+}
+
 /// A bound, running server.
 pub struct Server {
     queue: Arc<JobQueue>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     local_addr: SocketAddr,
     accept_handle: Option<JoinHandle<()>>,
     worker_handles: Vec<JoinHandle<()>>,
@@ -83,7 +189,6 @@ impl Server {
         rp_obs::enable();
         remote_peering::memo::configure_world_pool(cfg.pool_entries, cfg.pool_bytes);
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
         let queue = Arc::new(JobQueue::new(cfg.queue_capacity));
@@ -95,7 +200,7 @@ impl Server {
             },
         );
 
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(Stop::new(local_addr));
         let accept_handle = {
             let queue = Arc::clone(&queue);
             let stop = Arc::clone(&stop);
@@ -128,7 +233,7 @@ impl Server {
     /// Begin the drain: stop accepting connections and submissions.
     /// Idempotent; `join` completes it.
     pub fn trigger_shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.trigger();
         self.queue.drain();
     }
 
@@ -157,7 +262,7 @@ impl Server {
     #[cfg(unix)]
     pub fn run_until_signal(self) -> DrainStats {
         install_signal_handlers();
-        while !SIGNALLED.load(Ordering::SeqCst) && !self.stop.load(Ordering::SeqCst) {
+        while !SIGNALLED.load(Ordering::SeqCst) && !self.stop.is_set() {
             std::thread::sleep(Duration::from_millis(50));
         }
         self.join()
@@ -167,7 +272,7 @@ impl Server {
     /// flag.
     #[cfg(not(unix))]
     pub fn run_until_signal(self) -> DrainStats {
-        while !self.stop.load(Ordering::SeqCst) {
+        while !self.stop.is_set() {
             std::thread::sleep(Duration::from_millis(50));
         }
         self.join()
@@ -200,31 +305,46 @@ fn install_signal_handlers() {
 fn accept_loop(
     listener: &TcpListener,
     queue: &Arc<JobQueue>,
-    stop: &Arc<AtomicBool>,
+    stop: &Arc<Stop>,
     read_timeout: Duration,
 ) {
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    let handlers = Arc::new(Handlers::default());
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
+    loop {
+        let accepted = listener.accept();
+        // Checked after `accept` returns: the stop wake-up (and any
+        // connection racing it) is dropped unserved.
+        if stop.is_set() {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
-                let queue = Arc::clone(queue);
-                let stop = Arc::clone(stop);
-                let handle = std::thread::Builder::new()
-                    .name("rp-conn".to_string())
-                    .spawn(move || handle_connection(stream, &queue, &stop, read_timeout))
-                    .expect("spawn connection thread");
-                connections.push(handle);
+                if let Some(stream) = handlers.offer(stream) {
+                    let (queue, stop, handlers) =
+                        (Arc::clone(queue), Arc::clone(stop), Arc::clone(&handlers));
+                    let handle = std::thread::Builder::new()
+                        .name("rp-conn".to_string())
+                        .spawn(move || {
+                            let mut stream = Some(stream);
+                            while let Some(s) = stream {
+                                handle_connection(s, &queue, &stop, read_timeout);
+                                stream = handlers.next();
+                            }
+                        })
+                        .expect("spawn connection thread");
+                    threads.push(handle);
+                }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            // Transient accept failures (e.g. out of file descriptors):
+            // back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
-        // Reap finished connection threads so a long-lived server doesn't
+        // Reap exited handler threads so a long-lived server doesn't
         // accumulate handles.
-        connections.retain(|h| !h.is_finished());
+        threads.retain(|h| !h.is_finished());
     }
-    for h in connections {
+    handlers.close();
+    for h in threads {
         let _ = h.join();
     }
 }
@@ -232,7 +352,7 @@ fn accept_loop(
 fn handle_connection(
     mut stream: TcpStream,
     queue: &Arc<JobQueue>,
-    stop: &Arc<AtomicBool>,
+    stop: &Arc<Stop>,
     read_timeout: Duration,
 ) {
     rp_obs::counter!("server.http.requests").inc();
@@ -246,7 +366,7 @@ fn handle_connection(
     response.send(&mut stream);
 }
 
-fn route(req: &Request, queue: &Arc<JobQueue>, stop: &Arc<AtomicBool>) -> Response {
+fn route(req: &Request, queue: &Arc<JobQueue>, stop: &Stop) -> Response {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => {
@@ -278,7 +398,7 @@ fn route(req: &Request, queue: &Arc<JobQueue>, stop: &Arc<AtomicBool>) -> Respon
         ("GET", ["v1", "jobs", id, "result"]) => result(id, queue),
         ("DELETE", ["v1", "jobs", id]) => cancel(id, queue),
         ("POST", ["v1", "shutdown"]) => {
-            stop.store(true, Ordering::SeqCst);
+            stop.trigger();
             queue.drain();
             Response::json(202, &json!({ "draining": true }))
         }

@@ -3,7 +3,8 @@
 
 Fails (exit 1) when the report is missing or malformed, when any recorded
 span has a zero event count, when a span that must be present for a full
-`all` run is absent, or when the filter funnel does not balance. Mirrors
+`all` run is absent, when the filter funnel does not balance, or when the
+per-kind event counters are missing or do not sum to the event total. Mirrors
 the assertions of tests/report_schema.rs so a broken report fails CI even
 if someone runs the repro step without the test suite.
 """
@@ -36,7 +37,34 @@ REQUIRED_SERIES = [
     "core.filter_funnel.analyzed",
 ]
 
+# Per-kind event counters; together they must account for every
+# dispatched event (netsim.sim.events_processed).
+EVENT_KIND_COUNTERS = [
+    "netsim.sim.events.arp_request",
+    "netsim.sim.events.arp_reply",
+    "netsim.sim.events.ipv4",
+    "netsim.sim.events.timer",
+]
+
 errors = []
+
+
+def check_event_kinds(metrics):
+    def value(name):
+        v = metrics.get(name, {}).get("value")
+        if not isinstance(v, int):
+            errors.append(f"counter {name} missing")
+            return None
+        return v
+
+    total = value("netsim.sim.events_processed")
+    kinds = [value(name) for name in EVENT_KIND_COUNTERS]
+    if total is None or None in kinds:
+        return
+    if sum(kinds) != total:
+        errors.append(
+            f"event kinds sum to {sum(kinds)}, not netsim.sim.events_processed {total}"
+        )
 
 
 def check_timelines(tl):
@@ -136,9 +164,11 @@ def main(path):
         if funnel["probed"] == 0:
             errors.append("funnel is empty for a full detection run")
 
-    hits = report.get("metrics", {}).get("core.offload.cone_cache.hits", {})
+    metrics = report.get("metrics", {})
+    hits = metrics.get("core.offload.cone_cache.hits", {})
     if hits.get("value", 0) == 0:
         errors.append("cone cache recorded no hits across the sweeps")
+    check_event_kinds(metrics)
 
 
 if __name__ == "__main__":

@@ -204,6 +204,39 @@ fn two_hundred_jobs_drain_without_loss_or_duplication() {
     let _ = std::fs::remove_dir_all(&spec_dir);
 }
 
+/// The accept loop blocks in `accept` instead of polling, so an idle
+/// server answers at once: 20 sequential health checks take well under
+/// the ~400 ms a 20 ms poll interval costs them. The best of three rounds
+/// counts, so a scheduling hiccup from tests running alongside cannot
+/// fail it; a polling loop is slow in every round. Shutdown must still
+/// wake the blocked loop, or `join` would hang.
+#[test]
+fn idle_server_answers_without_poll_delay() {
+    let server = rp_server::Server::bind(rp_server::ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        ..rp_server::ServeConfig::default()
+    })
+    .expect("bind server");
+    let addr = server.local_addr();
+    let best = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..20 {
+                let (status, body) = request(addr, "GET", "/healthz", "");
+                assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+            }
+            start.elapsed()
+        })
+        .min()
+        .unwrap();
+    server.join();
+    assert!(
+        best < Duration::from_millis(200),
+        "20 sequential /healthz took {best:?} at best"
+    );
+}
+
 /// Satellite: a served smoke sweep and a served check are byte-identical
 /// to what the CLI subcommands write, at `--threads 1` and `--threads 4`.
 #[test]
