@@ -39,12 +39,12 @@
 //!
 //! ## Content-addressed fork keys
 //!
-//! A fork's world is keyed by `fingerprint(parent key, delta log)` —
-//! deterministic, unlike [`World::mark_mutated`]'s one-shot nonces — so
-//! two forks of the same parent with the same delta log carry the same
-//! key and may share probe memo entries.
+//! A fork's world is keyed by `Key::of(&("fork", parent key, delta log))`
+//! — deterministic, unlike [`World::mark_mutated`]'s one-shot unique keys
+//! — so two forks of the same parent with the same delta log carry the
+//! same key and may share probe memo entries.
 
-use crate::memo;
+use crate::memo::Key;
 use crate::world::World;
 use rp_ixp::model::{Access, LgOperator, MemberInterface};
 use rp_types::IxpId;
@@ -174,18 +174,11 @@ pub fn apply_delta_in_place(world: &mut World, delta: &Delta) {
     }
 }
 
-/// The deterministic content address of a fork: the parent's key plus the
-/// delta log. Same parent, same deltas, same key — across jobs and
-/// processes.
-fn fork_key(parent: u64, deltas: &[Delta]) -> u64 {
-    memo::fingerprint(&("fork", parent, deltas))
-}
-
 /// A copy-on-write child of a [`World`], carrying its delta log and dirty
 /// set. Create one with [`World::fork`].
 #[derive(Clone)]
 pub struct WorldFork {
-    parent_key: u64,
+    parent_key: Key,
     world: World,
     deltas: Vec<Delta>,
     dirty: BTreeSet<IxpId>,
@@ -195,7 +188,7 @@ impl WorldFork {
     pub(crate) fn new(parent: &World) -> WorldFork {
         rp_obs::counter!("core.fork.forks").add(1);
         WorldFork {
-            parent_key: parent.fingerprint(),
+            parent_key: parent.memo_key.clone(),
             world: parent.clone(),
             deltas: Vec::new(),
             dirty: BTreeSet::new(),
@@ -204,12 +197,12 @@ impl WorldFork {
 
     /// Apply a delta: mutate (copy-on-write) the one instance it touches,
     /// append it to the log, dirty its IXP, and re-key the world from the
-    /// log.
+    /// parent's key plus the log — same parent, same deltas, same key.
     pub fn apply(&mut self, delta: Delta) {
         apply_delta_in_place(&mut self.world, &delta);
         self.dirty.insert(delta.touches());
         self.deltas.push(delta);
-        self.world.memo_key = fork_key(self.parent_key, &self.deltas);
+        self.world.memo_key = Key::of(&("fork", &self.parent_key, &self.deltas));
         rp_obs::counter!("core.fork.deltas_applied").add(1);
     }
 
@@ -258,6 +251,7 @@ impl WorldFork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memo;
     use crate::world::WorldConfig;
     use rp_ixp::model::{IxpInstance, ListingInfo, ResponderProfile};
     use rp_types::NetworkId;
@@ -381,7 +375,7 @@ mod tests {
         assert_ne!(
             f.fingerprint(),
             in_place.fingerprint(),
-            "fork keys are deterministic, nonces are unique"
+            "fork keys are deterministic, in-place keys are one-shot"
         );
     }
 

@@ -6,21 +6,23 @@
 //! and faulted arms, the sweep engine re-derives the same replicate seeds
 //! across presets, and `repro all` re-enters the detection report per
 //! experiment group. Both artifacts are pure functions of their
-//! configuration, so they are cached here under a *content address*: the
-//! FNV-64 fingerprint of the configuration's derived `Debug` text (see
-//! [`fingerprint`]).
+//! configuration, so they are cached here under a content [`Key`]: the
+//! configuration's derived `Debug` text plus its FNV-64 [`fingerprint`].
 //!
-//! Keying rules:
+//! Keying rules (every keying site in the workspace goes through [`Key`]):
 //!
-//! - A world's key is the fingerprint of its [`WorldConfig`] (which
-//!   embeds the seed, so "same knobs, different seed" never collides by
+//! - A world's key is [`Key::of`] its [`WorldConfig`] (which embeds the
+//!   seed, so "same knobs, different seed" never collides by
 //!   construction).
-//! - A probe set's key is the pair `(world key, campaign fingerprint)`.
+//! - A probe set's key is the pair `(world key, campaign key)`.
+//! - A fork's key is `Key::of(&("fork", parent key, delta log))` (see
+//!   [`crate::fork`]); the `rp-server` job queue dedupes on
+//!   `Key::of(&spec)`.
 //! - Mutating a cached world in place (fault injection, invariant probes)
-//!   must go through [`World::mark_mutated`],
-//!   which swaps the key for a process-unique nonce: the mutated world can
-//!   still be probed, but its results are filed under the nonce and can
-//!   never be confused with the pristine build.
+//!   must go through [`World::mark_mutated`], which swaps the key for a
+//!   [`Key::unique`]: the mutated world can still be probed, but its
+//!   results are filed under that key and can never be confused with the
+//!   pristine build.
 //!
 //! Both caches are instances of one store type, a mutex-guarded LRU with an
 //! entry cap, an optional byte budget, and a per-entry weight. The probe
@@ -63,6 +65,11 @@ const CACHE_CAP: usize = 8;
 /// data this way; anything whose `Debug` prints addresses or other
 /// run-varying state would break the content addressing.
 pub fn fingerprint<T: std::fmt::Debug>(value: &T) -> u64 {
+    fnv(format_args!("{value:?}"))
+}
+
+/// FNV-1a 64 of formatted text, streamed without building a string.
+fn fnv(text: std::fmt::Arguments<'_>) -> u64 {
     struct Fnv(u64);
     impl std::fmt::Write for Fnv {
         fn write_str(&mut self, s: &str) -> std::fmt::Result {
@@ -73,19 +80,49 @@ pub fn fingerprint<T: std::fmt::Debug>(value: &T) -> u64 {
             Ok(())
         }
     }
-    use std::fmt::Write;
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    write!(h, "{value:?}").expect("the FNV sink never errors");
+    std::fmt::Write::write_fmt(&mut h, text).expect("the FNV sink never errors");
     h.0
 }
 
-/// A process-unique key that can never hit the cache again.
-///
-/// The high bit tags nonces apart from config fingerprints in debug
-/// output; correctness only needs the counter's uniqueness.
-pub(crate) fn mutation_nonce() -> u64 {
-    static NONCE: AtomicU64 = AtomicU64::new(1);
-    (1 << 63) | NONCE.fetch_add(1, Ordering::Relaxed)
+/// A content key: a value's canonical `Debug` text plus its cached
+/// [`fingerprint`] digest. The derived equality compares the fields in
+/// order, digest first and then text, so a digest collision is a miss,
+/// never a wrong artifact. `Debug` prints the text as a quoted string, so
+/// a key nested in another keyed value (a fork's parent) stays injective.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Key {
+    digest: u64,
+    text: Arc<str>,
+}
+
+impl Key {
+    /// The key of `value`'s `Debug` text.
+    pub fn of<T: std::fmt::Debug>(value: &T) -> Key {
+        let text = format!("{value:?}");
+        Key {
+            digest: fnv(format_args!("{text}")),
+            text: text.into(),
+        }
+    }
+
+    /// A process-unique key: the key of `("unique", n)`, a shape no cached
+    /// value or fork log has, so it equals no other key.
+    pub fn unique() -> Key {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Key::of(&("unique", NEXT.fetch_add(1, Ordering::Relaxed)))
+    }
+
+    /// The key's digest: [`fingerprint`] of the keyed value.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+}
+
+impl std::fmt::Debug for Key {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&*self.text, f)
+    }
 }
 
 /// The metric names one store reports under.
@@ -108,7 +145,7 @@ struct Lru<K, V> {
     names: Names,
 }
 
-impl<K: Eq + Copy, V> Lru<K, V> {
+impl<K: PartialEq, V> Lru<K, V> {
     const fn new(max_entries: usize, weight: fn(&V) -> u64, names: Names) -> Self {
         Lru {
             entries: Mutex::new(VecDeque::new()),
@@ -145,14 +182,14 @@ impl<K: Eq + Copy, V> Lru<K, V> {
     /// counts as a miss only when its own value is the one inserted, so
     /// the loser of a race counts as a hit.
     fn get_or_insert(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
-        if let Some(hit) = Self::find(&mut self.lock(), key) {
+        if let Some(hit) = Self::find(&mut self.lock(), &key) {
             rp_obs::metrics::counter(self.names.hit).add(1);
             return hit;
         }
         let value = Arc::new(compute());
         let weight = (self.weight)(&value);
         let mut entries = self.lock();
-        if let Some(raced) = Self::find(&mut entries, key) {
+        if let Some(raced) = Self::find(&mut entries, &key) {
             rp_obs::metrics::counter(self.names.hit).add(1);
             return raced;
         }
@@ -163,8 +200,8 @@ impl<K: Eq + Copy, V> Lru<K, V> {
     }
 
     /// Find `key`, moving its entry to the most-recently-used position.
-    fn find(entries: &mut VecDeque<(K, Arc<V>, u64)>, key: K) -> Option<Arc<V>> {
-        let pos = entries.iter().position(|(k, _, _)| *k == key)?;
+    fn find(entries: &mut VecDeque<(K, Arc<V>, u64)>, key: &K) -> Option<Arc<V>> {
+        let pos = entries.iter().position(|(k, _, _)| k == key)?;
         let entry = entries.remove(pos).expect("position came from this deque");
         let value = entry.1.clone();
         entries.push_back(entry);
@@ -195,7 +232,7 @@ impl<K: Eq + Copy, V> Lru<K, V> {
 }
 
 /// The world pool: worlds weighed by [`World::approx_bytes`].
-static WORLDS: Lru<u64, World> = Lru::new(
+static WORLDS: Lru<Key, World> = Lru::new(
     CACHE_CAP,
     World::approx_bytes,
     Names {
@@ -206,9 +243,9 @@ static WORLDS: Lru<u64, World> = Lru::new(
     },
 );
 
-/// The probe cache, keyed `(world key, campaign fingerprint)`: bounded by
-/// entry count only, so entries carry no weight.
-static PROBES: Lru<(u64, u64), ProbeSet> = Lru::new(
+/// The probe cache, keyed `(world key, campaign key)`: bounded by entry
+/// count only, so entries carry no weight.
+static PROBES: Lru<(Key, Key), ProbeSet> = Lru::new(
     CACHE_CAP,
     |_| 0,
     Names {
@@ -236,19 +273,19 @@ pub fn world_pool_stats() -> (usize, u64) {
     WORLDS.stats()
 }
 
-/// Fetch or build the world for `cfg` (keyed by its fingerprint).
+/// Fetch or build the world for `cfg` (keyed by its [`Key`]).
 pub(crate) fn world(cfg: &WorldConfig) -> Arc<World> {
-    WORLDS.get_or_insert(fingerprint(cfg), || World::build(cfg))
+    WORLDS.get_or_insert(Key::of(cfg), || World::build(cfg))
 }
 
 /// Fetch or compute `campaign`'s probe set for `world`, keyed `(world
-/// fingerprint, campaign fingerprint)`. Safe because probing is a pure
-/// function of `(world, campaign)` and mutated worlds carry a unique
-/// fingerprint (see [`World::mark_mutated`]). [`Campaign::probe_all`]
-/// itself never consults the cache, so benchmarks and determinism tests
-/// that call it keep measuring real work.
+/// key, campaign key)`. Safe because probing is a pure function of
+/// `(world, campaign)` and mutated worlds carry a unique key (see
+/// [`World::mark_mutated`]). [`Campaign::probe_all`] itself never
+/// consults the cache, so benchmarks and determinism tests that call it
+/// keep measuring real work.
 pub fn probes(campaign: &Campaign, world: &World) -> Arc<ProbeSet> {
-    PROBES.get_or_insert((world.fingerprint(), fingerprint(campaign)), || {
+    PROBES.get_or_insert((world.memo_key.clone(), Key::of(campaign)), || {
         campaign.probe_all(world)
     })
 }
@@ -278,17 +315,59 @@ mod tests {
     }
 
     #[test]
+    fn key_digest_is_the_fingerprint_and_debug_quotes_the_text() {
+        let cfg = WorldConfig::test_scale(7);
+        let key = Key::of(&cfg);
+        assert_eq!(key.digest(), fingerprint(&cfg));
+        assert_eq!(key, Key::of(&WorldConfig::test_scale(7)));
+        assert_ne!(key, Key::of(&WorldConfig::test_scale(8)));
+        // Nested keys print quoted: a key whose text is `1, 2` cannot pose
+        // as two fields of the outer tuple.
+        let inner = Key::of(&format_args!("1, 2"));
+        assert_eq!(format!("{inner:?}"), "\"1, 2\"");
+        assert_ne!(Key::of(&(&inner, 3)), Key::of(&(1, 2, 3)));
+    }
+
+    #[test]
+    fn unique_keys_never_repeat() {
+        let (a, b) = (Key::unique(), Key::unique());
+        assert_ne!(a, b);
+        assert_ne!(a, Key::of(&WorldConfig::test_scale(7)));
+    }
+
+    #[test]
+    fn equal_digests_with_different_text_are_separate_entries() {
+        let forged = |text: &str| Key {
+            digest: 7,
+            text: text.into(),
+        };
+        let lru: Lru<Key, &str> = Lru::new(CACHE_CAP, |_| 0, TEST_NAMES);
+        assert_eq!(
+            *lru.get_or_insert(forged("popular"), || "popular"),
+            "popular"
+        );
+        // Same digest, different material: a miss that computes its own
+        // value, never a hit on the popular entry.
+        assert_eq!(
+            *lru.get_or_insert(forged("crafted"), || "crafted"),
+            "crafted"
+        );
+        assert_eq!(lru.stats().0, 2);
+        assert_eq!(*lru.get_or_insert(forged("popular"), || "wrong"), "popular");
+    }
+
+    #[test]
     fn same_config_shares_one_world_build() {
         let cfg = WorldConfig::test_scale(4201);
-        let a = World::build_cached(&cfg);
-        let b = World::build_cached(&cfg);
+        let a = world(&cfg);
+        let b = world(&cfg);
         assert!(Arc::ptr_eq(&a, &b), "second build should be a cache hit");
     }
 
     #[test]
     fn cached_world_equals_direct_build() {
         let cfg = WorldConfig::test_scale(4202);
-        let cached = World::build_cached(&cfg);
+        let cached = world(&cfg);
         let direct = World::build(&cfg);
         assert_eq!(cached.vantage, direct.vantage);
         assert_eq!(cached.contributions.inbound, direct.contributions.inbound);
@@ -298,7 +377,7 @@ mod tests {
     #[test]
     fn probe_sets_are_shared_per_world_and_campaign() {
         let cfg = WorldConfig::test_scale(4203);
-        let world = World::build_cached(&cfg);
+        let world = world(&cfg);
         let campaign = Campaign::default_paper();
         let a = probes(&campaign, &world);
         let b = probes(&campaign, &world);
@@ -309,7 +388,7 @@ mod tests {
     #[test]
     fn mutation_invalidates_the_key() {
         let cfg = WorldConfig::test_scale(4204);
-        let pristine = World::build_cached(&cfg);
+        let pristine = world(&cfg);
         let mut mutated = (*pristine).clone();
         let before = mutated.fingerprint();
         mutated.mark_mutated();

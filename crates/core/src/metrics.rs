@@ -74,7 +74,7 @@ impl PreparedRun {
     /// seeds across presets, repeated preset runs in one process — share
     /// one build + probe.
     pub fn probe_cached(cfg: &crate::world::WorldConfig, campaign: &Campaign) -> Self {
-        let world = World::build_cached(cfg);
+        let world = crate::memo::world(cfg);
         let probed = crate::memo::probes(campaign, &world);
         PreparedRun { world, probed }
     }

@@ -176,11 +176,11 @@ impl std::fmt::Display for Scale {
 /// IXP instance it touches.
 #[derive(Clone)]
 pub struct World {
-    /// Content address for the memo caches: the fingerprint of `config`
-    /// while the world is pristine, a deterministic fork key once deltas
-    /// have been applied through [`World::fork`], and a unique nonce once
-    /// it has been mutated in place (see [`World::mark_mutated`]).
-    pub(crate) memo_key: u64,
+    /// Content key for the memo caches: the key of `config` while the
+    /// world is pristine, a deterministic fork key once deltas have been
+    /// applied through [`World::fork`], and a unique key once it has been
+    /// mutated in place (see [`World::mark_mutated`]).
+    pub(crate) memo_key: crate::memo::Key,
     /// The configuration the world was built from.
     pub config: WorldConfig,
     /// The AS-level Internet (immutable snapshot plane).
@@ -296,7 +296,7 @@ impl World {
         );
 
         World {
-            memo_key: crate::memo::fingerprint(cfg),
+            memo_key: crate::memo::Key::of(cfg),
             config: cfg.clone(),
             topology: Arc::new(topology),
             scene,
@@ -309,24 +309,11 @@ impl World {
         }
     }
 
-    /// Fetch `cfg`'s world from the process-wide memo, building it on a
-    /// miss. Callers that probe the same configuration repeatedly (the
-    /// check harness's clean arm, sweep replicates, `repro all`'s
-    /// experiment groups) share a single build this way.
-    ///
-    /// To mutate a cached world, clone it out of the [`std::sync::Arc`]
-    /// and call
-    /// [`World::mark_mutated`] on the copy — never mutate through the
-    /// shared handle (the borrow checker enforces this: `Arc` only hands
-    /// out `&World`).
-    pub fn build_cached(cfg: &WorldConfig) -> std::sync::Arc<World> {
-        crate::memo::world(cfg)
-    }
-
-    /// The world's current content address (config fingerprint, or a
-    /// unique nonce after mutation).
+    /// The digest of the world's current content key (the config's
+    /// [`crate::memo::fingerprint`], a fork key's, or a unique key's after
+    /// mutation).
     pub fn fingerprint(&self) -> u64 {
-        self.memo_key
+        self.memo_key.digest()
     }
 
     /// Declare that this world no longer matches its config. Every
@@ -341,7 +328,7 @@ impl World {
     /// [`crate::Campaign::probe_all_with`] can reuse parent probe results
     /// for the rest).
     pub fn mark_mutated(&mut self) {
-        self.memo_key = crate::memo::mutation_nonce();
+        self.memo_key = crate::memo::Key::unique();
     }
 
     /// Fork this world into a cheap copy-on-write child. The child shares

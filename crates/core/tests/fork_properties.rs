@@ -15,7 +15,7 @@
 //!   fork reproduces the same fingerprint.
 //!
 //! A second property pins the in-place path: mutating a clone directly
-//! still requires — and gets — a fresh [`World::mark_mutated`] nonce, so
+//! still requires — and gets — a fresh [`World::mark_mutated`] unique key, so
 //! in-place mutants can never alias the pristine world (or each other) in
 //! the probe memo.
 
@@ -184,7 +184,7 @@ proptest! {
         apply_delta_in_place(&mut b, &d);
         b.mark_mutated();
         // Same bytes, but in-place mutants may never alias the pristine
-        // world — or each other — in the probe memo: nonces are one-shot.
+        // world — or each other — in the probe memo: unique keys are one-shot.
         prop_assert_eq!(
             memo::fingerprint(&a.scene),
             memo::fingerprint(&b.scene)

@@ -149,12 +149,6 @@ impl<T> SlotTable<T> {
             .enumerate()
             .filter_map(|(slot, v)| v.as_ref().map(|v| (slot as u32, v)))
     }
-
-    /// Exact heap footprint of the table's spine in bytes (excludes any
-    /// heap owned by `T` values).
-    pub fn spine_bytes(&self) -> u64 {
-        (self.slots.capacity() * std::mem::size_of::<Option<T>>()) as u64
-    }
 }
 
 /// The scene-wide interface interner: dense [`InterfaceId`]s laid out
@@ -224,11 +218,6 @@ impl InterfaceIndex {
         // owning IXP is the one before it.
         let ixp = self.base.partition_point(|&b| b <= id.0) - 1;
         (IxpId(ixp as u32), id.0 - self.base[ixp])
-    }
-
-    /// Exact heap footprint of the interner in bytes.
-    pub fn spine_bytes(&self) -> u64 {
-        (self.base.capacity() * std::mem::size_of::<u32>()) as u64
     }
 }
 

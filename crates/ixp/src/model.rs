@@ -291,15 +291,6 @@ impl IxpScene {
             .map(|x| &**x)
     }
 
-    /// All IXPs a given network belongs to.
-    pub fn ixps_of(&self, network: NetworkId) -> Vec<IxpId> {
-        self.ixps
-            .iter()
-            .filter(|x| x.members.iter().any(|m| m.network == network))
-            .map(|x| x.id)
-            .collect()
-    }
-
     /// Total interface count across all IXPs.
     pub fn total_interfaces(&self) -> usize {
         self.ixps.iter().map(|x| x.members.len()).sum()

@@ -215,15 +215,6 @@ fn parse_peer_group(s: &str) -> Option<PeerGroup> {
     }
 }
 
-fn peer_group_key(g: PeerGroup) -> &'static str {
-    match g {
-        PeerGroup::Open => "open",
-        PeerGroup::OpenTop10Selective => "open_top10_selective",
-        PeerGroup::OpenSelective => "open_selective",
-        PeerGroup::All => "all",
-    }
-}
-
 /// One coordinate value along an axis.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AxisValue {
@@ -558,11 +549,6 @@ impl Cell {
         }
         params
     }
-}
-
-/// Expose the peer-group key mapping for output rendering.
-pub fn peer_group_label(g: PeerGroup) -> &'static str {
-    peer_group_key(g)
 }
 
 /// Built-in presets: the sweeps EXPERIMENTS.md reports, plus the CI smoke

@@ -7,10 +7,11 @@
 //! result is byte-identical to the CLI's by construction rather than by
 //! test.
 //!
-//! Job identity is content-addressed: [`JobSpec::id`] fingerprints the
-//! parsed (not raw) spec, so two submissions that normalize to the same
-//! work — different key order, explicit defaults — share one job.
+//! Job identity is content-addressed: the queue dedupes on the `memo::Key`
+//! of the parsed (not raw) spec, so two submissions that normalize to the
+//! same work — different key order, explicit defaults — share one job.
 
+use remote_peering::memo::Key;
 use remote_peering::metrics::{PreparedRun, RunMetrics};
 use remote_peering::world::Scale;
 use remote_peering::Campaign;
@@ -161,10 +162,10 @@ impl JobSpec {
         }
     }
 
-    /// Content-addressed job id: the FNV-1a fingerprint of the parsed spec,
+    /// Content-addressed job id: the digest of the parsed spec's `memo::Key`,
     /// rendered as 16 hex digits. Deterministic across processes.
     pub fn id(&self) -> String {
-        format!("{:016x}", remote_peering::memo::fingerprint(self))
+        job_id(&Key::of(self))
     }
 
     /// Short kind tag for listings and metrics.
@@ -175,6 +176,11 @@ impl JobSpec {
             JobSpec::Campaign { .. } => "campaign",
         }
     }
+}
+
+/// The job id of a spec whose key is `key`: its digest as 16 hex digits.
+pub(crate) fn job_id(key: &Key) -> String {
+    format!("{:016x}", key.digest())
 }
 
 /// Everything a finished job produced.
@@ -497,6 +503,59 @@ mod tests {
         let c = parse(r#"{"kind": "campaign", "params": {"threshold_ms": 11}, "seed": 1}"#);
         assert_eq!(a.as_ref().unwrap().id(), b.unwrap().id());
         assert_ne!(a.unwrap().id(), c.unwrap().id());
+    }
+
+    /// Job ids name persisted artifacts and answer clients, so they are
+    /// pinned: these values are the ids the FNV-of-`Debug` scheme gave
+    /// before the queue keyed on `memo::Key`, and must not move.
+    #[test]
+    fn job_ids_are_pinned_per_kind() {
+        for (text, id) in [
+            (
+                r#"{"kind": "sweep", "preset": "smoke", "seed": 42}"#,
+                "dc29dac79c2dd412",
+            ),
+            (
+                r#"{"kind": "check", "faults": 5, "fuzz": 6}"#,
+                "021651eaeeff7892",
+            ),
+            (
+                r#"{"kind": "campaign", "params": {"threshold_ms": 10}, "seed": 42}"#,
+                "1602e8d048ca9635",
+            ),
+        ] {
+            assert_eq!(parse(text).unwrap().id(), id, "{text}");
+        }
+    }
+
+    /// `JobSpec::parse` reads untrusted HTTP bodies: seeded mutants of
+    /// valid envelopes must parse or fail cleanly, never panic.
+    #[test]
+    fn mutated_envelopes_parse_or_fail_cleanly() {
+        let corpus: Vec<String> = [
+            r#"{"kind": "sweep", "preset": "smoke", "seed": 7, "replicates": 2}"#,
+            r#"{"kind": "sweep", "spec": {"name": "s", "axes": [{"param": "threshold_ms", "values": [5, 10]}]}}"#,
+            r#"{"kind": "check", "faults": 5, "fuzz": 6, "scale": "test"}"#,
+            r#"{"kind": "campaign", "params": {"threshold_ms": 12.5, "peer_group": "open"}, "shards": 2}"#,
+        ]
+        .map(String::from)
+        .to_vec();
+        let (mut accepted, mut rejected) = (0, 0);
+        for input in rp_testkit::fuzz::mutants(42, &corpus, 2000) {
+            let Ok(value) = serde_json::from_str(&input) else {
+                continue;
+            };
+            let parsed = std::panic::catch_unwind(|| JobSpec::parse(&value).is_ok());
+            match parsed {
+                Ok(true) => accepted += 1,
+                Ok(false) => rejected += 1,
+                Err(_) => panic!("JobSpec::parse panicked on {input}"),
+            }
+        }
+        assert!(
+            accepted > 0 && rejected > 0,
+            "{accepted} accepted, {rejected} rejected"
+        );
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! server's lifetime so results stay fetchable and duplicate submissions
 //! dedupe against completed work.
 
-use crate::job::{run_job, JobResult, JobSpec};
+use crate::job::{job_id, run_job, JobResult, JobSpec};
+use remote_peering::memo::Key;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -66,6 +67,8 @@ pub struct JobRecord {
     pub id: String,
     /// The parsed spec.
     pub spec: Arc<JobSpec>,
+    /// The spec's content key; dedupe compares it.
+    pub key: Key,
     /// Current lifecycle state.
     pub state: JobState,
     /// Submission order (for stable listings).
@@ -87,8 +90,8 @@ pub struct JobRecord {
 pub enum Submit {
     /// New job, now queued.
     Accepted(String),
-    /// A job with the same spec fingerprint already exists in this state;
-    /// no new work was scheduled.
+    /// A job with the same spec key already exists in this state; no new
+    /// work was scheduled.
     Existing(String, JobState),
     /// The pending queue is at capacity (HTTP 429 + `Retry-After`).
     Full,
@@ -137,33 +140,28 @@ impl JobQueue {
         }
     }
 
-    /// Submit a spec. Idempotent on the spec fingerprint: a queued,
-    /// running, or done job with the same id *and the same spec* answers
-    /// the submission without scheduling new work; failed and cancelled
-    /// jobs are re-enqueued (retry semantics).
+    /// Submit a spec. Idempotent on the spec key: a queued, running, or
+    /// done job with the same id *and the same key* answers the
+    /// submission without scheduling new work; failed and cancelled jobs
+    /// are re-enqueued (retry semantics).
     ///
-    /// Job ids are 64-bit FNV fingerprints, so two genuinely different
-    /// specs can collide. Deduping on the id alone would then answer the
-    /// second submission with the first job's record — and its artifact,
-    /// which is the wrong result entirely. `submit` therefore verifies the
-    /// stored spec matches before deduping; on a mismatch it counts
+    /// Job ids are 64-bit digests and can collide, but the stored key
+    /// holds the spec's full text, so a colliding spec never dedupes onto
+    /// another's record (and artifact): `submit` counts
     /// `server.jobs.id_collision` and re-ids the newcomer with a salted
-    /// suffix (`<id>-1`, `-2`, ...) so both jobs run and each id serves
-    /// exactly the spec it was accepted for.
+    /// suffix (`<id>-1`, `-2`, ...), so each id serves exactly its spec.
     pub fn submit(&self, spec: JobSpec) -> Submit {
-        let id = spec.id();
-        self.submit_with_id(spec, id)
+        self.submit_with_id(spec, None)
     }
 
-    /// [`JobQueue::submit`] with the content-addressed id supplied by the
-    /// caller. Hidden: this exists so tests can force two distinct specs
-    /// onto one id and exercise the collision path, which real FNV-64
-    /// collisions are too rare to reach.
+    /// [`JobQueue::submit`], with the base id supplied by the caller
+    /// instead of derived from the spec's key. Hidden: this exists so
+    /// tests can force two distinct specs onto one id and exercise the
+    /// collision path, which real 64-bit collisions are too rare to reach.
     #[doc(hidden)]
-    pub fn submit_with_id(&self, spec: JobSpec, base_id: String) -> Submit {
-        // The fingerprint hashes the Debug encoding, so Debug text is
-        // exactly the pre-hash identity: equal text means equal spec.
-        let canonical = format!("{spec:?}");
+    pub fn submit_with_id(&self, spec: JobSpec, base_id: Option<String>) -> Submit {
+        let key = Key::of(&spec);
+        let base_id = base_id.unwrap_or_else(|| job_id(&key));
         let mut inner = self.inner.lock().unwrap();
         if !inner.accepting {
             return Submit::Draining;
@@ -172,7 +170,7 @@ impl JobQueue {
         let mut salt = 0u64;
         loop {
             match inner.jobs.get(&id) {
-                Some(rec) if format!("{:?}", rec.spec) == canonical => match rec.state {
+                Some(rec) if rec.key == key => match rec.state {
                     JobState::Queued | JobState::Running | JobState::Done => {
                         rp_obs::counter!("server.jobs.deduped").inc();
                         return Submit::Existing(id, rec.state);
@@ -201,6 +199,7 @@ impl JobQueue {
             JobRecord {
                 id: id.clone(),
                 spec: Arc::new(spec),
+                key,
                 state: JobState::Queued,
                 seq,
                 submitted: Instant::now(),
@@ -455,18 +454,19 @@ mod tests {
         // them onto one id to stand in for a genuine 64-bit collision.
         let forced = a.id();
         assert_ne!(forced, b.id(), "test premise: the specs really differ");
-        let Submit::Accepted(id_a) = q.submit_with_id(a.clone(), forced.clone()) else {
+        let Submit::Accepted(id_a) = q.submit_with_id(a.clone(), Some(forced.clone())) else {
             panic!("first submission must be accepted");
         };
         assert_eq!(id_a, forced);
         // The colliding spec must NOT dedupe onto a's record: that would
         // hand b's submitter a's artifact. It gets a salted id instead.
-        let Submit::Accepted(id_b) = q.submit_with_id(b.clone(), forced.clone()) else {
+        let Submit::Accepted(id_b) = q.submit_with_id(b.clone(), Some(forced.clone())) else {
             panic!("colliding spec must be accepted as new work, not deduped");
         };
         assert_ne!(id_b, id_a, "collision must re-id, not alias");
         assert_eq!(id_b, format!("{forced}-1"));
-        // Each id's record holds exactly the spec it was accepted for.
+        // Each id's record holds exactly the spec it was accepted for, and
+        // that spec's key.
         assert_eq!(
             format!("{:?}", q.status(&id_a).unwrap().spec),
             format!("{a:?}")
@@ -475,13 +475,15 @@ mod tests {
             format!("{:?}", q.status(&id_b).unwrap().spec),
             format!("{b:?}")
         );
+        assert_eq!(q.status(&id_a).unwrap().key, Key::of(&a));
+        assert_eq!(q.status(&id_b).unwrap().key, Key::of(&b));
         // Resubmitting either spec under the forced id dedupes onto its own
         // record — the salt walk finds the true match.
-        match q.submit_with_id(a, forced.clone()) {
+        match q.submit_with_id(a, Some(forced.clone())) {
             Submit::Existing(id, JobState::Queued) => assert_eq!(id, id_a),
             other => panic!("expected dedupe onto a's record, got {other:?}"),
         }
-        match q.submit_with_id(b, forced) {
+        match q.submit_with_id(b, Some(forced)) {
             Submit::Existing(id, JobState::Queued) => assert_eq!(id, id_b),
             other => panic!("expected dedupe onto b's record, got {other:?}"),
         }

@@ -23,6 +23,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// World-pool entry bound (see `remote_peering::memo`).
+const POOL_ENTRIES: usize = 32;
+
 /// Everything `Server::bind` needs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -33,8 +36,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Pending-queue bound; submissions beyond it get 429.
     pub queue_capacity: usize,
-    /// World-pool entry bound (see `remote_peering::memo`).
-    pub pool_entries: usize,
     /// Optional world-pool byte budget.
     pub pool_bytes: Option<u64>,
     /// Persist artifacts here in the CLI's output layout; `None` keeps
@@ -50,7 +51,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:8080".to_string(),
             workers: 2,
             queue_capacity: 256,
-            pool_entries: 32,
             pool_bytes: None,
             results_dir: None,
             read_timeout: Duration::from_secs(5),
@@ -187,7 +187,7 @@ impl Server {
     /// loop and worker pool.
     pub fn bind(cfg: ServeConfig) -> std::io::Result<Server> {
         rp_obs::enable();
-        remote_peering::memo::configure_world_pool(cfg.pool_entries, cfg.pool_bytes);
+        remote_peering::memo::configure_world_pool(POOL_ENTRIES, cfg.pool_bytes);
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
 

@@ -365,7 +365,7 @@ pub(crate) fn run_check_with(cfg: &CheckConfig, reference: bool) -> CheckOutcome
     // Fork the clean build and apply the degradations as deltas — the
     // parent stays pristine and the fork gets a deterministic content
     // address. The reference arm replays the legacy path instead: a fresh
-    // build degraded in place under a mutation nonce. Identical bytes
+    // build degraded in place under a unique memo key. Identical bytes
     // either way (the fork-equivalence harness holds the report to it).
     let (faulted_world, scene) = if reference {
         let mut rebuilt = World::build(&world_cfg);

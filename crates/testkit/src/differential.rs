@@ -164,7 +164,7 @@ pub fn incremental_arm(
 }
 
 /// The reference arm: build the world again from its config, apply the
-/// same deltas in place under a mutation nonce, probe everything.
+/// same deltas in place under a unique memo key, probe everything.
 pub fn rebuild_arm(cfg: &WorldConfig, campaign: &Campaign, deltas: &[Delta]) -> ArmResult {
     let mut world = World::build(cfg);
     world.mark_mutated();

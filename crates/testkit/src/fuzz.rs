@@ -147,6 +147,17 @@ fn mutate(rng: &mut StdRng, input: &str) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
+/// `n` seeded mutants of entries of the non-empty `corpus`: the same
+/// arguments always yield the same inputs (`rp-server` fuzzes job
+/// envelopes with it).
+pub fn mutants(master_seed: u64, corpus: &[String], n: u64) -> impl Iterator<Item = String> + '_ {
+    (0..n).map(move |i| {
+        let mut rng = seed::rng2(master_seed, "fuzz", i, 0);
+        let base = &corpus[rng.random_range(0..corpus.len())];
+        mutate(&mut rng, base)
+    })
+}
+
 /// A named parse target: consumes the input, returns whether it accepted.
 pub type FuzzTarget<'a> = (&'static str, &'a dyn Fn(&str) -> bool);
 
@@ -164,10 +175,7 @@ pub fn run_targets(master_seed: u64, iterations: u64, targets: &[FuzzTarget<'_>]
     // for the duration of the (strictly serial) fuzz loop.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    for i in 0..iterations {
-        let mut rng = seed::rng2(master_seed, "fuzz", i, 0);
-        let base = &corpus[rng.random_range(0..corpus.len())];
-        let input = mutate(&mut rng, base);
+    for input in mutants(master_seed, &corpus, iterations) {
         for (t, (name, target)) in targets.iter().enumerate() {
             match catch_unwind(AssertUnwindSafe(|| target(&input))) {
                 Ok(true) => report.accepted[t].1 += 1,
