@@ -479,12 +479,23 @@ impl Campaign {
                 .collect()
         });
 
+        // Per-IXP cost over the IXP axis: events this campaign dispatched
+        // beside the interfaces it probed, so a run report shows which
+        // exchange the event loop spent its time on.
+        let events = net.events_processed();
+        rp_obs::timeline::index_point("core.campaign.events_by_ixp", ixp.0 as u64, events);
+        rp_obs::timeline::index_point(
+            "core.campaign.interfaces_by_ixp",
+            ixp.0 as u64,
+            listed.len() as u64,
+        );
+
         IxpRun {
             plane: builder.finish(),
             route_server,
             faults: net.fault_counts(),
             trace_digest: net.trace_digest(),
-            events: net.events_processed(),
+            events,
         }
     }
 

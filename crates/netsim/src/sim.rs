@@ -31,7 +31,7 @@
 
 use crate::event::{Event, EventKey, EventQueue};
 use crate::fault::{FaultCounts, FaultEvent, FaultInjector, TxFaults, DUPLICATE_GAP};
-use crate::frame::{ArpOp, Frame, FrameArena, MacAddr, Payload};
+use crate::frame::{ArpOp, Frame, FrameArena, IcmpMessage, MacAddr, Payload};
 use crate::host::Host;
 use crate::link::DelayModel;
 use crate::router::{Router, RouterBehavior};
@@ -250,7 +250,7 @@ struct Shard {
     events_processed: u64,
     /// Dispatched events by kind (`EV_*` index order); flushed as the
     /// `netsim.sim.events.<kind>` counters.
-    events_by_kind: [u64; 4],
+    events_by_kind: [u64; EV_KINDS],
     /// Frames dropped because a device transmitted on an unconnected port.
     dropped_unconnected: u64,
     /// Largest per-link transmit-queue depth seen (frames waiting ahead of
@@ -298,8 +298,21 @@ const TL_PSEUDOWIRE_BYTES: usize = 4;
 /// Kinds of dispatched event, as indices into [`Shard::events_by_kind`].
 const EV_ARP_REQUEST: usize = 0;
 const EV_ARP_REPLY: usize = 1;
-const EV_IPV4: usize = 2;
-const EV_TIMER: usize = 3;
+const EV_ICMP_ECHO_REQUEST: usize = 2;
+const EV_ICMP_ECHO_REPLY: usize = 3;
+const EV_ICMP_OTHER: usize = 4;
+const EV_TIMER: usize = 5;
+const EV_KINDS: usize = 6;
+
+/// The `netsim.sim.events.<kind>` counter names, in `EV_*` index order.
+const EV_COUNTERS: [&str; EV_KINDS] = [
+    "netsim.sim.events.arp_request",
+    "netsim.sim.events.arp_reply",
+    "netsim.sim.events.icmp_echo_request",
+    "netsim.sim.events.icmp_echo_reply",
+    "netsim.sim.events.icmp_other",
+    "netsim.sim.events.timer",
+];
 
 /// Minimum total pending events before a window is drained on the rayon
 /// pool. Below this, thread spawn/handoff costs more than the work; the
@@ -343,7 +356,7 @@ impl Shard {
             scratch: Vec::new(),
             faults: None,
             events_processed: 0,
-            events_by_kind: [0; 4],
+            events_by_kind: [0; EV_KINDS],
             dropped_unconnected: 0,
             queue_depth_hwm: 0,
             digest: 0,
@@ -403,7 +416,11 @@ impl Shard {
                 self.events_by_kind[match &frame.payload {
                     Payload::Arp(a) if a.op == ArpOp::Request => EV_ARP_REQUEST,
                     Payload::Arp(_) => EV_ARP_REPLY,
-                    Payload::Ipv4(_) => EV_IPV4,
+                    Payload::Ipv4(p) => match p.payload {
+                        IcmpMessage::EchoRequest { .. } => EV_ICMP_ECHO_REQUEST,
+                        IcmpMessage::EchoReply { .. } => EV_ICMP_ECHO_REPLY,
+                        IcmpMessage::TimeExceeded { .. } => EV_ICMP_OTHER,
+                    },
                 }] += 1;
                 let n_ports = meta.ports.len() as u16;
                 let now = self.now;
@@ -595,7 +612,7 @@ pub struct Network {
     /// of the atomic, and counters flush to the registry once per run.
     obs_active: bool,
     obs_flushed_events: u64,
-    obs_flushed_kinds: [u64; 4],
+    obs_flushed_kinds: [u64; EV_KINDS],
     obs_flushed_drops: u64,
     obs_flushed_barriers: u64,
     obs_flushed_handoffs: u64,
@@ -656,7 +673,7 @@ impl Network {
             router_key: seed::domain_key(seed, "router-frame"),
             obs_active: false,
             obs_flushed_events: 0,
-            obs_flushed_kinds: [0; 4],
+            obs_flushed_kinds: [0; EV_KINDS],
             obs_flushed_drops: 0,
             obs_flushed_barriers: 0,
             obs_flushed_handoffs: 0,
@@ -999,9 +1016,10 @@ impl Network {
     }
 
     /// Events processed so far by kind, across all shards, in the order
-    /// `arp_request`, `arp_reply`, `ipv4`, `timer`.
-    pub fn events_by_kind(&self) -> [u64; 4] {
-        let mut total = [0; 4];
+    /// `arp_request`, `arp_reply`, `icmp_echo_request`, `icmp_echo_reply`,
+    /// `icmp_other`, `timer`.
+    pub fn events_by_kind(&self) -> [u64; EV_KINDS] {
+        let mut total = [0; EV_KINDS];
         for s in &self.shards {
             for (t, n) in total.iter_mut().zip(s.events_by_kind) {
                 *t += n;
@@ -1220,14 +1238,12 @@ impl Network {
         rp_obs::counter!("netsim.sim.events_processed").add(events - self.obs_flushed_events);
         self.obs_flushed_events = events;
         let kinds = self.events_by_kind();
-        let counters = [
-            rp_obs::counter!("netsim.sim.events.arp_request"),
-            rp_obs::counter!("netsim.sim.events.arp_reply"),
-            rp_obs::counter!("netsim.sim.events.ipv4"),
-            rp_obs::counter!("netsim.sim.events.timer"),
-        ];
-        for ((c, n), flushed) in counters.iter().zip(kinds).zip(&mut self.obs_flushed_kinds) {
-            c.add(n - *flushed);
+        for ((name, n), flushed) in EV_COUNTERS
+            .iter()
+            .zip(kinds)
+            .zip(&mut self.obs_flushed_kinds)
+        {
+            rp_obs::metrics::counter(name).add(n - *flushed);
             *flushed = n;
         }
         let drops = self.frames_dropped_unconnected();
@@ -1476,7 +1492,11 @@ mod tests {
             f.net.run_to_completion();
             let kinds = f.net.events_by_kind();
             assert_eq!(kinds.iter().sum::<u64>(), f.net.events_processed());
-            assert!(kinds.iter().all(|&n| n > 0), "every kind occurs: {kinds:?}");
+            for (k, &n) in kinds.iter().enumerate() {
+                // No router forwards an expired probe in this scene, so
+                // the only ICMP is echo traffic.
+                assert_eq!(n > 0, k != EV_ICMP_OTHER, "kind {k} of {kinds:?}");
+            }
             (
                 f.net.host(f.lg).outcomes().to_vec(),
                 kinds,

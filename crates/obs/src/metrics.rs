@@ -420,10 +420,22 @@ pub const CATALOG: &[CatalogEntry] = &[
         doc: "Dispatched events that delivered an ARP request frame (mostly the fabric broadcast flood)",
     },
     CatalogEntry {
-        name: "netsim.sim.events.ipv4",
+        name: "netsim.sim.events.icmp_echo_reply",
         kind: "counter",
         scale: "events",
-        doc: "Dispatched events that delivered an IPv4 frame (probes and their replies)",
+        doc: "Dispatched events that delivered an IPv4 frame carrying an ICMP echo reply",
+    },
+    CatalogEntry {
+        name: "netsim.sim.events.icmp_echo_request",
+        kind: "counter",
+        scale: "events",
+        doc: "Dispatched events that delivered an IPv4 frame carrying an ICMP echo request (a probe)",
+    },
+    CatalogEntry {
+        name: "netsim.sim.events.icmp_other",
+        kind: "counter",
+        scale: "events",
+        doc: "Dispatched events that delivered any other IPv4 frame (ICMP time exceeded)",
     },
     CatalogEntry {
         name: "netsim.sim.events.timer",

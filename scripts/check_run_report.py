@@ -42,7 +42,9 @@ REQUIRED_SERIES = [
 EVENT_KIND_COUNTERS = [
     "netsim.sim.events.arp_request",
     "netsim.sim.events.arp_reply",
-    "netsim.sim.events.ipv4",
+    "netsim.sim.events.icmp_echo_request",
+    "netsim.sim.events.icmp_echo_reply",
+    "netsim.sim.events.icmp_other",
     "netsim.sim.events.timer",
 ]
 

@@ -11,18 +11,22 @@
 //!
 //! It also checks the per-kind event counters (`netsim.sim.events.*`):
 //! they sum to `netsim.sim.events_processed` and do not depend on the
-//! shard count.
+//! shard count. So do the per-IXP series `core.campaign.events_by_ixp`
+//! and `core.campaign.interfaces_by_ixp`, which must add up to the event
+//! and probed-interface totals of the run.
 
 use serde_json::Value;
 use std::process::Command;
 
 /// FNV-1a-64 of the serialized `timelines` section.
-const TIMELINES_FNV: u64 = 0x257710982b08bfa1;
+const TIMELINES_FNV: u64 = 0xc59c4bac45846778;
 
-const EVENT_KINDS: [&str; 4] = [
+const EVENT_KINDS: [&str; 6] = [
     "netsim.sim.events.arp_request",
     "netsim.sim.events.arp_reply",
-    "netsim.sim.events.ipv4",
+    "netsim.sim.events.icmp_echo_request",
+    "netsim.sim.events.icmp_echo_reply",
+    "netsim.sim.events.icmp_other",
     "netsim.sim.events.timer",
 ];
 
@@ -63,6 +67,25 @@ fn campaign_report(shards: u32, threads: u32) -> Value {
     doc
 }
 
+/// Sum of an index-axis timeline series' points.
+fn series_total(report: &Value, name: &str) -> u64 {
+    report
+        .get("timelines")
+        .and_then(|t| t.get("series"))
+        .and_then(|s| s.get(name))
+        .and_then(|s| s.get("points"))
+        .and_then(Value::as_array)
+        .unwrap_or_else(|| panic!("timeline series {name} missing from the run report"))
+        .iter()
+        .map(|p| {
+            p.as_array()
+                .and_then(|p| p.get(1))
+                .and_then(Value::as_u64)
+                .expect("point value")
+        })
+        .sum()
+}
+
 fn counter(report: &Value, name: &str) -> u64 {
     report
         .get("metrics")
@@ -100,6 +123,16 @@ fn event_kind_counters_sum_to_events_processed() {
                 kinds.iter().sum::<u64>(),
                 total,
                 "--shards {shards}: per-kind counts {kinds:?} do not sum to {total}"
+            );
+            assert_eq!(
+                series_total(&report, "core.campaign.events_by_ixp"),
+                total,
+                "--shards {shards}: per-IXP events do not sum to the run's events"
+            );
+            assert_eq!(
+                series_total(&report, "core.campaign.interfaces_by_ixp"),
+                counter(&report, "core.campaign.interfaces_probed"),
+                "--shards {shards}: per-IXP interfaces do not sum to the probed total"
             );
             kinds
         })
