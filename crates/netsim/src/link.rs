@@ -201,6 +201,14 @@ impl DelayModel {
     /// RNG. Bit-identical to what `sample` returns on such a model.
     pub fn sample_deterministic(&self, now: SimTime) -> SimDuration {
         debug_assert!(self.is_deterministic());
+        self.floor_at(now)
+    }
+
+    /// The jitter-free one-way delay for a frame entering the link at
+    /// `now`: base, persistent extra and any active persistent episode,
+    /// with no random term. ARP frames travel at this delay so they never
+    /// touch a link's random stream.
+    pub fn floor_at(&self, now: SimTime) -> SimDuration {
         let mut extra_ms = self.persistent_extra_ms;
         for e in &self.persistent_episodes {
             if e.active_at(now) {

@@ -17,9 +17,15 @@
 //!   a pure function of each creator's own history (see `event.rs`);
 //! - link jitter draws from a per-*direction* stream owned by the
 //!   transmitting side's shard;
-//! - router per-event RNGs are indexed by a per-node dispatch counter;
+//! - router per-event RNGs are indexed by a per-node count of non-ARP
+//!   dispatches;
 //! - fault decisions draw from per-`(link, direction)` streams
 //!   (see `fault.rs`).
+//!
+//! ARP frames touch none of these streams: they travel at the link's
+//! jitter-free delay ([`DelayModel::floor_at`]), skip the fault injector,
+//! never occupy a transmit queue and never advance a router's RNG index.
+//! So the number of ARP copies a fabric delivers cannot move an IP result.
 //!
 //! None of these depend on how entities are assigned to shards, so any
 //! partition — including the trivial one-shard partition — yields
@@ -222,8 +228,9 @@ struct Shard {
     /// Per-device event-creation counters (the `seq` of [`EventKey`]),
     /// indexed by device `loc`.
     seqs: Vec<u64>,
-    /// Per-device dispatched-event counters, indexed by `loc`; feeds the
-    /// router per-event RNG index so it is independent of shard layout.
+    /// Per-device count of dispatched non-ARP frames, indexed by `loc`;
+    /// the router per-event RNG index, so it is independent of shard
+    /// layout and of how many ARP frames a router sees.
     rx: Vec<u64>,
     /// Per-direction link state, indexed by `Attachment::dir_loc`.
     dirs: Vec<DirState>,
@@ -406,7 +413,6 @@ impl Shard {
         }
         let meta = &ctx.nodes[node.index()];
         let loc = meta.loc as usize;
-        self.rx[loc] += 1;
         let mut actions = std::mem::take(&mut self.scratch);
         match event {
             Event::FrameArrival { port, frame, .. } => {
@@ -440,9 +446,11 @@ impl Shard {
                             );
                         } else {
                             // Derive a per-event RNG from (node, per-node
-                            // dispatch count). The count is a property of
-                            // the node's own history, so the stream is the
-                            // same at every shard count.
+                            // non-ARP dispatch count). The count is a
+                            // property of the node's own IP history, so the
+                            // stream is the same at every shard count and
+                            // whatever ARP traffic the router sees.
+                            self.rx[loc] += 1;
                             let mut rng = seed::rng_from_key(
                                 ctx.router_key,
                                 (node.0 as u64) << 40 | self.rx[loc],
@@ -472,9 +480,16 @@ impl Shard {
                         self.dropped_unconnected += 1;
                         continue; // unconnected port: drop
                     };
+                    // ARP traffic is invisible to every random stream: it
+                    // bypasses fault decisions, draws no jitter and leaves
+                    // the transmit queue to IP frames. How many ARP copies
+                    // a fabric delivers can then never move an IP result.
+                    let arp = matches!(frame.payload, Payload::Arp(_));
                     let fx = match self.faults.as_mut() {
-                        Some(inj) => inj.on_transmit(self.now, att.link, att.dir, &mut frame),
-                        None => TxFaults::default(),
+                        Some(inj) if !arp => {
+                            inj.on_transmit(self.now, att.link, att.dir, &mut frame)
+                        }
+                        _ => TxFaults::default(),
                     };
                     if fx.drop {
                         continue; // injected loss: the frame never transmits
@@ -502,7 +517,9 @@ impl Shard {
                         }
                     }
                     let tx_done = start + tx_time;
-                    ds.busy_until = tx_done;
+                    if !arp {
+                        ds.busy_until = tx_done;
+                    }
                     if ctx.obs_active {
                         // Per-class wire-byte timelines, keyed by transmit
                         // start (sim time) and the link's *canonical* role —
@@ -522,8 +539,8 @@ impl Shard {
                         }
                     }
                     let delay = match ds.rng.as_mut() {
-                        Some(rng) => delay_model.sample(start, rng),
-                        None => delay_model.sample_deterministic(start),
+                        Some(rng) if !arp => delay_model.sample(start, rng),
+                        _ => delay_model.floor_at(start),
                     };
                     let arrival = tx_done + delay + fx.extra_delay;
                     if fx.duplicate {

@@ -16,11 +16,11 @@ use std::process::{Command, Output};
 /// Golden FNV-1a digest of the seed-42 `check_report.json` (40 fault
 /// trials, 60 fuzz iterations, test scale) — the same capture
 /// `tests/check_determinism.rs` pins, asserted here at every matrix cell.
-const GOLDEN_CHECK_REPORT_FNV: u64 = 0x230d_ba12_3258_b478;
+const GOLDEN_CHECK_REPORT_FNV: u64 = 0xaeb3_4479_2c0e_cdc9;
 
 /// Golden FNV-1a digest of the seed-42 two-arm smoke sweep's
 /// `sweeps/smoke.json` (2 replicates, thresholds 10/14, test scale).
-const GOLDEN_SWEEP_SMOKE_FNV: u64 = 0xc445_9241_7d99_9273;
+const GOLDEN_SWEEP_SMOKE_FNV: u64 = 0x71ce_784a_d99e_8326;
 
 const SHARD_COUNTS: [&str; 3] = ["1", "2", "4"];
 const THREAD_COUNTS: [&str; 2] = ["1", "4"];
