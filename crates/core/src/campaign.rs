@@ -729,7 +729,10 @@ impl Campaign {
             // that actually holds it.
             let front = net.add_router_on(shard, RouterBehavior::default());
             let (_, f_access) = net.connect_classed(attach, front, link, LinkClass::Access);
-            let front_ip = Ipv4Addr::new(172, 16, (ixp.0 % 250) as u8, (2 + slot % 250) as u8);
+            // The front's own address mirrors the member address plan in
+            // 172.16.0.0/12, so no two fronts of one fabric share it (the
+            // ARP sponge rejects two owners of one address).
+            let front_ip = Ipv4Addr::new(172, 16, (slot / 250) as u8, (2 + slot % 250) as u8);
             net.bind_router(front, f_access, front_ip);
             let inner = net.add_router_on(shard, behavior);
             let (f_in, i_port) = net.connect(front, inner, DelayModel::with_one_way_ms(0.8));

@@ -124,8 +124,9 @@ impl Ord for HeapEntry {
 #[derive(Debug)]
 pub struct EventQueue {
     /// Ring of buckets covering `[base_slot, base_slot + BUCKET_COUNT)`
-    /// time slots. Pushes append unsorted (O(1) even for the burst of
-    /// simultaneous arrivals an ARP flood schedules into one slot); a
+    /// time slots. Pushes append unsorted (O(1) even for a burst of
+    /// simultaneous arrivals in one slot, such as a broadcast ARP request
+    /// for an address no device owns, which still floods a fabric); a
     /// bucket is sorted *descending* by `(at, key)` the first time it is
     /// drained, after which its minimum is `last()` and popping is O(1).
     /// Keys are unique — each creator numbers its events densely — so the

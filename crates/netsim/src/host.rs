@@ -157,6 +157,12 @@ impl Host {
         hops
     }
 
+    /// The bound `(port, address)`, the one address this host answers ARP
+    /// for.
+    pub(crate) fn binding(&self) -> Option<(PortId, Ipv4Addr)> {
+        self.iface.map(|(port, ip, _)| (port, ip))
+    }
+
     /// All probe outcomes, in planning order. Valid after the simulation ran
     /// past the planned times (unanswered probes simply keep `reply: None`).
     pub fn outcomes(&self) -> &[PingOutcome] {

@@ -39,6 +39,7 @@ pub mod host;
 pub mod link;
 pub mod router;
 pub mod sim;
+mod sponge;
 pub mod switch;
 
 pub use fault::{FaultConfig, FaultCounts, FaultEvent, FaultInjector, FaultKind};

@@ -185,6 +185,40 @@ impl Router {
         self.ifaces.iter().find(|i| i.ip == ip).copied()
     }
 
+    /// True when an ARP request for `target` arriving on `port` gets an
+    /// answer: the target is the port's address, an address bound on this
+    /// port, a proxy entry, or the port answers for everything — and the
+    /// port has an interface to answer from.
+    fn answers_arp(&self, port: PortId, target: Ipv4Addr) -> bool {
+        let Some(iface) = self.iface_on(port) else {
+            return false;
+        };
+        iface.ip == target
+            || self.owns_ip(target).is_some_and(|i| i.port == port)
+            || self.proxy_arp.contains(&(port, target))
+            || self.proxy_arp_all.contains(&port)
+    }
+
+    /// Every `(port, address)` this router answers ARP for by name: bound
+    /// addresses and proxy entries, filtered through the same rule
+    /// [`on_frame_into`](Self::on_frame_into) applies.
+    pub(crate) fn arp_claims(&self) -> impl Iterator<Item = (PortId, Ipv4Addr)> + '_ {
+        self.ifaces
+            .iter()
+            .map(|i| (i.port, i.ip))
+            .chain(self.proxy_arp.iter().copied())
+            .filter(|&(port, ip)| self.answers_arp(port, ip))
+    }
+
+    /// Ports that answer ARP for *any* address
+    /// ([`set_proxy_arp_all`](Self::set_proxy_arp_all) with an interface).
+    pub(crate) fn arp_answers_all(&self) -> impl Iterator<Item = PortId> + '_ {
+        self.proxy_arp_all
+            .iter()
+            .copied()
+            .filter(|&port| self.iface_on(port).is_some())
+    }
+
     fn lookup_route(&self, dst: Ipv4Addr) -> Option<PortId> {
         self.routes
             .iter()
@@ -275,15 +309,7 @@ impl Router {
         match frame.payload {
             Payload::Arp(arp) => match arp.op {
                 ArpOp::Request => {
-                    let iface = self.iface_on(port);
-                    let answers = iface.map(|i| i.ip == arp.target_ip).unwrap_or(false)
-                        || self
-                            .owns_ip(arp.target_ip)
-                            .map(|i| i.port == port)
-                            .unwrap_or(false)
-                        || self.proxy_arp.contains(&(port, arp.target_ip))
-                        || self.proxy_arp_all.contains(&port);
-                    if answers {
+                    if self.answers_arp(port, arp.target_ip) {
                         if let Some(i) = self.iface_on(port) {
                             out.push(Action::send(
                                 port,

@@ -41,6 +41,7 @@ use crate::frame::{ArpOp, Frame, FrameArena, IcmpMessage, MacAddr, Payload};
 use crate::host::Host;
 use crate::link::DelayModel;
 use crate::router::{Router, RouterBehavior};
+use crate::sponge::{OwnerTable, Wiring};
 use crate::switch::Switch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -212,6 +213,8 @@ struct Xfer {
 struct Ctx<'a> {
     nodes: &'a [NodeMeta],
     links: &'a [LinkMeta],
+    /// The fabric ARP sponge: where a broadcast ARP request may go.
+    owners: &'a OwnerTable,
     router_key: seed::DomainKey,
     obs_active: bool,
     /// Debug-only skew added to cross-shard deliveries; see
@@ -243,8 +246,9 @@ struct Shard {
     frames: FrameArena,
     now: SimTime,
     /// Stand-in generator passed to routers for ARP frames, whose handling
-    /// never draws — ARP floods hit every member on a fabric, so skipping
-    /// the per-event seeding there is a measurable win. Debug builds
+    /// never draws — ARP is invisible to every random stream, so no
+    /// per-event stream is derived for it (a request for an unowned
+    /// address still floods every member of a fabric). Debug builds
     /// assert after every use that it was in fact never advanced.
     arp_rng: StdRng,
     /// Scratch buffer device handlers write their actions into; reused
@@ -323,7 +327,10 @@ const EV_COUNTERS: [&str; EV_KINDS] = [
 
 /// Minimum total pending events before a window is drained on the rayon
 /// pool. Below this, thread spawn/handoff costs more than the work; the
-/// serial path is bit-identical, so the threshold is pure policy.
+/// serial path is bit-identical, so the threshold is pure policy. Since
+/// the fabric ARP sponge stopped broadcast requests from fanning out to
+/// every member, campaign windows hold far fewer events, so fewer of them
+/// cross this threshold.
 const PAR_WINDOW_EVENTS: usize = 4096;
 
 /// How many windows pass between memory-budget checks. Measuring retained
@@ -431,7 +438,17 @@ impl Shard {
                 let n_ports = meta.ports.len() as u16;
                 let now = self.now;
                 match &mut self.devices[loc] {
-                    Device::Switch(sw) => sw.on_frame_into(port, n_ports, frame, &mut actions),
+                    Device::Switch(sw) => {
+                        let owner = match &frame.payload {
+                            Payload::Arp(a)
+                                if a.op == ArpOp::Request && frame.dst.is_broadcast() =>
+                            {
+                                ctx.owners.port(node, a.target_ip)
+                            }
+                            _ => None,
+                        };
+                        sw.on_frame_into(port, n_ports, frame, owner, &mut actions)
+                    }
                     Device::Router(r) => {
                         if matches!(frame.payload, Payload::Arp(_)) {
                             // The ARP arms never draw, so the per-event
@@ -637,6 +654,14 @@ pub struct Network {
     /// cross-shard links" (windows are unbounded); invalidated by
     /// [`Network::connect`].
     lookahead_cache: Option<Option<SimDuration>>,
+    /// The ARP owner table, built at the start of a run from the wiring
+    /// and device bindings; invalidated by anything that can change them
+    /// (adding a node, connecting, mutable device access).
+    owners: Option<OwnerTable>,
+    /// Test-only: run with an empty owner table, so every broadcast ARP
+    /// request floods — the reference the sponge must match.
+    #[cfg(test)]
+    flood_arp: bool,
     /// Number of epoch barriers executed.
     barrier_rounds: u64,
     /// Wall-clock nanoseconds spent inside barriers (obs runs only).
@@ -695,6 +720,9 @@ impl Network {
             obs_flushed_barriers: 0,
             obs_flushed_handoffs: 0,
             lookahead_cache: None,
+            owners: None,
+            #[cfg(test)]
+            flood_arp: false,
             barrier_rounds: 0,
             barrier_wait_ns: 0,
             memory_budget: None,
@@ -813,6 +841,7 @@ impl Network {
             self.shards.len()
         );
         let id = NodeId(self.nodes.len() as u32);
+        self.owners = None;
         let s = &mut self.shards[shard];
         let loc = s.devices.len() as u32;
         s.devices.push(device);
@@ -889,6 +918,7 @@ impl Network {
         let deterministic = delay.is_deterministic();
         self.links.push(LinkMeta { delay, a, b, class });
         self.lookahead_cache = None;
+        self.owners = None;
         let (shard_a, shard_b) = (self.nodes[a.index()].shard, self.nodes[b.index()].shard);
         let dir_state = |shards: &mut Vec<Shard>, shard: u32, dir: u8| {
             let s = &mut shards[shard as usize];
@@ -928,6 +958,7 @@ impl Network {
     }
 
     fn device_mut(&mut self, id: NodeId) -> &mut Device {
+        self.owners = None;
         let meta = &self.nodes[id.index()];
         &mut self.shards[meta.shard as usize].devices[meta.loc as usize]
     }
@@ -1130,6 +1161,49 @@ impl Network {
         min
     }
 
+    /// Test-only: make every switch flood every broadcast ARP request, the
+    /// behavior the sponge must be indistinguishable from.
+    #[cfg(test)]
+    pub(crate) fn flood_arp(&mut self) {
+        self.flood_arp = true;
+        self.owners = None;
+    }
+
+    /// Derive the ARP owner table from the wiring and from what every
+    /// router (bound addresses, proxy entries) and host answers for.
+    fn owner_table(&self) -> OwnerTable {
+        #[cfg(test)]
+        if self.flood_arp {
+            return OwnerTable::default();
+        }
+        let mut w = Wiring::default();
+        for (i, meta) in self.nodes.iter().enumerate() {
+            let node = NodeId(i as u32);
+            w.far.push(
+                meta.ports
+                    .iter()
+                    .map(|a| (a.far_node, a.far_port))
+                    .collect(),
+            );
+            let device = &self.shards[meta.shard as usize].devices[meta.loc as usize];
+            w.switch.push(matches!(device, Device::Switch(_)));
+            match device {
+                Device::Switch(_) => {}
+                Device::Router(r) => {
+                    w.claims
+                        .extend(r.arp_claims().map(|(port, ip)| (node, port, ip)));
+                    w.answers_all
+                        .extend(r.arp_answers_all().map(|port| (node, port)));
+                }
+                Device::Host(h) => {
+                    w.claims
+                        .extend(h.binding().map(|(port, ip)| (node, port, ip)));
+                }
+            }
+        }
+        OwnerTable::build(&w)
+    }
+
     /// Lazily reserve Chrome-trace tracks for this network's shards.
     fn trace_track_base(&mut self) -> u32 {
         if let Some(b) = self.trace_tracks {
@@ -1149,6 +1223,7 @@ impl Network {
         let ctx = Ctx {
             nodes: &self.nodes,
             links: &self.links,
+            owners: self.owners.as_ref().expect("owner table built by drain"),
             router_key: self.router_key,
             obs_active: self.obs_active,
             xshard_skew: self.xshard_skew,
@@ -1325,6 +1400,9 @@ impl Network {
         self.obs_active = rp_obs::enabled();
         let _sp = rp_obs::span("netsim.run");
         let lookahead = self.lookahead();
+        if self.owners.is_none() {
+            self.owners = Some(self.owner_table());
+        }
         let mut windows = 0u64;
         loop {
             let t_min = self
@@ -1448,6 +1526,20 @@ mod tests {
             let at = SimTime::ZERO + SimDuration::from_secs(1 + k as u64);
             net.plan_ping(lg, at, target);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "10.0.0.10 is answered by both node2 (port 0) and node6 (port 0)")]
+    fn two_owners_of_one_address_on_a_fabric_panic() {
+        let mut f = figure1(1);
+        let fabric = NodeId(0);
+        let twin = f.net.add_router(RouterBehavior::default());
+        let (_, tp) = f
+            .net
+            .connect(fabric, twin, DelayModel::with_one_way_ms(0.4));
+        f.net.bind_router(twin, tp, f.direct_ip);
+        ping_n(&mut f.net, f.lg, f.direct_ip, 1);
+        f.net.run_to_completion();
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! never touches the IP header, traffic crossing half the planet through
 //! one arrives with its TTL intact — indistinguishable on layer 3 from a
 //! local hop. That invisibility is the phenomenon under study.
+//!
+//! Like a real IXP fabric behind an ARP sponge, a switch does not flood a
+//! broadcast ARP request when the network knows which port leads to the
+//! device answering for the target address (see `sponge.rs`): the request
+//! goes out that port only.
 
 use crate::frame::{Frame, MacAddr};
 use crate::sim::{Action, PortId};
@@ -62,16 +67,26 @@ impl Switch {
 
     /// Handle a frame arriving on `in_port` of a switch with `n_ports`
     /// ports: learn the source, then forward (unicast if known, flood
-    /// otherwise). Frames are forwarded unmodified — no TTL decrement, no
-    /// address rewrite. Actions are appended to `out`.
+    /// otherwise). `owner` is the port toward the device that answers a
+    /// broadcast ARP request's target, when the network knows one: such a
+    /// request goes out that port only, and is dropped when the owner sits
+    /// behind the ingress port. Frames are forwarded unmodified — no TTL
+    /// decrement, no address rewrite. Actions are appended to `out`.
     pub fn on_frame_into(
         &mut self,
         in_port: PortId,
         n_ports: u16,
         frame: Frame,
+        owner: Option<PortId>,
         out: &mut Vec<Action>,
     ) {
         self.learn(frame.src, in_port);
+        if let Some(port) = owner {
+            if port != in_port {
+                out.push(Action::send(port, frame));
+            }
+            return;
+        }
         match self.lookup(frame.dst) {
             Some(port) if !frame.dst.is_broadcast() => {
                 // A hairpin (destination lives where the frame came from)
@@ -89,11 +104,11 @@ impl Switch {
         }
     }
 
-    /// [`on_frame_into`](Self::on_frame_into), collecting into a fresh
-    /// vector.
+    /// [`on_frame_into`](Self::on_frame_into) with no known ARP owner,
+    /// collecting into a fresh vector.
     pub fn on_frame(&mut self, in_port: PortId, n_ports: u16, frame: Frame) -> Vec<Action> {
         let mut out = Vec::new();
-        self.on_frame_into(in_port, n_ports, frame, &mut out);
+        self.on_frame_into(in_port, n_ports, frame, None, &mut out);
         out
     }
 
@@ -175,6 +190,48 @@ mod tests {
         let acts = sw.on_frame(PortId(0), 4, frame(1, foreign));
         assert_eq!(out_ports(&acts), vec![2]);
         assert_eq!(sw.learned(), 2);
+    }
+
+    fn arp_request(src: u64) -> Frame {
+        Frame::arp_request(
+            "10.0.0.1".parse().unwrap(),
+            MacAddr::from_index(src),
+            "10.0.0.9".parse().unwrap(),
+        )
+    }
+
+    fn sponged(sw: &mut Switch, in_port: u16, frame: Frame, owner: Option<u16>) -> Vec<u16> {
+        let mut out = Vec::new();
+        sw.on_frame_into(PortId(in_port), 4, frame, owner.map(PortId), &mut out);
+        out_ports(&out)
+    }
+
+    #[test]
+    fn sponged_request_reaches_only_the_owner_port() {
+        let mut sw = Switch::new();
+        assert_eq!(sponged(&mut sw, 0, arp_request(1), Some(2)), vec![2]);
+    }
+
+    #[test]
+    fn sponged_request_whose_owner_is_behind_the_ingress_is_dropped() {
+        let mut sw = Switch::new();
+        assert!(sponged(&mut sw, 2, arp_request(1), Some(2)).is_empty());
+    }
+
+    #[test]
+    fn request_for_an_unowned_target_floods() {
+        let mut sw = Switch::new();
+        assert_eq!(sponged(&mut sw, 1, arp_request(1), None), vec![0, 2, 3]);
+    }
+
+    #[test]
+    fn sponged_request_still_teaches_the_source() {
+        let mut sw = Switch::new();
+        sponged(&mut sw, 3, arp_request(1), Some(0));
+        assert_eq!(sw.learned(), 1);
+        // The reply to the requester is unicast back out its port.
+        let acts = sw.on_frame(PortId(0), 4, frame(2, MacAddr::from_index(1)));
+        assert_eq!(out_ports(&acts), vec![3]);
     }
 
     #[test]

@@ -417,7 +417,7 @@ pub const CATALOG: &[CatalogEntry] = &[
         name: "netsim.sim.events.arp_request",
         kind: "counter",
         scale: "events",
-        doc: "Dispatched events that delivered an ARP request frame (mostly the fabric broadcast flood)",
+        doc: "Dispatched events that delivered an ARP request frame (sponged toward the owner; unowned targets still flood)",
     },
     CatalogEntry {
         name: "netsim.sim.events.icmp_echo_reply",

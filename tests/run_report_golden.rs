@@ -19,7 +19,7 @@ use serde_json::Value;
 use std::process::Command;
 
 /// FNV-1a-64 of the serialized `timelines` section.
-const TIMELINES_FNV: u64 = 0xc6759d2bba53e08f;
+const TIMELINES_FNV: u64 = 0xdcf5dab7de802df7;
 
 const EVENT_KINDS: [&str; 6] = [
     "netsim.sim.events.arp_request",
