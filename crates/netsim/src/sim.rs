@@ -231,9 +231,10 @@ struct Shard {
     /// Per-device event-creation counters (the `seq` of [`EventKey`]),
     /// indexed by device `loc`.
     seqs: Vec<u64>,
-    /// Per-device count of dispatched non-ARP frames, indexed by `loc`;
-    /// the router per-event RNG index, so it is independent of shard
-    /// layout and of how many ARP frames a router sees.
+    /// Per-router count of dispatched non-ARP frames, indexed by `loc`
+    /// (zero for other devices): the router per-event RNG index, so it is
+    /// independent of shard layout and of how many ARP frames a router
+    /// sees.
     rx: Vec<u64>,
     /// Per-direction link state, indexed by `Attachment::dir_loc`.
     dirs: Vec<DirState>,
@@ -327,10 +328,10 @@ const EV_COUNTERS: [&str; EV_KINDS] = [
 
 /// Minimum total pending events before a window is drained on the rayon
 /// pool. Below this, thread spawn/handoff costs more than the work; the
-/// serial path is bit-identical, so the threshold is pure policy. Since
-/// the fabric ARP sponge stopped broadcast requests from fanning out to
-/// every member, campaign windows hold far fewer events, so fewer of them
-/// cross this threshold.
+/// serial path is bit-identical, so the threshold is pure policy. It
+/// counts every pending event, far-future probe timers included, so even
+/// after the fabric ARP sponge shrank campaign windows, nearly every
+/// window of a multi-site campaign still crosses it.
 const PAR_WINDOW_EVENTS: usize = 4096;
 
 /// How many windows pass between memory-budget checks. Measuring retained
