@@ -185,18 +185,17 @@ impl Router {
         self.ifaces.iter().find(|i| i.ip == ip).copied()
     }
 
-    /// True when an ARP request for `target` arriving on `port` gets an
-    /// answer: the target is the port's address, an address bound on this
-    /// port, a proxy entry, or the port answers for everything — and the
-    /// port has an interface to answer from.
-    fn answers_arp(&self, port: PortId, target: Ipv4Addr) -> bool {
-        let Some(iface) = self.iface_on(port) else {
-            return false;
-        };
-        iface.ip == target
+    /// The interface that answers an ARP request for `target` arriving on
+    /// `port`, if any: the port's own interface, when the target is its
+    /// address, an address bound on this port, a proxy entry, or the port
+    /// answers for everything.
+    fn arp_answer(&self, port: PortId, target: Ipv4Addr) -> Option<Iface> {
+        let iface = self.iface_on(port)?;
+        (iface.ip == target
             || self.owns_ip(target).is_some_and(|i| i.port == port)
             || self.proxy_arp.contains(&(port, target))
-            || self.proxy_arp_all.contains(&port)
+            || self.proxy_arp_all.contains(&port))
+        .then_some(iface)
     }
 
     /// Every `(port, address)` this router answers ARP for by name: bound
@@ -207,7 +206,7 @@ impl Router {
             .iter()
             .map(|i| (i.port, i.ip))
             .chain(self.proxy_arp.iter().copied())
-            .filter(|&(port, ip)| self.answers_arp(port, ip))
+            .filter(|&(port, ip)| self.arp_answer(port, ip).is_some())
     }
 
     /// Ports that answer ARP for *any* address
@@ -309,13 +308,11 @@ impl Router {
         match frame.payload {
             Payload::Arp(arp) => match arp.op {
                 ArpOp::Request => {
-                    if self.answers_arp(port, arp.target_ip) {
-                        if let Some(i) = self.iface_on(port) {
-                            out.push(Action::send(
-                                port,
-                                Frame::arp_reply(&arp, arp.target_ip, i.mac),
-                            ));
-                        }
+                    if let Some(i) = self.arp_answer(port, arp.target_ip) {
+                        out.push(Action::send(
+                            port,
+                            Frame::arp_reply(&arp, arp.target_ip, i.mac),
+                        ));
                     }
                     // Routers also gratuitously learn the requester.
                     self.arp_learn((port, arp.sender_ip), arp.sender_mac);
