@@ -47,12 +47,12 @@ pub(crate) struct Wiring {
     pub answers_all: Vec<(NodeId, PortId)>,
 }
 
-/// One switch's place in its domain's spanning tree.
+/// One switch's place in its domain's spanning tree; its index in
+/// [`OwnerTable::pos`] is its preorder number `pre`.
 #[derive(Debug, Clone, Copy)]
 struct TreePos {
     domain: u32,
-    /// Preorder index; the subtree is `pre..end`.
-    pre: u32,
+    /// The subtree is `pre..end`.
     end: u32,
     /// Port toward the tree root (`NONE` at the root).
     up: u32,
@@ -114,7 +114,6 @@ impl OwnerTable {
                 t.slot[node] = pre;
                 t.pos.push(TreePos {
                     domain,
-                    pre,
                     end: pre + 1,
                     up,
                     down: (0, 0),
@@ -142,8 +141,9 @@ impl OwnerTable {
                 up.end = up.end.max(end);
             }
         }
-        for (me, mut children) in kids.into_iter().enumerate() {
-            children.sort_unstable();
+        // Each child list is in preorder already: children are appended as
+        // they are numbered.
+        for (me, children) in kids.into_iter().enumerate() {
             let from = t.down.len() as u32;
             t.down.extend(children);
             t.pos[me].down = (from, t.down.len() as u32);
@@ -203,10 +203,10 @@ impl OwnerTable {
         }
         let me = &self.pos[slot as usize];
         let &(owner, port, _, _) = self.owners.get(&(me.domain, u32::from(target)))?;
-        if owner == me.pre {
+        if owner == slot {
             return Some(port);
         }
-        if me.pre < owner && owner < me.end {
+        if slot < owner && owner < me.end {
             let kids = &self.down[me.down.0 as usize..me.down.1 as usize];
             let k = kids.partition_point(|&(pre, _)| pre <= owner);
             return Some(kids[k - 1].1);
