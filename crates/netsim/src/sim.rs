@@ -327,11 +327,11 @@ const EV_COUNTERS: [&str; EV_KINDS] = [
 ];
 
 /// Minimum total pending events before a window is drained on the rayon
-/// pool. Below this, thread spawn/handoff costs more than the work; the
-/// serial path is bit-identical, so the threshold is pure policy. It
-/// counts every pending event, far-future probe timers included, so even
-/// after the fabric ARP sponge shrank campaign windows, nearly every
-/// window of a multi-site campaign still crosses it.
+/// pool. Below this, queueing helper tasks and waking pool workers costs
+/// more than the work; the serial path is bit-identical, so the threshold
+/// is pure policy. It counts every pending event, far-future probe timers
+/// included, so nearly every window of a multi-site campaign crosses it;
+/// the pool's workers are long-lived, so that costs no thread spawns.
 const PAR_WINDOW_EVENTS: usize = 4096;
 
 /// How many windows pass between memory-budget checks. Measuring retained

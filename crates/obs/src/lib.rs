@@ -12,9 +12,10 @@
 //!   accumulates span statistics in a thread-local collector; when the
 //!   outermost span on a thread closes, the collector merges into the
 //!   process-wide aggregate under one short lock. Worker threads (the
-//!   vendored rayon spawns plain scoped threads) attach their spans under
-//!   an explicit parent handle ([`span_under`]), so the aggregated tree is
-//!   identical at every thread count.
+//!   vendored rayon's long-lived pool workers, which start every task
+//!   with an empty span stack) attach their spans under an explicit parent
+//!   handle ([`span_under`]), so the aggregated tree is identical at every
+//!   thread count.
 //! - [`metrics`] — a process-wide registry of counters, high-water-mark
 //!   gauges, and fixed-bucket histograms. All increments are lock-free
 //!   atomics; registration (first use of a name) takes a lock once.

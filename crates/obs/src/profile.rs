@@ -19,12 +19,15 @@
 //! thread's full span path into a per-thread slot (a tiny mutex-guarded
 //! vec — contention is negligible because the sampler holds each slot
 //! only long enough to clone it). Threads register their slot on first
-//! span; slots outlive the thread via `Arc` so the sampler never races a
-//! thread exit.
+//! span. The registry holds only `Weak` references: a slot dies with its
+//! thread, and the sampler drops dead entries on its next tick, so the
+//! registry tracks the live threads rather than every thread that ever
+//! opened a span. The sampler upgrades each entry before reading it, so it
+//! never races a thread exit.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Duration;
 
 /// Sampler wake interval: 1 ms → up to 1000 samples/s across the run.
@@ -45,15 +48,15 @@ struct Slot {
     stack: Mutex<Vec<&'static str>>,
 }
 
-fn slots() -> &'static Mutex<Vec<Arc<Slot>>> {
-    static SLOTS: OnceLock<Mutex<Vec<Arc<Slot>>>> = OnceLock::new();
+fn slots() -> &'static Mutex<Vec<Weak<Slot>>> {
+    static SLOTS: OnceLock<Mutex<Vec<Weak<Slot>>>> = OnceLock::new();
     SLOTS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
 thread_local! {
     static MY_SLOT: Arc<Slot> = {
         let slot = Arc::new(Slot::default());
-        slots().lock().expect("profiler slot registry").push(slot.clone());
+        slots().lock().expect("profiler slot registry").push(Arc::downgrade(&slot));
         slot
     };
 }
@@ -66,6 +69,29 @@ pub(crate) fn record_stack(path: &[&'static str]) {
         s.clear();
         s.extend_from_slice(path);
     });
+}
+
+/// One sampler tick: prune the slots of exited threads, then count each
+/// live thread's non-empty stack once. `live` is scratch space.
+fn sample(samples: &mut BTreeMap<String, u64>, live: &mut Vec<Arc<Slot>>) {
+    live.clear();
+    slots()
+        .lock()
+        .expect("profiler slot registry")
+        .retain(|weak| match weak.upgrade() {
+            Some(slot) => {
+                live.push(slot);
+                true
+            }
+            None => false,
+        });
+    for slot in live.iter() {
+        let stack = slot.stack.lock().expect("profiler slot").clone();
+        if stack.is_empty() {
+            continue;
+        }
+        *samples.entry(stack.join(";")).or_insert(0) += 1;
+    }
 }
 
 /// A finished profile: sample counts per collapsed stack.
@@ -119,25 +145,11 @@ pub fn start() -> Profiler {
         .spawn(move || {
             let mut samples: BTreeMap<String, u64> = BTreeMap::new();
             let mut total = 0u64;
-            let mut scratch: Vec<Arc<Slot>> = Vec::new();
+            let mut live: Vec<Arc<Slot>> = Vec::new();
             while !stop2.load(Ordering::Relaxed) {
                 std::thread::sleep(SAMPLE_INTERVAL);
                 total += 1;
-                scratch.clear();
-                scratch.extend(
-                    slots()
-                        .lock()
-                        .expect("profiler slot registry")
-                        .iter()
-                        .cloned(),
-                );
-                for slot in &scratch {
-                    let stack = slot.stack.lock().expect("profiler slot").clone();
-                    if stack.is_empty() {
-                        continue;
-                    }
-                    *samples.entry(stack.join(";")).or_insert(0) += 1;
-                }
+                sample(&mut samples, &mut live);
             }
             Profile {
                 samples,
@@ -154,5 +166,33 @@ impl Profiler {
         ARMED.store(false, Ordering::SeqCst);
         self.stop.store(true, Ordering::SeqCst);
         self.handle.join().expect("profiler thread panicked")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn registered() -> usize {
+        slots().lock().expect("profiler slot registry").len()
+    }
+
+    #[test]
+    fn exited_threads_leave_the_slot_registry() {
+        record_stack(&["live", "leaf"]);
+        let before = registered();
+        let threads: Vec<_> = (0..8)
+            .map(|_| std::thread::spawn(|| record_stack(&["gone"])))
+            .collect();
+        for t in threads {
+            t.join().expect("recording thread");
+        }
+        assert_eq!(registered(), before + 8, "each thread registered a slot");
+
+        let mut samples = BTreeMap::new();
+        sample(&mut samples, &mut Vec::new());
+        assert_eq!(registered(), before, "one tick prunes the exited threads");
+        assert_eq!(samples.get("live;leaf"), Some(&1));
+        assert!(!samples.contains_key("gone"));
     }
 }
