@@ -135,8 +135,10 @@ pub struct Campaign {
     /// Data-plane shards per IXP network. `0` (the default) means one
     /// shard per IXP fabric site, capped at the machine's available cores;
     /// any explicit value is used as-is. Results are bit-identical at
-    /// every shard count — the value is pure performance policy, which is
-    /// why it may safely default to a machine-dependent core count.
+    /// every shard count, which is why the default may depend on the
+    /// machine. A network drains its shards one after another on the
+    /// thread probing its IXP, so the count buys no parallelism: it only
+    /// sets how many windows and barrier handoffs a drain takes.
     #[serde(default)]
     pub shards: usize,
     /// Optional world-level byte budget for the campaign's peak working
@@ -152,7 +154,8 @@ pub struct Campaign {
 
 /// Resolve a requested shard count: `0` = one shard per fabric site,
 /// capped at available cores; explicit values pass through (clamped to at
-/// least 1 by the simulator).
+/// least 1 by the simulator). Shards drain serially, so this picks a
+/// partition, not a degree of parallelism.
 fn resolve_shards(requested: usize, sites: usize) -> usize {
     match requested {
         0 => {
@@ -327,9 +330,9 @@ impl Campaign {
     /// loop, and collect everything the run produced into one [`IxpRun`].
     ///
     /// With [`Campaign::shards`] > 1 (or more than one fabric site under
-    /// the default), the network's event loop drains shard windows on the
-    /// rayon pool, so a single big world can use every core — results are
-    /// bit-identical to the single-shard serial run either way.
+    /// the default), the network's event loop drains its shards in turn
+    /// between epoch barriers, on the calling thread — results are
+    /// bit-identical to the single-shard run either way.
     pub fn run_ixp(&self, world: &World, ixp: IxpId, with_route_server: bool) -> IxpRun {
         let inst = world.scene.ixp(ixp);
         let duration = world.campaign_duration();

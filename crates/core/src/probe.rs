@@ -294,14 +294,14 @@ impl PlaneBuilder {
     pub fn place(&mut self, row: usize, k: usize, sample: Sample) {
         let g = row * self.plane.lgs.len() + k;
         let at = self.cursors[g];
-        debug_assert!(at < self.plane.offsets[g + 1], "group {g} overflow");
+        assert!(at < self.plane.offsets[g + 1], "group {g} overflow");
         self.plane.samples[at as usize] = sample;
         self.cursors[g] = at + 1;
     }
 
     /// Finish the plane; every group must be exactly full.
     pub fn finish(self) -> ProbePlane {
-        debug_assert!(
+        assert!(
             self.cursors
                 .iter()
                 .enumerate()
@@ -392,5 +392,27 @@ mod tests {
 
         assert!(plane.plane_bytes() >= (3 * std::mem::size_of::<Sample>()) as u64);
         assert_eq!(plane.rows().count(), 2);
+    }
+
+    /// Two rows, one LG, one reply expected per row.
+    fn one_per_row() -> PlaneBuilder {
+        let ips = vec!["10.0.2.2".parse().unwrap(), "10.0.2.3".parse().unwrap()];
+        PlaneBuilder::new(vec![LgOperator::Pch], ips, &[1, 1], vec![0, 0])
+    }
+
+    #[test]
+    #[should_panic(expected = "group 0 overflow")]
+    fn overfull_group_panics_instead_of_spilling_into_the_next() {
+        let mut b = one_per_row();
+        b.place(0, 0, sample(1.0, 255));
+        b.place(0, 0, sample(2.0, 255));
+    }
+
+    #[test]
+    #[should_panic(expected = "a plane group was left short")]
+    fn short_group_panics_at_finish() {
+        let mut b = one_per_row();
+        b.place(1, 0, sample(1.0, 255));
+        b.finish();
     }
 }

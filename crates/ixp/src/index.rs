@@ -198,7 +198,7 @@ impl InterfaceIndex {
     /// scene mutated after interning.
     #[inline]
     pub fn id(&self, ixp: IxpId, slot: u32) -> InterfaceId {
-        debug_assert!(slot < self.slots(ixp), "slot {slot} not interned");
+        assert!(slot < self.slots(ixp), "slot {slot} not interned");
         InterfaceId(self.base[ixp.index()] + slot)
     }
 
@@ -309,5 +309,17 @@ mod tests {
             }
         }
         assert!(seen.into_iter().all(|s| s), "ids must be contiguous");
+    }
+
+    #[test]
+    #[should_panic(expected = "not interned")]
+    fn uninterned_slot_panics_instead_of_naming_the_next_ixp() {
+        let index = InterfaceIndex::build(&scene());
+        let first = IxpId(0);
+        assert!(
+            index.slots(IxpId(1)) > 0,
+            "the next IXP owns the id past the end"
+        );
+        index.id(first, index.slots(first));
     }
 }

@@ -45,7 +45,6 @@ use crate::sponge::{OwnerTable, Wiring};
 use crate::switch::Switch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use rp_types::{seed, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -139,7 +138,7 @@ struct Attachment {
 }
 
 /// Shard placement and port wiring of one node. Devices themselves live
-/// inside their shard so the parallel window never touches shared state.
+/// inside their shard, so a window's drain touches only its own shard.
 #[derive(Debug)]
 struct NodeMeta {
     ports: Vec<Attachment>,
@@ -209,7 +208,7 @@ struct Xfer {
 
 /// Read-only state every shard needs while draining a window. Shards hold
 /// devices and queues by value; this is the only data shared between
-/// worker threads, and it is never written during a window.
+/// shards, and it is never written during a window.
 struct Ctx<'a> {
     nodes: &'a [NodeMeta],
     links: &'a [LinkMeta],
@@ -256,8 +255,8 @@ struct Shard {
     /// across every dispatch so the hot loop never allocates.
     scratch: Vec<Action>,
     /// Optional fault injection consulted on every frame transmission.
-    /// Per-shard so the parallel window needs no locking; decision streams
-    /// are keyed by `(link, dir)`, so the split cannot change outcomes.
+    /// Per-shard like every other stream; decision streams are keyed by
+    /// `(link, dir)`, so the split cannot change outcomes.
     faults: Option<FaultInjector>,
     events_processed: u64,
     /// Dispatched events by kind (`EV_*` index order); flushed as the
@@ -325,14 +324,6 @@ const EV_COUNTERS: [&str; EV_KINDS] = [
     "netsim.sim.events.icmp_other",
     "netsim.sim.events.timer",
 ];
-
-/// Minimum total pending events before a window is drained on the rayon
-/// pool. Below this, queueing helper tasks and waking pool workers costs
-/// more than the work; the serial path is bit-identical, so the threshold
-/// is pure policy. It counts every pending event, far-future probe timers
-/// included, so nearly every window of a multi-site campaign crosses it;
-/// the pool's workers are long-lived, so that costs no thread spawns.
-const PAR_WINDOW_EVENTS: usize = 4096;
 
 /// How many windows pass between memory-budget checks. Measuring retained
 /// capacity walks every shard's bucket ring, so the check amortizes over a
@@ -688,9 +679,6 @@ pub struct Network {
     /// typically `ixp.<ACRONYM>` set by the campaign layer. `None` keeps
     /// the aggregate series only.
     timeline_scope: Option<String>,
-    /// Base track id for this network's shards in the Chrome trace, lazily
-    /// allocated on the first traced window.
-    trace_tracks: Option<u32>,
 }
 
 impl Network {
@@ -733,7 +721,6 @@ impl Network {
             obs_flushed_shrinks: 0,
             xshard_skew: SimDuration::ZERO,
             timeline_scope: None,
-            trace_tracks: None,
         }
     }
 
@@ -1205,22 +1192,9 @@ impl Network {
         OwnerTable::build(&w)
     }
 
-    /// Lazily reserve Chrome-trace tracks for this network's shards.
-    fn trace_track_base(&mut self) -> u32 {
-        if let Some(b) = self.trace_tracks {
-            return b;
-        }
-        let label = self.timeline_scope.as_deref().unwrap_or("net");
-        let b = rp_obs::trace::alloc_tracks(label, self.shards.len());
-        self.trace_tracks = Some(b);
-        b
-    }
-
     /// Drain one window (all events strictly before `horizon`) on every
-    /// shard, in parallel when it pays. With a trace sink installed, each
-    /// shard's window becomes a slice on its own track.
+    /// shard, in shard order on the calling thread.
     fn run_window(&mut self, horizon: SimTime) {
-        let tracks = rp_obs::trace::active().then(|| self.trace_track_base());
         let ctx = Ctx {
             nodes: &self.nodes,
             links: &self.links,
@@ -1229,54 +1203,8 @@ impl Network {
             obs_active: self.obs_active,
             xshard_skew: self.xshard_skew,
         };
-        let drain_traced = |s: &mut Shard| {
-            let t0 = rp_obs::trace::clock_ns();
-            let e0 = s.events_processed;
+        for s in &mut self.shards {
             s.drain_window(&ctx, horizon);
-            (t0, e0)
-        };
-        let emit = |s: &Shard, base: u32, t0: u64, e0: u64| {
-            if s.events_processed > e0 {
-                rp_obs::trace::slice(
-                    "window",
-                    base + s.me,
-                    t0,
-                    rp_obs::trace::clock_ns(),
-                    s.events_processed - e0,
-                );
-            }
-        };
-        let pending: usize = self.shards.iter().map(|s| s.queue.len()).sum();
-        if self.shards.len() > 1 && pending >= PAR_WINDOW_EVENTS && rayon::current_num_threads() > 1
-        {
-            // Shards move through the pool by value: the vendored rayon
-            // stand-in has no mutable borrows, and moving keeps every
-            // worker's state provably disjoint. Results are bit-identical
-            // to the serial branch — the split is pure policy.
-            let shards = std::mem::take(&mut self.shards);
-            self.shards = shards
-                .into_par_iter()
-                .map(|mut s| {
-                    match tracks {
-                        Some(base) => {
-                            let (t0, e0) = drain_traced(&mut s);
-                            emit(&s, base, t0, e0);
-                        }
-                        None => s.drain_window(&ctx, horizon),
-                    }
-                    s
-                })
-                .collect();
-        } else {
-            for s in &mut self.shards {
-                match tracks {
-                    Some(base) => {
-                        let (t0, e0) = drain_traced(s);
-                        emit(s, base, t0, e0);
-                    }
-                    None => s.drain_window(&ctx, horizon),
-                }
-            }
         }
     }
 

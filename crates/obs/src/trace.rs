@@ -2,18 +2,18 @@
 //! they close, in either of two formats.
 //!
 //! - **JSONL** (`repro --trace-json PATH`): one JSON object per line —
-//!   `span` records as spans close, `slice`/`instant` records from the
-//!   data plane, one `metric` record per registered metric when the
+//!   `span` records as spans close, `instant` records from the data
+//!   plane, one `metric` record per registered metric when the
 //!   session closes (`{"type":"metric","name":N,"metric":{…}}`, where
 //!   `{…}` is that metric's `/metrics` object), and a final `summary`
 //!   line. Line order is arrival order (wall clock), so the stream is
 //!   *not* deterministic — it is a diagnostic artifact, never a gated one.
 //! - **Chrome trace-event format** (`repro --trace-chrome PATH`): a JSON
 //!   array of trace events loadable in Perfetto or `chrome://tracing`.
-//!   Spans become `ph:"X"` complete events on their thread's track;
-//!   netsim shards map to dedicated named tracks ([`alloc_tracks`]) with
-//!   window slices, and epoch barriers appear as `ph:"i"` instant
-//!   events spanning the process.
+//!   Spans become `ph:"X"` complete events on their thread's track, and
+//!   netsim epoch barriers appear as `ph:"i"` instant events spanning the
+//!   process. Shards get no tracks of their own: a network drains every
+//!   shard on the thread that runs it, inside that thread's spans.
 //!
 //! Streams are opened and closed by the observability session
 //! ([`crate::Session`]). Every emission site builds one `Event` and each
@@ -108,10 +108,6 @@ pub fn tid() -> u32 {
     TID.with(|t| *t)
 }
 
-/// Track-id base for shard tracks, above any plausible thread id.
-const SHARD_TRACK_BASE: u32 = 10_000;
-static NEXT_TRACK: AtomicU32 = AtomicU32::new(SHARD_TRACK_BASE);
-
 /// One streamed event. Timestamps are ns since the trace origin.
 enum Event<'a> {
     /// A closed span, by its full path.
@@ -120,22 +116,12 @@ enum Event<'a> {
         start_ns: u64,
         end_ns: u64,
     },
-    /// A named interval on an explicit track (netsim shard windows).
-    Slice {
-        name: &'a str,
-        track: u32,
-        start_ns: u64,
-        end_ns: u64,
-        events: u64,
-    },
     /// A process-scoped instant (epoch barriers).
     Instant {
         name: &'a str,
         at_ns: u64,
         detail: u64,
     },
-    /// A Chrome track's display name (JSONL has no tracks).
-    TrackName { track: u32, name: &'a str },
 }
 
 fn json_escape(s: &str) -> String {
@@ -147,9 +133,9 @@ fn us(ns: u64) -> f64 {
 }
 
 impl Event<'_> {
-    /// The record `format` writes for this event, if any.
-    fn encode(&self, format: Format, thread: u32) -> Option<String> {
-        Some(match (format, self) {
+    /// The record `format` writes for this event.
+    fn encode(&self, format: Format, thread: u32) -> String {
+        match (format, self) {
             (Format::Jsonl, Event::Span { path, start_ns, end_ns }) => format!(
                 "{{\"type\":\"span\",\"path\":{},\"start_ns\":{},\"dur_ns\":{},\"tid\":{}}}",
                 json_escape(&path.join(";")),
@@ -164,22 +150,6 @@ impl Event<'_> {
                 us(*start_ns),
                 us(end_ns.saturating_sub(*start_ns)),
             ),
-            (Format::Jsonl, Event::Slice { name, track, start_ns, end_ns, events }) => format!(
-                "{{\"type\":\"slice\",\"name\":{},\"track\":{},\"start_ns\":{},\"dur_ns\":{},\"events\":{}}}",
-                json_escape(name),
-                track,
-                start_ns,
-                end_ns.saturating_sub(*start_ns),
-                events,
-            ),
-            (Format::Chrome, Event::Slice { name, track, start_ns, end_ns, events }) => format!(
-                "{{\"name\":{},\"cat\":\"netsim\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"events\":{}}}}}",
-                json_escape(name),
-                track,
-                us(*start_ns),
-                us(end_ns.saturating_sub(*start_ns)),
-                events,
-            ),
             (Format::Jsonl, Event::Instant { name, at_ns, detail }) => format!(
                 "{{\"type\":\"instant\",\"name\":{},\"at_ns\":{},\"detail\":{}}}",
                 json_escape(name),
@@ -193,13 +163,7 @@ impl Event<'_> {
                 us(*at_ns),
                 detail,
             ),
-            (Format::Jsonl, Event::TrackName { .. }) => return None,
-            (Format::Chrome, Event::TrackName { track, name }) => format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":{}}}}}",
-                track,
-                json_escape(name),
-            ),
-        })
+        }
     }
 }
 
@@ -208,24 +172,8 @@ fn emit(event: Event) {
     let thread = tid();
     let mut g = streams().lock().expect("trace stream lock");
     for s in g.iter_mut() {
-        if let Some(record) = event.encode(s.format, thread) {
-            s.write(&record);
-        }
+        s.write(&event.encode(s.format, thread));
     }
-}
-
-/// Reserve `n` consecutive track ids for a simulation's shards and name
-/// them `"<label> shard <i>"` in the Chrome output. Returns the base id;
-/// shard `i` uses `base + i`.
-pub fn alloc_tracks(label: &str, n: usize) -> u32 {
-    let base = NEXT_TRACK.fetch_add(n as u32, Ordering::Relaxed);
-    for i in 0..n {
-        emit(Event::TrackName {
-            track: base + i as u32,
-            name: &format!("{label} shard {i}"),
-        });
-    }
-    base
 }
 
 /// Emit one closed span (called from [`crate::span::SpanGuard`]'s drop).
@@ -241,37 +189,15 @@ pub fn span_event(path: &[&'static str], start_ns: u64, end_ns: u64) {
     }
 }
 
-/// Emit a named slice on an explicit track (netsim shard windows).
-/// `events` — the simulator events the slice retired — lands in `args`
-/// (Chrome) / inline (JSONL).
-pub fn slice(name: &str, track: u32, start_ns: u64, end_ns: u64, events: u64) {
-    if active() {
-        emit(Event::Slice {
-            name,
-            track,
-            start_ns,
-            end_ns,
-            events,
-        });
-    }
-}
-
 /// Emit a process-scoped instant event (epoch barriers).
 pub fn instant(name: &str, detail: u64) {
     if active() {
         emit(Event::Instant {
             name,
-            at_ns: clock_ns(),
+            at_ns: crate::span::now_offset_ns(),
             detail,
         });
     }
-}
-
-/// Current ns since the trace origin (for callers that time their own
-/// slices). The span layer's monotonic origin, so span events and
-/// data-plane slices share one timebase.
-pub fn clock_ns() -> u64 {
-    crate::span::now_offset_ns()
 }
 
 /// `path`'s I/O error, naming the path.

@@ -4,9 +4,9 @@
 //!
 //! The reader is defensive rather than general. Header and body sizes are
 //! hard-capped, chunked transfer encoding is rejected, and every socket
-//! read sits behind both a per-read timeout and an overall deadline, so a
-//! slow-loris client costs one connection thread for a bounded time and
-//! nothing else. Parse failures map to a status code + one-line JSON error
+//! read sits behind both a per-read timeout (set on the socket by the
+//! caller) and an overall deadline, so a slow-loris client costs one
+//! connection thread for a bounded time and nothing else. Parse failures map to a status code + one-line JSON error
 //! rather than a dropped connection.
 
 use std::io::{BufReader, Read, Write};
@@ -61,13 +61,11 @@ fn bad(status: u16, reason: impl Into<String>) -> HttpError {
 
 /// Read and parse one request from `stream`.
 ///
-/// `read_timeout` bounds each socket read *and* seeds the overall deadline
-/// (4x the per-read timeout), so trickled headers or bodies fail with 408
-/// instead of pinning the connection thread.
-pub fn read_request(stream: &TcpStream, read_timeout: Duration) -> Result<Request, HttpError> {
-    stream
-        .set_read_timeout(Some(read_timeout))
-        .map_err(|e| bad(400, format!("socket setup failed: {e}")))?;
+/// `read_timeout` should also bound each read of `stream` (for a socket,
+/// its `set_read_timeout`); it seeds the overall deadline (4x the per-read
+/// timeout), so trickled headers or bodies fail with 408 instead of
+/// pinning the connection thread.
+pub fn read_request<R: Read>(stream: R, read_timeout: Duration) -> Result<Request, HttpError> {
     let deadline = Instant::now() + read_timeout * 4;
     let mut reader = BufReader::new(stream);
 
@@ -156,7 +154,7 @@ fn would_block(e: &std::io::Error) -> bool {
 
 /// Read one CRLF- (or bare-LF-) terminated line, with the header cap and
 /// deadline applied. Returns the line without its terminator.
-fn read_line(reader: &mut BufReader<&TcpStream>, deadline: Instant) -> Result<String, HttpError> {
+fn read_line<R: Read>(reader: &mut BufReader<R>, deadline: Instant) -> Result<String, HttpError> {
     let mut line = Vec::new();
     loop {
         if Instant::now() > deadline {
@@ -293,5 +291,38 @@ mod tests {
         assert_eq!(req.query_param("state"), Some("queued"));
         assert_eq!(req.query_param("limit"), Some("5"));
         assert_eq!(req.query_param("missing"), None);
+    }
+
+    /// `read_request` reads untrusted bytes off a socket: seeded mutants
+    /// of well-formed requests must parse or fail with a 4xx, never panic.
+    #[test]
+    fn mutated_requests_parse_or_fail_with_a_4xx() {
+        let corpus: Vec<String> = [
+            "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n",
+            "GET /v1/jobs?state=queued&limit=5 HTTP/1.1\r\nHost: localhost\r\n\r\n",
+            "GET /v1/jobs/0123456789abcdef/result HTTP/1.0\n\n",
+            "POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\nContent-Type: application/json\r\n\
+             Content-Length: 28\r\n\r\n{\"kind\": \"sweep\", \"seed\": 7}",
+            "DELETE /v1/jobs/0123456789abcdef HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+        ]
+        .map(String::from)
+        .to_vec();
+        let (mut accepted, mut rejected) = (0, 0);
+        for input in rp_testkit::fuzz::mutants(42, &corpus, 2000) {
+            let cursor = std::io::Cursor::new(input.as_bytes());
+            let read = std::panic::catch_unwind(|| read_request(cursor, Duration::from_secs(5)));
+            match read {
+                Ok(Ok(_)) => accepted += 1,
+                Ok(Err(e)) => {
+                    assert!((400..500).contains(&e.status), "{} on {input:?}", e.status);
+                    rejected += 1;
+                }
+                Err(_) => panic!("read_request panicked on {input:?}"),
+            }
+        }
+        assert!(
+            accepted > 0 && rejected > 0,
+            "{accepted} accepted, {rejected} rejected"
+        );
     }
 }

@@ -356,9 +356,12 @@ fn handle_connection(
     read_timeout: Duration,
 ) {
     rp_obs::counter!("server.http.requests").inc();
-    let response = match read_request(&stream, read_timeout) {
-        Ok(req) => route(&req, queue, stop),
-        Err(e) => Response::error(e.status, &e.reason),
+    let response = match stream.set_read_timeout(Some(read_timeout)) {
+        Err(e) => Response::error(400, &format!("socket setup failed: {e}")),
+        Ok(()) => match read_request(&stream, read_timeout) {
+            Ok(req) => route(&req, queue, stop),
+            Err(e) => Response::error(e.status, &e.reason),
+        },
     };
     if response.status >= 400 {
         rp_obs::counter!("server.http.errors").inc();

@@ -3,7 +3,7 @@
 //! `join`, `build_global`):
 //!
 //! - nested calls (a `par_iter` or a `join` inside a `par_iter` item, the
-//!   shape of the sharded window drain inside a per-IXP campaign) finish
+//!   shape of a sweep task's per-IXP campaign inside the sweep) finish
 //!   and return results in input order at widths 2 and 4;
 //! - a panic in a nested item reaches the outermost caller with its
 //!   original message, and the pool keeps serving afterwards;

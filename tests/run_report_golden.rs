@@ -17,6 +17,7 @@
 
 use serde_json::Value;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// FNV-1a-64 of the serialized `timelines` section.
 const TIMELINES_FNV: u64 = 0xdcf5dab7de802df7;
@@ -37,14 +38,19 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Run `repro table1` at test scale, seed 42, and return its run report.
+/// Every call gets its own `--out` dir: the tests run in parallel and ask
+/// for the same `(shards, threads)` pairs, so a dir keyed on those alone
+/// could be removed under another call's running repro.
 fn campaign_report(shards: u32, threads: u32) -> Value {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "rp-run-report-golden-s{shards}-t{threads}-{}",
-        std::process::id()
+        "rp-run-report-golden-s{shards}-t{threads}-{}-{}",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let report = dir.join("run_report.json");
-    let status = Command::new(env!("CARGO_BIN_EXE_repro"))
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .arg("table1")
         .args(["--scale", "test", "--seed", "42"])
         .args(["--shards", &shards.to_string()])
@@ -54,12 +60,13 @@ fn campaign_report(shards: u32, threads: u32) -> Value {
         .arg("--report")
         .arg(&report)
         .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .status()
+        .output()
         .expect("spawn repro");
     assert!(
-        status.success(),
-        "repro table1 --shards {shards} --threads {threads}: {status}"
+        out.status.success(),
+        "repro table1 --shards {shards} --threads {threads}: {}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
     );
     let doc = serde_json::from_str(&std::fs::read_to_string(&report).expect("run report"))
         .expect("run report parses");
