@@ -14,9 +14,10 @@
 //!
 //! Two engines compute the same answer:
 //!
-//! - [`propagate()`] — a staged single-origin computation (customer wave,
-//!   peer step, provider relaxation) that runs in near-linear time and is
-//!   what the paper-scale experiments use;
+//! - [`propagate()`] — a staged single-origin computation (a customer wave
+//!   up the provider edges, a peer step, then a provider wave down the
+//!   customer edges, both breadth-first by path length) that runs in
+//!   linear time and is what the paper-scale experiments use;
 //! - [`propagate_iterative`] — a message-passing BGP emulation that
 //!   converges by fixpoint, used to cross-validate the staged engine on
 //!   small topologies (see the property tests).

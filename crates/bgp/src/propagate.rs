@@ -12,12 +12,13 @@
 use crate::route::{RouteClass, RouteInfo};
 use rp_topology::Topology;
 use rp_types::NetworkId;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
-/// Staged single-origin computation: customer wave (BFS up the provider
-/// edges), peer step, then provider relaxation (Dijkstra down the customer
-/// edges). Near-linear in the number of edges; used at paper scale.
+/// Staged single-origin computation: customer wave (breadth-first up the
+/// provider edges), peer step, then the provider wave (breadth-first down
+/// the customer edges, seeded at every routed AS's own distance). Every
+/// stage is linear in the number of edges, plus the length of the returned
+/// paths; used at paper scale.
 pub fn propagate(topo: &Topology, origin: NetworkId) -> Vec<Option<RouteInfo>> {
     let n = topo.len();
     let mut class: Vec<Option<RouteClass>> = vec![None; n];
@@ -30,39 +31,15 @@ pub fn propagate(topo: &Topology, origin: NetworkId) -> Vec<Option<RouteInfo>> {
     // --- Stage 1: customer routes climb from the origin via provider edges.
     let mut wave = vec![origin];
     while !wave.is_empty() {
-        // Candidates discovered this wave: target -> best advertising
-        // customer (lowest ASN wins among same-length candidates).
-        let mut candidate: Vec<Option<NetworkId>> = Vec::new();
-        let mut touched: Vec<usize> = Vec::new();
-        candidate.resize(n, None);
-        for &u in &wave {
-            for &p in topo.providers(u) {
-                if class[p.index()].is_some() {
-                    continue;
-                }
-                match candidate[p.index()] {
-                    None => {
-                        candidate[p.index()] = Some(u);
-                        touched.push(p.index());
-                    }
-                    Some(prev) => {
-                        if topo.node(u).asn < topo.node(prev).asn {
-                            candidate[p.index()] = Some(u);
-                        }
-                    }
-                }
-            }
-        }
-        touched.sort_unstable();
-        let mut next_wave = Vec::with_capacity(touched.len());
-        for t in touched {
-            let u = candidate[t].expect("touched implies candidate");
-            class[t] = Some(RouteClass::Customer);
-            next[t] = Some(u);
-            dist[t] = dist[u.index()] + 1;
-            next_wave.push(NetworkId(t as u32));
-        }
-        wave = next_wave;
+        wave = relax_level(
+            topo,
+            &wave,
+            |u| topo.providers(u),
+            RouteClass::Customer,
+            &mut class,
+            &mut next,
+            &mut dist,
+        );
     }
 
     // --- Stage 2: peer routes. An AS with a customer route (or the origin)
@@ -97,37 +74,42 @@ pub fn propagate(topo: &Topology, origin: NetworkId) -> Vec<Option<RouteInfo>> {
         next[v] = Some(w);
     }
 
-    // --- Stage 3: provider routes descend the customer edges; Dijkstra
-    // keyed by (path length, next-hop ASN) so the first assignment is best.
-    let mut heap: BinaryHeap<Reverse<(usize, u32, u32, u32)>> = BinaryHeap::new();
-    for u in 0..n {
-        if class[u].is_none() {
-            continue;
-        }
-        for &c in topo.customers(NetworkId(u as u32)) {
-            if class[c.index()].is_none() {
-                heap.push(Reverse((
-                    dist[u] + 1,
-                    topo.node(NetworkId(u as u32)).asn.0,
-                    c.0,
-                    u as u32,
-                )));
+    // --- Stage 3: provider routes descend the customer edges. Every hop
+    // costs 1, so a breadth-first wave over distance levels needs no
+    // priority queue: level `d` holds every AS routed at distance `d`, the
+    // ones from stages 1–2 and the ones this wave reached one level up.
+    // An AS first offered a route by level `d`'s senders takes distance
+    // `d + 1` and the lowest-ASN provider among them, exactly the route a
+    // (length, next-hop ASN) Dijkstra would settle first.
+    let mut levels: Vec<Vec<NetworkId>> = Vec::new();
+    for (v, c) in class.iter().enumerate() {
+        if c.is_some() {
+            let d = dist[v];
+            if levels.len() <= d {
+                levels.resize_with(d + 1, Vec::new);
             }
+            levels[d].push(NetworkId(v as u32));
         }
     }
-    while let Some(Reverse((d, _asn, c, u))) = heap.pop() {
-        let c_idx = c as usize;
-        if class[c_idx].is_some() {
-            continue;
-        }
-        class[c_idx] = Some(RouteClass::Provider);
-        next[c_idx] = Some(NetworkId(u));
-        dist[c_idx] = d;
-        for &cc in topo.customers(NetworkId(c)) {
-            if class[cc.index()].is_none() {
-                heap.push(Reverse((d + 1, topo.node(NetworkId(c)).asn.0, cc.0, c)));
+    let mut d = 0;
+    while d < levels.len() {
+        let senders = std::mem::take(&mut levels[d]);
+        let reached = relax_level(
+            topo,
+            &senders,
+            |u| topo.customers(u),
+            RouteClass::Provider,
+            &mut class,
+            &mut next,
+            &mut dist,
+        );
+        if !reached.is_empty() {
+            if levels.len() == d + 1 {
+                levels.push(Vec::new());
             }
+            levels[d + 1].extend(reached);
         }
+        d += 1;
     }
 
     // --- Materialize paths by following next-hop pointers.
@@ -144,6 +126,47 @@ pub fn propagate(topo: &Topology, origin: NetworkId) -> Vec<Option<RouteInfo>> {
             Some(RouteInfo { class: cls, path })
         })
         .collect()
+}
+
+/// One breadth-first level of a route wave. Every sender, all at the same
+/// distance, offers its route across `edges(sender)`; each receiver with no
+/// route yet keeps the sender with the lowest `(ASN, index)` — the
+/// selection rule's tie-break among equal-length routes of one class. The
+/// receivers then get `class` at one hop past their sender and are
+/// returned as the next level. While a receiver is unrouted, `next` holds
+/// its best sender so far.
+fn relax_level<'t>(
+    topo: &'t Topology,
+    senders: &[NetworkId],
+    edges: impl Fn(NetworkId) -> &'t [NetworkId],
+    cls: RouteClass,
+    class: &mut [Option<RouteClass>],
+    next: &mut [Option<NetworkId>],
+    dist: &mut [usize],
+) -> Vec<NetworkId> {
+    let key = |v: NetworkId| (topo.node(v).asn.0, v);
+    let mut reached = Vec::new();
+    for &u in senders {
+        for &t in edges(u) {
+            if class[t.index()].is_some() {
+                continue;
+            }
+            match next[t.index()] {
+                None => {
+                    next[t.index()] = Some(u);
+                    reached.push(t);
+                }
+                Some(prev) if key(u) < key(prev) => next[t.index()] = Some(u),
+                Some(_) => {}
+            }
+        }
+    }
+    for &t in &reached {
+        let via = next[t.index()].expect("reached through a sender");
+        class[t.index()] = Some(cls);
+        dist[t.index()] = dist[via.index()] + 1;
+    }
+    reached
 }
 
 /// Preference key: smaller is better.

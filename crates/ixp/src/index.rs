@@ -210,10 +210,11 @@ impl InterfaceIndex {
         (slot < self.slots(ixp)).then(|| InterfaceId(self.base[ixp.index()] + slot))
     }
 
-    /// Invert a dense id back to its `(ixp, slot)` coordinate.
+    /// Invert a dense id back to its `(ixp, slot)` coordinate. Panics on
+    /// an id past the end instead of naming an IXP that does not exist.
     #[inline]
     pub fn coords(&self, id: InterfaceId) -> (IxpId, u32) {
-        debug_assert!(id.index() < self.len(), "{id} not interned");
+        assert!(id.index() < self.len(), "{id} not interned");
         // partition_point finds the first base greater than the id; the
         // owning IXP is the one before it.
         let ixp = self.base.partition_point(|&b| b <= id.0) - 1;
@@ -321,5 +322,12 @@ mod tests {
             "the next IXP owns the id past the end"
         );
         index.id(first, index.slots(first));
+    }
+
+    #[test]
+    #[should_panic(expected = "not interned")]
+    fn id_past_the_end_panics_instead_of_naming_an_ixp() {
+        let index = InterfaceIndex::build(&scene());
+        index.coords(InterfaceId(index.len() as u32 + 5));
     }
 }

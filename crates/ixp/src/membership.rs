@@ -26,10 +26,12 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 use rayon::prelude::*;
 use rp_topology::{AsType, Topology};
-use rp_types::dist::{coin, pareto};
+use rp_types::dist::{coin, pareto, rank_desc};
 use rp_types::geo::WORLD_CITIES;
 use rp_types::{seed, IxpId, NetworkId};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Rates at which the generator injects the measurement pathologies each of
 /// the paper's six filters exists to catch. Defaults are tuned so the
@@ -211,21 +213,78 @@ fn locality_table(metas: &[IxpMeta], ixp_cities: &[u16]) -> Vec<f64> {
         .collect()
 }
 
-/// Weighted sampling without replacement (Efraimidis–Spirakis): take the
-/// `m` largest keys `u^(1/w)`.
-fn weighted_sample(rng: &mut StdRng, weights: &[f64], m: usize) -> Vec<usize> {
-    let keyed: Vec<(f64, usize)> = weights
-        .iter()
-        .enumerate()
-        .filter(|(_, w)| **w > 0.0)
-        .map(|(i, w)| {
-            let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-            (u.ln() / w, i)
-        })
-        .collect();
-    // ln(u)/w is negative; larger (closer to zero) = better.
-    top_m(keyed, m)
+/// Weighted sampling without replacement (Efraimidis–Spirakis): the
+/// indices of the `m` largest keys `ln(u) / w` (the log of `u^(1/w)`),
+/// best first, ties to the lower index.
+///
+/// One streaming pass: every positive weight draws exactly one `u`, in
+/// index order, whether or not it wins, so the caller's `rng` ends in the
+/// same state as it would after keying every weight. The current winners
+/// sit in a bounded heap with the worst on top. Since `ln u ≤ u − 1`, the
+/// cheap bound `(u − 1) / w` caps the key from above; the exact `ln` is
+/// taken only when that bound could still beat the worst winner.
+fn weighted_sample(
+    rng: &mut StdRng,
+    weights: impl IntoIterator<Item = f64>,
+    m: usize,
+) -> Vec<usize> {
+    // Pulls the bound's numerator toward zero by far more than `ln`'s
+    // rounding error, so `(u − 1) · slack` stays at or above the rounded
+    // `ln u` and a true winner is never skipped. Division by the same
+    // positive `w` keeps that order.
+    const BOUND_SLACK: f64 = 1.0 - 1e-9;
+    let mut top: BinaryHeap<Keyed> = BinaryHeap::new();
+    for (i, w) in weights.into_iter().enumerate().filter(|(_, w)| *w > 0.0) {
+        let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
+        if top.len() < m {
+            top.push(Keyed(u.ln() / w, i));
+            continue;
+        }
+        let Some(mut worst) = top.peek_mut() else {
+            continue; // m == 0: draw, keep nothing
+        };
+        // A tie with the worst winner goes to its lower index, so only a
+        // strictly larger key gets in.
+        if (u - 1.0) * BOUND_SLACK / w <= worst.0 {
+            continue;
+        }
+        let key = u.ln() / w;
+        if key > worst.0 {
+            *worst = Keyed(key, i);
+        }
+    }
+    top.into_sorted_vec().into_iter().map(|k| k.1).collect()
 }
+
+/// A sampled `(key, index)`, ordered worst first: a smaller key, or an
+/// equal key at a higher index, compares greater, so a max-heap keeps the
+/// worst of the current winners on top and a sorted list is best first.
+/// Keys are `ln(u) / w` with `u > 0` and `w > 0`, never NaN.
+struct Keyed(f64, usize);
+
+impl Ord for Keyed {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .0
+            .partial_cmp(&self.0)
+            .expect("keys are never NaN")
+            .then(self.1.cmp(&other.1))
+    }
+}
+
+impl PartialOrd for Keyed {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Keyed {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Keyed {}
 
 /// Indices of the `m` largest keys of `keyed` (given in ascending index
 /// order), best first, ties to the lower index. That total order (key
@@ -275,6 +334,7 @@ pub fn build_scene(topo: &Topology, metas: &[IxpMeta], cfg: &SceneConfig) -> Ixp
     );
     let providers = default_providers();
     let n = topo.len();
+    let assign_span = rp_obs::span("ixp.scene.assign");
 
     // Per-network propensity, drawn once so the same heavy hitters recur
     // across IXPs (that correlation is what creates membership overlap).
@@ -314,19 +374,14 @@ pub fn build_scene(topo: &Topology, metas: &[IxpMeta], cfg: &SceneConfig) -> Ixp
     let locality_of =
         |net: usize, x: usize| localities[topo.ases[net].home_city as usize * metas.len() + x];
 
+    let ixp_order: Vec<usize> = (0..metas.len()).collect();
     let mut members_per_ixp: Vec<Vec<usize>> = vec![Vec::new(); metas.len()];
     {
         let mut assign_rng = seed::rng(cfg.seed, "assign", 0);
         let sum_w: f64 = propensities.iter().sum();
         // Process networks in descending propensity so the heavyweights
         // claim the big exchanges before capacity runs out.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|a, b| {
-            propensities[*b]
-                .partial_cmp(&propensities[*a])
-                .expect("propensities are finite")
-                .then(a.cmp(b))
-        });
+        let order = rank_desc(&propensities);
         let mut capacity = m_targets.clone();
         // Bigger exchanges attract members disproportionately (joining
         // AMS-IX unlocks far more peers than a 40-member national IX).
@@ -341,19 +396,19 @@ pub fn build_scene(topo: &Topology, metas: &[IxpMeta], cfg: &SceneConfig) -> Ixp
             if k == 0 {
                 continue;
             }
-            let mut scored: Vec<(f64, usize)> = (0..metas.len())
+            let scored: Vec<(f64, usize)> = (0..metas.len())
                 .filter(|&x| capacity[x] > 0)
                 .map(|x| {
                     let noise = 0.7 + 0.6 * assign_rng.random::<f64>();
                     (locality_of(net_idx, x) * size_factor[x] * noise, x)
                 })
                 .collect();
-            scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite").then(a.1.cmp(&b.1)));
-            for (_, x) in scored.into_iter().take(k) {
+            for x in top_m(scored, k) {
                 members_per_ixp[x].push(net_idx);
                 capacity[x] -= 1;
             }
         }
+        drop(assign_span);
 
         // Quota capping (a network can join at most every IXP once) leaves
         // some capacity unclaimed; fill it with gravity-sampled locals so
@@ -361,29 +416,27 @@ pub fn build_scene(topo: &Topology, metas: &[IxpMeta], cfg: &SceneConfig) -> Ixp
         // IXP's fill reads only its own row and draws from its own
         // `"assign-fill"` stream, so the fills run in parallel and are
         // appended in IXP order: the result is the serial loop's at any
-        // thread count.
-        let ixp_order: Vec<usize> = (0..metas.len()).collect();
+        // thread count. Current members weigh zero: a sorted copy of the
+        // row is walked alongside the networks.
+        let _fill = rp_obs::span("ixp.scene.fill");
         let fills: Vec<Vec<usize>> = ixp_order
             .par_iter()
             .map(|&x| {
                 if capacity[x] == 0 {
                     return Vec::new();
                 }
-                let mut taken = vec![false; n];
-                for &m in &members_per_ixp[x] {
-                    taken[m] = true;
-                }
-                let weights: Vec<f64> = (0..n)
-                    .map(|i| {
-                        if taken[i] {
-                            0.0
-                        } else {
-                            propensities[i] * locality_of(i, x)
-                        }
-                    })
-                    .collect();
+                let mut taken = members_per_ixp[x].clone();
+                taken.sort_unstable();
+                let mut taken = taken.into_iter().peekable();
+                let weights = (0..n).map(|i| {
+                    if taken.next_if_eq(&i).is_some() {
+                        0.0
+                    } else {
+                        propensities[i] * locality_of(i, x)
+                    }
+                });
                 let mut fill_rng = seed::rng(cfg.seed, "assign-fill", x as u64);
-                weighted_sample(&mut fill_rng, &weights, capacity[x])
+                weighted_sample(&mut fill_rng, weights, capacity[x])
             })
             .collect();
         for (members, fill) in members_per_ixp.iter_mut().zip(fills) {
@@ -391,256 +444,263 @@ pub fn build_scene(topo: &Topology, metas: &[IxpMeta], cfg: &SceneConfig) -> Ixp
         }
     }
 
-    let mut ixps = Vec::with_capacity(metas.len());
-    for (ixp_idx, meta) in metas.iter().enumerate() {
-        let id = IxpId(ixp_idx as u32);
-        let mut rng = seed::rng(cfg.seed, "ixp-members", ixp_idx as u64);
-        let ixp_city = ixp_cities[ixp_idx];
-        let ixp_loc = WORLD_CITIES[ixp_city as usize].location;
+    // --- Materialization. Each IXP draws only from its own
+    // `("ixp-members", idx)` stream, so the instances are built as a rayon
+    // map collected in IXP order, the serial result at any width.
+    let _materialize = rp_obs::span("ixp.scene.materialize");
+    let ixps: Vec<_> = ixp_order
+        .par_iter()
+        .map(|&ixp_idx| {
+            let meta = &metas[ixp_idx];
+            let id = IxpId(ixp_idx as u32);
+            let mut rng = seed::rng(cfg.seed, "ixp-members", ixp_idx as u64);
+            let ixp_city = ixp_cities[ixp_idx];
+            let ixp_loc = WORLD_CITIES[ixp_city as usize].location;
 
-        let mut chosen = members_per_ixp[ixp_idx].clone();
-        chosen.sort_unstable();
-        chosen.dedup();
+            let mut chosen = members_per_ixp[ixp_idx].clone();
+            chosen.sort_unstable();
+            chosen.dedup();
 
-        // --- Decide who peers remotely: distant, remote-eligible members,
-        // up to the IXP's remote share.
-        let distant: Vec<usize> = chosen
-            .iter()
-            .copied()
-            .filter(|&i| {
-                let node = topo.node(NetworkId(i as u32));
-                node.home_city != ixp_city && remote_eligible(node.kind)
-            })
-            .collect();
-        let effective_share = (meta.remote_share * cfg.remote_share_scale).min(0.95);
-        let remote_target = ((chosen.len() as f64) * effective_share).round() as usize;
-        let mut remote: std::collections::HashSet<usize> = std::collections::HashSet::new();
-        {
-            // Uniform choice among the distant candidates.
-            let take = remote_target.min(distant.len());
-            let uniform: Vec<f64> = vec![1.0; distant.len()];
-            for k in weighted_sample(&mut rng, &uniform, take) {
-                remote.insert(distant[k]);
-            }
-        }
-
-        // --- Secondary site membership.
-        let sites: Vec<u16> = match meta.secondary_site {
-            Some((c2, _)) => vec![ixp_city, city_index(c2)],
-            None => vec![ixp_city],
-        };
-        let site2_share = meta.secondary_site.map(|(_, s)| s).unwrap_or(0.0);
-
-        // --- Plan interfaces per member. At studied IXPs the number of
-        // *listed* (probeable) interfaces targets the Table 1 analyzed count
-        // plus the expected filter-discard margin; registries cover only
-        // part of some memberships and list several addresses for others.
-        let iface_target = meta
-            .paper_analyzed
-            .map(|a| ((a as f64) * 1.06 * cfg.scale).round().max(2.0) as usize);
-        let plan: Vec<(usize, u32, u32)> = match iface_target {
-            Some(target) => {
-                let covered = chosen.len().min(target);
-                let mut extra = target.saturating_sub(covered);
-                let mut plan: Vec<(usize, u32, u32)> = chosen
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &net_idx)| {
-                        if k < covered {
-                            // Covered member: 1 listed interface, plus a
-                            // chance of more while the target allows.
-                            let mut listed = 1u32;
-                            while extra > 0 && coin(&mut rng, cfg.second_interface_prob) {
-                                listed += 1;
-                                extra -= 1;
-                            }
-                            (net_idx, listed, 0u32)
-                        } else {
-                            // Registry-invisible member.
-                            (net_idx, 0u32, 1u32)
-                        }
-                    })
-                    .collect();
-                // Registries at interface-rich IXPs (e.g. NYIIX: 132
-                // members, 239 analyzed interfaces) list several addresses
-                // per member; distribute the remaining budget round-robin.
-                let mut k = 0usize;
-                while extra > 0 && covered > 0 {
-                    plan[k % covered].1 += 1;
-                    extra -= 1;
-                    k += 1;
-                }
-                plan
-            }
-            None => chosen
+            // --- Decide who peers remotely: distant, remote-eligible members,
+            // up to the IXP's remote share.
+            let distant: Vec<usize> = chosen
                 .iter()
-                .map(|&net_idx| {
-                    let n = if coin(&mut rng, cfg.second_interface_prob) {
-                        2
-                    } else {
-                        1
-                    };
-                    (net_idx, 0u32, n)
+                .copied()
+                .filter(|&i| {
+                    let node = topo.node(NetworkId(i as u32));
+                    node.home_city != ixp_city && remote_eligible(node.kind)
                 })
-                .collect(),
-        };
+                .collect();
+            let effective_share = (meta.remote_share * cfg.remote_share_scale).min(0.95);
+            let remote_target = ((chosen.len() as f64) * effective_share).round() as usize;
+            let mut remote: std::collections::HashSet<usize> = std::collections::HashSet::new();
+            {
+                // Uniform choice among the distant candidates.
+                let take = remote_target.min(distant.len());
+                let uniform = std::iter::repeat(1.0).take(distant.len());
+                for k in weighted_sample(&mut rng, uniform, take) {
+                    remote.insert(distant[k]);
+                }
+            }
 
-        // Every planned interface, phantoms included, needs a subnet slot.
-        let planned: usize = plan.iter().map(|&(_, l, u)| (l + u) as usize).sum();
-        let phantoms = if iface_target.is_some() {
-            ((planned as f64) * cfg.rates.absent).round() as usize
-        } else {
-            0
-        };
-        assert!(
-            planned + phantoms <= MAX_SLOTS as usize,
-            "IXP {} plans {} interfaces (listed + unlisted + phantoms), past the \
-             {MAX_SLOTS}-slot per-IXP address plan",
-            meta.acronym,
-            planned + phantoms
-        );
-
-        // --- Materialize interfaces.
-        let mut members: Vec<MemberInterface> = Vec::new();
-        let mut slot = 0u32;
-        for &(net_idx, n_listed, n_unlisted) in &plan {
-            let net = NetworkId(net_idx as u32);
-            let is_remote = remote.contains(&net_idx);
-            let site = if coin(&mut rng, site2_share) {
-                1u8
-            } else {
-                0u8
+            // --- Secondary site membership.
+            let sites: Vec<u16> = match meta.secondary_site {
+                Some((c2, _)) => vec![ixp_city, city_index(c2)],
+                None => vec![ixp_city],
             };
-            for iface_k in 0..(n_listed + n_unlisted) {
-                let listed = iface_k < n_listed;
-                let access = if is_remote {
-                    let origin_city = topo.node(net).home_city;
-                    let origin = WORLD_CITIES[origin_city as usize].location;
-                    // Prefer the provider with the shortest pseudowire, but
-                    // not always — contracts are sticky.
-                    let delays: Vec<f64> = providers
-                        .iter()
-                        .map(|p| p.pseudowire_delay_ms(origin, ixp_loc))
-                        .collect();
-                    let best = delays
+            let site2_share = meta.secondary_site.map(|(_, s)| s).unwrap_or(0.0);
+
+            // --- Plan interfaces per member. At studied IXPs the number of
+            // *listed* (probeable) interfaces targets the Table 1 analyzed count
+            // plus the expected filter-discard margin; registries cover only
+            // part of some memberships and list several addresses for others.
+            let iface_target = meta
+                .paper_analyzed
+                .map(|a| ((a as f64) * 1.06 * cfg.scale).round().max(2.0) as usize);
+            let plan: Vec<(usize, u32, u32)> = match iface_target {
+                Some(target) => {
+                    let covered = chosen.len().min(target);
+                    let mut extra = target.saturating_sub(covered);
+                    let mut plan: Vec<(usize, u32, u32)> = chosen
                         .iter()
                         .enumerate()
-                        .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                        .map(|(i, _)| i)
-                        .expect("providers exist");
-                    let provider = if coin(&mut rng, 0.7) {
-                        best
-                    } else {
-                        rng.random_range(0..providers.len())
-                    };
-                    Access::Remote {
-                        provider: provider as u8,
-                        origin_city,
-                        access_delay_ms: 0.1 + rng.random::<f64>() * 0.5,
-                        site,
+                        .map(|(k, &net_idx)| {
+                            if k < covered {
+                                // Covered member: 1 listed interface, plus a
+                                // chance of more while the target allows.
+                                let mut listed = 1u32;
+                                while extra > 0 && coin(&mut rng, cfg.second_interface_prob) {
+                                    listed += 1;
+                                    extra -= 1;
+                                }
+                                (net_idx, listed, 0u32)
+                            } else {
+                                // Registry-invisible member.
+                                (net_idx, 0u32, 1u32)
+                            }
+                        })
+                        .collect();
+                    // Registries at interface-rich IXPs (e.g. NYIIX: 132
+                    // members, 239 analyzed interfaces) list several addresses
+                    // per member; distribute the remaining budget round-robin.
+                    let mut k = 0usize;
+                    while extra > 0 && covered > 0 {
+                        plan[k % covered].1 += 1;
+                        extra -= 1;
+                        k += 1;
                     }
+                    plan
+                }
+                None => chosen
+                    .iter()
+                    .map(|&net_idx| {
+                        let n = if coin(&mut rng, cfg.second_interface_prob) {
+                            2
+                        } else {
+                            1
+                        };
+                        (net_idx, 0u32, n)
+                    })
+                    .collect(),
+            };
+
+            // Every planned interface, phantoms included, needs a subnet slot.
+            let planned: usize = plan.iter().map(|&(_, l, u)| (l + u) as usize).sum();
+            let phantoms = if iface_target.is_some() {
+                ((planned as f64) * cfg.rates.absent).round() as usize
+            } else {
+                0
+            };
+            assert!(
+                planned + phantoms <= MAX_SLOTS as usize,
+                "IXP {} plans {} interfaces (listed + unlisted + phantoms), past the \
+             {MAX_SLOTS}-slot per-IXP address plan",
+                meta.acronym,
+                planned + phantoms
+            );
+
+            // --- Materialize interfaces.
+            let mut members: Vec<MemberInterface> = Vec::new();
+            let mut slot = 0u32;
+            for &(net_idx, n_listed, n_unlisted) in &plan {
+                let net = NetworkId(net_idx as u32);
+                let is_remote = remote.contains(&net_idx);
+                let site = if coin(&mut rng, site2_share) {
+                    1u8
                 } else {
-                    Access::Direct {
-                        colo_delay_ms: 0.15 + rng.random::<f64>() * 0.85,
-                        site,
-                    }
+                    0u8
                 };
-                let rates = &cfg.rates;
-                // 64 and 255 dominate; 128 and 32 are the "relatively
-                // infrequent" alternatives the TTL-match filter rejects.
-                let initial_ttl = {
-                    let u: f64 = rng.random();
-                    if u < 0.525 {
-                        64
-                    } else if u < 0.999 {
-                        255
-                    } else if u < 0.9997 {
-                        128
+                for iface_k in 0..(n_listed + n_unlisted) {
+                    let listed = iface_k < n_listed;
+                    let access = if is_remote {
+                        let origin_city = topo.node(net).home_city;
+                        let origin = WORLD_CITIES[origin_city as usize].location;
+                        // Prefer the provider with the shortest pseudowire, but
+                        // not always — contracts are sticky.
+                        let delays: Vec<f64> = providers
+                            .iter()
+                            .map(|p| p.pseudowire_delay_ms(origin, ixp_loc))
+                            .collect();
+                        let best = delays
+                            .iter()
+                            .enumerate()
+                            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
+                            .map(|(i, _)| i)
+                            .expect("providers exist");
+                        let provider = if coin(&mut rng, 0.7) {
+                            best
+                        } else {
+                            rng.random_range(0..providers.len())
+                        };
+                        Access::Remote {
+                            provider: provider as u8,
+                            origin_city,
+                            access_delay_ms: 0.1 + rng.random::<f64>() * 0.5,
+                            site,
+                        }
                     } else {
-                        32
-                    }
-                };
-                // Congestion is only injected at main-site ports: a
-                // secondary-site member's inter-site span plus a busy epoch
-                // could cross the 10 ms threshold, and the paper's manual
-                // checks found no direct peer above it.
-                let congested = site == 0 && coin(&mut rng, rates.congested);
-                let profile = ResponderProfile {
-                    initial_ttl,
-                    ttl_change: if coin(&mut rng, rates.ttl_change) {
-                        let frac = 0.2 + rng.random::<f64>() * 0.6;
-                        let new_ttl = if initial_ttl == 64 { 255 } else { 64 };
-                        Some((frac, new_ttl))
-                    } else {
-                        None
-                    },
-                    blackhole: coin(&mut rng, rates.blackhole),
-                    extra_hop: coin(&mut rng, rates.extra_hop),
-                    absent: false,
-                    // Congested-port model: ICMP control-plane policing.
-                    // Most replies take a slow path whose bounded delay
-                    // (at most this many ms — low enough that even the
-                    // worst-case minimum stays under the 10 ms threshold
-                    // for a direct member) scatters RTTs away from the
-                    // occasional fast-path floor, and many requests are
-                    // dropped outright. The RTT-consistent filter rejects
-                    // exactly this signature.
-                    congested_extra_ms: if congested {
-                        6.3 + rng.random::<f64>() * 1.2
-                    } else {
-                        0.0
-                    },
-                    congested_drop: if congested {
-                        0.3 + rng.random::<f64>() * 0.15
-                    } else {
-                        0.0
-                    },
-                };
-                let listing = ListingInfo {
-                    listed,
-                    identifiable: !coin(&mut rng, rates.unidentifiable),
-                    asn_change: coin(&mut rng, rates.asn_change),
-                };
+                        Access::Direct {
+                            colo_delay_ms: 0.15 + rng.random::<f64>() * 0.85,
+                            site,
+                        }
+                    };
+                    let rates = &cfg.rates;
+                    // 64 and 255 dominate; 128 and 32 are the "relatively
+                    // infrequent" alternatives the TTL-match filter rejects.
+                    let initial_ttl = {
+                        let u: f64 = rng.random();
+                        if u < 0.525 {
+                            64
+                        } else if u < 0.999 {
+                            255
+                        } else if u < 0.9997 {
+                            128
+                        } else {
+                            32
+                        }
+                    };
+                    // Congestion is only injected at main-site ports: a
+                    // secondary-site member's inter-site span plus a busy epoch
+                    // could cross the 10 ms threshold, and the paper's manual
+                    // checks found no direct peer above it.
+                    let congested = site == 0 && coin(&mut rng, rates.congested);
+                    let profile = ResponderProfile {
+                        initial_ttl,
+                        ttl_change: if coin(&mut rng, rates.ttl_change) {
+                            let frac = 0.2 + rng.random::<f64>() * 0.6;
+                            let new_ttl = if initial_ttl == 64 { 255 } else { 64 };
+                            Some((frac, new_ttl))
+                        } else {
+                            None
+                        },
+                        blackhole: coin(&mut rng, rates.blackhole),
+                        extra_hop: coin(&mut rng, rates.extra_hop),
+                        absent: false,
+                        // Congested-port model: ICMP control-plane policing.
+                        // Most replies take a slow path whose bounded delay
+                        // (at most this many ms — low enough that even the
+                        // worst-case minimum stays under the 10 ms threshold
+                        // for a direct member) scatters RTTs away from the
+                        // occasional fast-path floor, and many requests are
+                        // dropped outright. The RTT-consistent filter rejects
+                        // exactly this signature.
+                        congested_extra_ms: if congested {
+                            6.3 + rng.random::<f64>() * 1.2
+                        } else {
+                            0.0
+                        },
+                        congested_drop: if congested {
+                            0.3 + rng.random::<f64>() * 0.15
+                        } else {
+                            0.0
+                        },
+                    };
+                    let listing = ListingInfo {
+                        listed,
+                        identifiable: !coin(&mut rng, rates.unidentifiable),
+                        asn_change: coin(&mut rng, rates.asn_change),
+                    };
+                    members.push(MemberInterface {
+                        network: net,
+                        ip: IxpInstance::ip_for_slot(id, slot),
+                        access,
+                        profile,
+                        listing,
+                    });
+                    slot += 1;
+                }
+            }
+
+            // --- Phantom listings: addresses present in registries with no
+            // device behind them (stale website data). Only studied IXPs have
+            // registries worth salting.
+            for _ in 0..phantoms {
+                let donor = members[rng.random_range(0..members.len())];
                 members.push(MemberInterface {
-                    network: net,
+                    network: donor.network,
                     ip: IxpInstance::ip_for_slot(id, slot),
-                    access,
-                    profile,
-                    listing,
+                    access: donor.access,
+                    profile: ResponderProfile {
+                        absent: true,
+                        ..ResponderProfile::default()
+                    },
+                    listing: ListingInfo {
+                        listed: true,
+                        identifiable: false,
+                        asn_change: false,
+                    },
                 });
                 slot += 1;
             }
-        }
 
-        // --- Phantom listings: addresses present in registries with no
-        // device behind them (stale website data). Only studied IXPs have
-        // registries worth salting.
-        for _ in 0..phantoms {
-            let donor = members[rng.random_range(0..members.len())];
-            members.push(MemberInterface {
-                network: donor.network,
-                ip: IxpInstance::ip_for_slot(id, slot),
-                access: donor.access,
-                profile: ResponderProfile {
-                    absent: true,
-                    ..ResponderProfile::default()
-                },
-                listing: ListingInfo {
-                    listed: true,
-                    identifiable: false,
-                    asn_change: false,
-                },
-            });
-            slot += 1;
-        }
-
-        ixps.push(std::sync::Arc::new(IxpInstance {
-            id,
-            meta: meta.clone(),
-            sites,
-            members,
-        }));
-    }
+            std::sync::Arc::new(IxpInstance {
+                id,
+                meta: meta.clone(),
+                sites,
+                members,
+            })
+        })
+        .collect();
 
     IxpScene { ixps, providers }
 }
@@ -867,6 +927,68 @@ mod tests {
             reference.truncate(m);
             let reference: Vec<usize> = reference.into_iter().map(|(_, i)| i).collect();
             proptest::prop_assert_eq!(top_m(keyed, m), reference);
+        }
+    }
+
+    /// The sort-all sampler the streaming [`weighted_sample`] replaced:
+    /// key every positive weight, stably sort all keys descending, keep
+    /// the first `m`.
+    fn sort_all_weighted_sample(rng: &mut StdRng, weights: &[f64], m: usize) -> Vec<usize> {
+        let mut keyed: Vec<(f64, usize)> = weights
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| **w > 0.0)
+            .map(|(i, w)| {
+                let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
+                (u.ln() / w, i)
+            })
+            .collect();
+        keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("keys are finite"));
+        keyed.into_iter().take(m).map(|(_, i)| i).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+        #[test]
+        fn streaming_sample_matches_the_sort_all_sampler(
+            picks in proptest::collection::vec((0usize..12, 0.0f64..10.0), 0..120),
+            m in 0usize..130,
+            seed in 0u64..1_000_000,
+        ) {
+            // Zero, negative and NaN weights are skipped without a draw;
+            // subnormal, tiny, huge and infinite ones key to -inf, -0.0 or
+            // in between. The palette repeats, so duplicates are common;
+            // the last arms take a fresh weight from the range.
+            const PALETTE: [f64; 10] = [
+                0.0, -1.0, f64::NAN, 5e-324, 1e-300, 1e-9, 1.0, 1e300, f64::MAX, f64::INFINITY,
+            ];
+            let weights: Vec<f64> =
+                picks.iter().map(|&(k, x)| PALETTE.get(k).copied().unwrap_or(x)).collect();
+            let mut streamed = seed::rng(seed, "sampler", 0);
+            let mut sorted = seed::rng(seed, "sampler", 0);
+            let got = weighted_sample(&mut streamed, weights.iter().copied(), m);
+            let want = sort_all_weighted_sample(&mut sorted, &weights, m);
+            proptest::prop_assert_eq!(&got, &want, "weights {:?}, m {}", weights, m);
+            // One draw per positive weight: the caller's stream continues
+            // exactly where the sort-all sampler left it.
+            proptest::prop_assert_eq!(streamed, sorted);
+        }
+    }
+
+    #[test]
+    fn streaming_sample_matches_the_sort_all_sampler_at_fill_size() {
+        // A fill-sized input: thousands of close keys, so the bound test
+        // skips most `ln` calls while the heap stays full.
+        let weights: Vec<f64> = (0..20_000).map(|i| 1.0 + (i % 97) as f64 * 0.01).collect();
+        for m in [1, 37, 500, 19_999, 20_000, 25_000] {
+            let mut streamed = seed::rng(3, "sampler", m as u64);
+            let mut sorted = seed::rng(3, "sampler", m as u64);
+            assert_eq!(
+                weighted_sample(&mut streamed, weights.iter().copied(), m),
+                sort_all_weighted_sample(&mut sorted, &weights, m),
+                "m {m}"
+            );
+            assert_eq!(streamed, sorted, "m {m}");
         }
     }
 

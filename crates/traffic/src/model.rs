@@ -175,7 +175,7 @@ pub fn contributions(topo: &Topology, view: &RoutingView, cfg: &TrafficConfig) -
     // figure 7).
     let vantage_loc = topo.home_city(vantage).location;
     let mut rng = seed::rng(cfg.seed, "traffic-weights", 0);
-    let mut in_weighted: Vec<(f64, NetworkId)> = eligible
+    let in_weights: Vec<f64> = eligible
         .iter()
         .map(|&id| {
             let home = topo.home_city(id);
@@ -200,44 +200,42 @@ pub fn contributions(topo: &Topology, view: &RoutingView, cfg: &TrafficConfig) -
                 * inbound_scale(topo.node(id).kind)
                 * topo.node(id).prominence
                 * dist::pareto(&mut rng, 1.0, 3.0).min(8.0);
-            (w, id)
+            w
         })
         .collect();
     // Outbound order: same prominence and affinity drivers, but weighted by
     // who *receives* (eyeballs), plus a lognormal reshuffle so the coupling
     // with inbound stays imperfect.
-    let mut out_weighted: Vec<(f64, NetworkId)> = in_weighted
+    let out_weights: Vec<f64> = in_weights
         .iter()
-        .map(|(w, id)| {
-            let node = topo.node(*id);
+        .zip(&eligible)
+        .map(|(w, &id)| {
+            let node = topo.node(id);
             let retype = outbound_scale(node.kind) / inbound_scale(node.kind);
-            (w * retype * dist::log_normal(&mut rng, 0.0, 0.9), *id)
+            w * retype * dist::log_normal(&mut rng, 0.0, 0.9)
         })
         .collect();
 
-    let sort_desc = |v: &mut Vec<(f64, NetworkId)>| {
-        v.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite").then(a.1.cmp(&b.1)));
-    };
-    sort_desc(&mut in_weighted);
-    sort_desc(&mut out_weighted);
-
-    let assign = |ranked: &[(f64, NetworkId)], total: Bps| -> Vec<Bps> {
-        let m = ranked.len();
-        let raw: Vec<f64> = (1..=m).map(|r| rank_curve(r, m, cfg)).collect();
-        let sum: f64 = raw.iter().sum();
+    // Rank by weight descending, ties to the lower id (`eligible` is in id
+    // order), and give rank r the rate `rank_curve(r)` scaled to the total.
+    // Both directions rank the same networks, so they share one curve.
+    let m = eligible.len();
+    let raw: Vec<f64> = (1..=m).map(|r| rank_curve(r, m, cfg)).collect();
+    let sum: f64 = raw.iter().sum();
+    let assign = |weights: &[f64], total: Bps| -> Vec<Bps> {
         let mut rates = vec![Bps::ZERO; n];
         if sum > 0.0 {
             let scale = total.0 / sum;
-            for ((_, id), r) in ranked.iter().zip(&raw) {
-                rates[id.index()] = Bps(r * scale);
+            for (pos, r) in dist::rank_desc(weights).into_iter().zip(&raw) {
+                rates[eligible[pos].index()] = Bps(r * scale);
             }
         }
         rates
     };
 
     Contributions {
-        inbound: assign(&in_weighted, cfg.total_inbound),
-        outbound: assign(&out_weighted, cfg.total_outbound),
+        inbound: assign(&in_weights, cfg.total_inbound),
+        outbound: assign(&out_weights, cfg.total_outbound),
     }
 }
 

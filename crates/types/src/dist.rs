@@ -47,6 +47,34 @@ pub fn zipf_weight(rank: usize, s: f64) -> f64 {
     1.0 / (rank as f64).powf(s)
 }
 
+/// Positions of `weights` ordered by weight descending, ties to the lower
+/// position: the list a stable descending sort of `(weight, position)`
+/// returns. Each weight becomes an integer in float order, packed above its
+/// position, so one unstable sort of plain integers does the work of a
+/// comparator sort. Panics on a NaN weight, which has no place in the order.
+pub fn rank_desc(weights: &[f64]) -> Vec<usize> {
+    let mut keys: Vec<u128> = weights
+        .iter()
+        .enumerate()
+        .map(|(i, &w)| {
+            assert!(!w.is_nan(), "weight {i} is NaN");
+            // `+ 0.0` folds -0.0 into +0.0 (the two compare equal). Setting
+            // the sign bit of a non-negative float, or flipping every bit
+            // of a negative one, gives an integer in float order; its
+            // complement sorts heavy weights first.
+            let bits = (w + 0.0).to_bits();
+            let ascending = if bits >> 63 == 1 {
+                !bits
+            } else {
+                bits | (1 << 63)
+            };
+            (u128::from(!ascending) << 64) | i as u128
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|k| k as u64 as usize).collect()
+}
+
 /// Sample an index in `[0, weights.len())` proportionally to `weights`.
 ///
 /// Linear scan, for small candidate sets (continents, hub cities); large

@@ -69,6 +69,21 @@ proptest! {
     }
 
     #[test]
+    fn rank_desc_matches_a_stable_descending_sort(
+        picks in proptest::collection::vec((0usize..10, -5.0f64..5.0), 0..80),
+    ) {
+        // Both zeros, the infinities, a subnormal and repeats force ties
+        // and sign handling; the last arms take a fresh weight.
+        const PALETTE: [f64; 8] =
+            [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 5e-324, -5e-324, 1.0, -1.0];
+        let weights: Vec<f64> =
+            picks.iter().map(|&(k, x)| PALETTE.get(k).copied().unwrap_or(x)).collect();
+        let mut reference: Vec<usize> = (0..weights.len()).collect();
+        reference.sort_by(|&a, &b| weights[b].partial_cmp(&weights[a]).unwrap());
+        prop_assert_eq!(dist::rank_desc(&weights), reference);
+    }
+
+    #[test]
     fn weighted_index_only_picks_positive_weights(
         seed in any::<u64>(),
         weights in proptest::collection::vec(0.0f64..10.0, 1..20),
@@ -169,4 +184,10 @@ fn weight_tree_degenerate_inputs_match_weighted_index() {
             assert_eq!(a.0, b.0, "{weights:?}");
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "weight 1 is NaN")]
+fn rank_desc_rejects_nan() {
+    dist::rank_desc(&[1.0, f64::NAN]);
 }
