@@ -71,6 +71,10 @@ pub struct IxpRun {
     pub trace_digest: u64,
     /// Total events the run dispatched.
     pub events: u64,
+    /// Heap bytes the network's event queues and frame arenas retained
+    /// after the drain ([`Network::retained_bytes`]). Their capacity never
+    /// shrinks, so this is the run's high-water simulator footprint.
+    pub retained_bytes: u64,
 }
 
 /// Parent planes a forked world may reuse in [`Campaign::probe_all_with`]:
@@ -142,12 +146,10 @@ pub struct Campaign {
     #[serde(default)]
     pub shards: usize,
     /// Optional world-level byte budget for the campaign's peak working
-    /// set. Bounds two things: how many IXP networks [`Campaign::probe_all`]
-    /// keeps alive at once (probing proceeds in sequential chunks sized so
-    /// the concurrent scenes fit the budget) and each network's retained
-    /// per-shard capacity ([`rp_netsim::Network::set_memory_budget`]).
-    /// Like `shards`, pure peak-RSS policy: results are byte-identical
-    /// with or without a budget.
+    /// set. Bounds how many IXP networks [`Campaign::probe_all`] keeps
+    /// alive at once: probing proceeds in sequential chunks sized so the
+    /// concurrent scenes fit the budget. Like `shards`, pure peak-RSS
+    /// policy: results are byte-identical with or without a budget.
     #[serde(default)]
     pub memory_budget_bytes: Option<u64>,
 }
@@ -185,14 +187,19 @@ impl Campaign {
         }
     }
 
-    /// Coarse-but-conservative peak-bytes estimate for probing one IXP:
-    /// the materialized network (a handful of devices and links per
-    /// listed interface), the recorded ping outcomes (~75 per interface
-    /// under the paper's query caps), and the finished sample plane. Used
+    /// Conservative peak-bytes estimate for probing one IXP: the
+    /// simulator's high-water event-queue and frame-arena capacity
+    /// ([`IxpRun::retained_bytes`]) plus the finished probe plane. Used
     /// only to size [`Campaign::probe_all`] chunks, so it must scale with
-    /// the member count, not be exact.
-    fn approx_probe_bytes(inst: &IxpInstance) -> u64 {
-        (1 << 20) + inst.members.len() as u64 * 4_096
+    /// the member count and never undershoot, not be exact.
+    ///
+    /// Calibrated on seed 42: the three largest paper-scale IXPs hold
+    /// 6.8–7.4 KB per member, production AMS-IX (8,480 members) 12.2 KB.
+    /// The ARP flood term grows faster than the member count, so a larger
+    /// world needs re-measuring (`tests/memory_budget.rs` pins paper
+    /// scale).
+    pub fn approx_probe_bytes(inst: &IxpInstance) -> u64 {
+        (1 << 20) + inst.members.len() as u64 * 16_384
     }
 
     /// How many IXPs [`Campaign::probe_all`] may probe concurrently under
@@ -210,16 +217,6 @@ impl Campaign {
             .max()
             .unwrap_or(1);
         ((budget / worst.max(1)) as usize).clamp(1, n.max(1))
-    }
-
-    /// The per-network slice of the world budget handed to each simulator:
-    /// the whole budget divided by how many networks run concurrently.
-    fn per_network_budget(&self, world: &World) -> Option<u64> {
-        let budget = self.memory_budget_bytes?;
-        let lanes = self
-            .probe_chunk_size(world, world.scene.studied().count())
-            .min(rayon::current_num_threads().max(1));
-        Some(budget / lanes.max(1) as u64)
     }
 
     fn queries_for(&self, op: LgOperator) -> u32 {
@@ -258,9 +255,6 @@ impl Campaign {
         let n_shards = resolve_shards(self.shards, inst.sites.len());
         let mut net = Network::with_shards(seed_base, n_shards);
         net.set_timeline_scope(format!("ixp.{}", inst.meta.acronym));
-        if let Some(b) = self.per_network_budget(world) {
-            net.set_memory_budget(b);
-        }
         let n_shards = net.shard_count() as usize;
         let shard_for = move |site: usize| site % n_shards;
 
@@ -499,6 +493,7 @@ impl Campaign {
             faults: net.fault_counts(),
             trace_digest: net.trace_digest(),
             events,
+            retained_bytes: net.retained_bytes(),
         }
     }
 
@@ -925,11 +920,11 @@ mod tests {
 
     #[test]
     fn memory_budget_does_not_change_probe_bytes() {
-        // A budget tight enough to force chunked probing (and per-network
-        // capacity caps) must reproduce the unbudgeted campaign exactly —
-        // the budget is peak-RSS policy, not methodology. Every executor
-        // output is held to it: the plain probe set, the fork-reuse path,
-        // and the merged fault tallies.
+        // A budget tight enough to force chunked probing must reproduce
+        // the unbudgeted campaign exactly — the budget is peak-RSS
+        // policy, not methodology. Every executor output is held to it:
+        // the plain probe set, the fork-reuse path, and the merged fault
+        // tallies.
         let world = small_world();
         let free = Campaign::default_paper();
         let budgeted = |c: &Campaign| Campaign {

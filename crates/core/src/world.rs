@@ -149,8 +149,8 @@ impl Scale {
 
     /// Default campaign memory budget for this scale, in bytes. `None`
     /// means unbudgeted: the small worlds fit anywhere. Production gets a
-    /// 1 GiB cap so `probe_all` chunks its fan-out and shards shed idle
-    /// capacity instead of letting peak RSS track world size.
+    /// 1 GiB cap so `probe_all` chunks its fan-out instead of letting peak
+    /// RSS track world size.
     pub fn default_memory_budget(self) -> Option<u64> {
         match self {
             Scale::Test | Scale::Paper => None,

@@ -316,8 +316,8 @@ impl EventQueue {
 
     /// Exact heap bytes retained by the queue: the bucket spine, every
     /// bucket's capacity, and the overflow heap's capacity. Capacity, not
-    /// occupancy — drained buckets keep their high-water allocation until
-    /// [`EventQueue::shrink_retained`] releases it.
+    /// occupancy — drained buckets keep their high-water allocation for
+    /// the queue's lifetime.
     pub fn retained_bytes(&self) -> u64 {
         let spine = self.buckets.capacity() * std::mem::size_of::<Vec<Entry>>();
         let entries: usize = self
@@ -327,34 +327,6 @@ impl EventQueue {
             .sum();
         let heap = self.overflow.capacity() * std::mem::size_of::<HeapEntry>();
         (spine + entries + heap) as u64
-    }
-
-    /// Release retained capacity down toward `max_bytes`, returning the
-    /// bytes actually freed. Only empty buckets (and an empty overflow
-    /// heap) give up their allocation; pending events are never moved or
-    /// dropped, so pop order — and therefore every simulation result — is
-    /// untouched. Buckets are visited in fixed index order, keeping the
-    /// shrink itself deterministic.
-    pub fn shrink_retained(&mut self, max_bytes: u64) -> u64 {
-        let before = self.retained_bytes();
-        if before <= max_bytes {
-            return 0;
-        }
-        let mut freed = 0u64;
-        for b in &mut self.buckets {
-            if b.is_empty() && b.capacity() > 0 {
-                freed += (b.capacity() * std::mem::size_of::<Entry>()) as u64;
-                *b = Vec::new();
-                if before - freed <= max_bytes {
-                    return freed;
-                }
-            }
-        }
-        if self.overflow.is_empty() && self.overflow.capacity() > 0 {
-            freed += (self.overflow.capacity() * std::mem::size_of::<HeapEntry>()) as u64;
-            self.overflow = BinaryHeap::new();
-        }
-        freed
     }
 
     /// True when no events are pending.
@@ -503,40 +475,6 @@ mod tests {
         for w in popped.windows(2) {
             assert!(w[0].0 < w[1].0, "out of order: {w:?}");
         }
-    }
-
-    #[test]
-    fn shrink_releases_drained_capacity_and_preserves_order() {
-        let mut q = EventQueue::new();
-        // A burst in one near bucket, plus survivors in a later bucket and
-        // the overflow heap.
-        for i in 0..256 {
-            q.push(SimTime(10 + i), key(0, i), timer(0, i));
-        }
-        let horizon = BUCKET_WIDTH_NS * BUCKET_COUNT as u64;
-        q.push(SimTime(horizon - 1), key(0, 1_000), timer(0, 1_000));
-        q.push(SimTime(horizon * 2), key(0, 1_001), timer(0, 1_001));
-        // Drain the burst so its bucket is empty but still holds capacity.
-        for _ in 0..256 {
-            q.pop();
-        }
-        let grown = q.retained_bytes();
-        let freed = q.shrink_retained(0);
-        assert!(freed > 0, "drained bucket capacity must be released");
-        assert!(q.retained_bytes() < grown);
-        // Pending events are untouched and still pop in global order.
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| token_of(e))
-            .collect();
-        assert_eq!(order, vec![1_000, 1_001]);
-    }
-
-    #[test]
-    fn shrink_is_a_noop_under_budget() {
-        let mut q = EventQueue::new();
-        q.push(SimTime(5), key(0, 0), timer(0, 0));
-        q.pop();
-        assert_eq!(q.shrink_retained(u64::MAX), 0);
     }
 
     #[test]

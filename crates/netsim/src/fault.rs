@@ -161,21 +161,6 @@ impl FaultCounts {
     }
 }
 
-/// One injected fault, for the replay log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultEvent {
-    /// When the fault fired.
-    pub at: SimTime,
-    /// The link it fired on.
-    pub link: u32,
-    /// What happened.
-    pub kind: FaultKind,
-}
-
-/// The replay log keeps at most this many events; [`FaultCounts`] stays
-/// exact past the cap.
-pub const FAULT_LOG_CAP: usize = 4096;
-
 /// What the injector decided for one frame transmission.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TxFaults {
@@ -190,32 +175,10 @@ pub struct TxFaults {
 /// Gap between a frame and its injected duplicate.
 pub const DUPLICATE_GAP: SimDuration = SimDuration::from_micros(90);
 
-/// One log entry plus the metadata that orders it canonically: the
-/// direction stream it belongs to (`link × 2 + dir`), the decision number
-/// within that stream, and the record index within the decision (one
-/// transmission can log several faults). The triple is unique, so sorting
-/// by `(at, dirkey, seq, rec)` yields one total order that every shard
-/// count reproduces — merged per-shard logs are byte-identical to a
-/// single-shard run's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LogRecord {
-    pub(crate) dirkey: u64,
-    pub(crate) seq: u64,
-    pub(crate) rec: u32,
-    pub(crate) event: FaultEvent,
-}
-
-impl LogRecord {
-    /// The canonical ordering key (times first, then stream coordinates).
-    pub(crate) fn order(&self) -> (SimTime, u64, u64, u32) {
-        (self.event.at, self.dirkey, self.seq, self.rec)
-    }
-}
-
 /// Seeded fault state; install with [`crate::Network::install_faults`].
 /// The sharded network keeps one injector per shard — each link direction
 /// is driven by exactly one shard, so the per-direction streams never
-/// interleave and tallies/logs merge losslessly.
+/// interleave and tallies merge losslessly.
 #[derive(Debug)]
 pub struct FaultInjector {
     cfg: FaultConfig,
@@ -225,9 +188,6 @@ pub struct FaultInjector {
     /// Memoized per-link flap verdicts (each a pure function of the seed).
     flapping: HashMap<u32, bool>,
     counts: FaultCounts,
-    log: Vec<LogRecord>,
-    /// Record counter within the current decision (resets per transmit).
-    rec: u32,
 }
 
 impl FaultInjector {
@@ -238,8 +198,6 @@ impl FaultInjector {
             seqs: Vec::new(),
             flapping: HashMap::new(),
             counts: FaultCounts::default(),
-            log: Vec::new(),
-            rec: 0,
         }
     }
 
@@ -251,44 +209,6 @@ impl FaultInjector {
     /// Exact fault tallies so far.
     pub fn counts(&self) -> FaultCounts {
         self.counts
-    }
-
-    /// This injector's raw log records (at most [`FAULT_LOG_CAP`]).
-    pub(crate) fn records(&self) -> &[LogRecord] {
-        &self.log
-    }
-
-    /// The injector's replay log in canonical `(time, direction, seq)`
-    /// order.
-    pub fn log(&self) -> Vec<FaultEvent> {
-        Self::merge_logs(std::iter::once(self))
-    }
-
-    /// Merge the logs of several injectors (the per-shard injectors of one
-    /// network) into the canonical order, capped at [`FAULT_LOG_CAP`].
-    pub(crate) fn merge_logs<'a, I: IntoIterator<Item = &'a FaultInjector>>(
-        injectors: I,
-    ) -> Vec<FaultEvent> {
-        let mut all: Vec<LogRecord> = injectors
-            .into_iter()
-            .flat_map(|i| i.records().iter().copied())
-            .collect();
-        all.sort_unstable_by_key(LogRecord::order);
-        all.truncate(FAULT_LOG_CAP);
-        all.into_iter().map(|r| r.event).collect()
-    }
-
-    fn record(&mut self, dirkey: u64, at: SimTime, link: u32, kind: FaultKind) {
-        if self.log.len() < FAULT_LOG_CAP {
-            let seq = self.seqs[dirkey as usize];
-            self.log.push(LogRecord {
-                dirkey,
-                seq,
-                rec: self.rec,
-                event: FaultEvent { at, link, kind },
-            });
-            self.rec += 1;
-        }
     }
 
     fn link_flaps(&mut self, link: u32) -> bool {
@@ -310,7 +230,6 @@ impl FaultInjector {
     ) -> TxFaults {
         let mut out = TxFaults::default();
         self.counts.decisions += 1;
-        self.rec = 0;
         let dirkey = (link as u64) << 1 | dir as u64;
         if self.seqs.len() <= dirkey as usize {
             self.seqs.resize(dirkey as usize + 1, 0);
@@ -325,7 +244,6 @@ impl FaultInjector {
         if let Some((lo, hi)) = self.cfg.flap_window {
             if now >= lo && now < hi && self.link_flaps(link) {
                 self.counts.flap_drops += 1;
-                self.record(dirkey, now, link, FaultKind::LinkFlap);
                 out.drop = true;
                 self.seqs[dirkey as usize] += 1;
                 return out;
@@ -337,7 +255,6 @@ impl FaultInjector {
                 && rng.random::<f64>() < self.cfg.probe_loss
             {
                 self.counts.probe_drops += 1;
-                self.record(dirkey, now, link, FaultKind::ProbeLoss);
                 out.drop = true;
                 self.seqs[dirkey as usize] += 1;
                 return out;
@@ -346,20 +263,17 @@ impl FaultInjector {
                 && rng.random::<f64>() < self.cfg.reply_duplication
             {
                 self.counts.reply_duplicates += 1;
-                self.record(dirkey, now, link, FaultKind::ReplyDuplication);
                 out.duplicate = true;
             }
             if rng.random::<f64>() < self.cfg.ttl_rewrite {
                 pkt.ttl = self.cfg.ttl_rewrite_to;
                 self.counts.ttl_rewrites += 1;
-                self.record(dirkey, now, link, FaultKind::TtlRewrite);
             }
         }
 
         if rng.random::<f64>() < self.cfg.jitter_spike {
             out.extra_delay = SimDuration::from_nanos((self.cfg.jitter_spike_ms * 1e6) as u64);
             self.counts.jitter_spikes += 1;
-            self.record(dirkey, now, link, FaultKind::JitterSpike);
         }
         self.seqs[dirkey as usize] += 1;
         out

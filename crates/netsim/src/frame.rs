@@ -151,10 +151,9 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Nominal on-the-wire size in bytes, used by links with finite
-    /// bandwidth to compute serialization delay: Ethernet + ARP is a
-    /// minimum-size frame; ICMP echo carries the classic 56-byte ping
-    /// payload.
+    /// Nominal on-the-wire size in bytes, counted by the per-link-class
+    /// byte timelines: Ethernet + ARP is a minimum-size frame; ICMP echo
+    /// carries the classic 56-byte ping payload.
     pub fn wire_size(&self) -> u32 {
         match self.payload {
             Payload::Arp(_) => 64,
@@ -345,40 +344,14 @@ impl FrameArena {
 
     /// Exact heap bytes retained by the arena: slot storage plus the free
     /// list (and, in debug builds, the liveness bitmap). This is capacity,
-    /// not occupancy — the number the memory budget has to bound.
+    /// not occupancy: slots freed by delivered frames stay allocated for
+    /// the arena's lifetime, so after a run this is its high-water mark.
     pub fn retained_bytes(&self) -> u64 {
         let b = (self.slots.capacity() * std::mem::size_of::<Frame>()) as u64
             + (self.free.capacity() * std::mem::size_of::<u32>()) as u64;
         #[cfg(debug_assertions)]
         let b = b + self.live.capacity() as u64;
         b
-    }
-
-    /// Release retained capacity down toward `max_bytes`, returning the
-    /// bytes actually freed. Only *idle* capacity is touched: with frames
-    /// in flight their slot indices are pinned, so the arena shrinks only
-    /// when fully drained — which it is between campaign windows and at
-    /// the end of every run. Shrinking never changes allocation order, so
-    /// results are byte-identical with or without a budget.
-    pub fn shrink_retained(&mut self, max_bytes: u64) -> u64 {
-        let before = self.retained_bytes();
-        if before <= max_bytes || self.in_flight() > 0 {
-            return 0;
-        }
-        let keep = (max_bytes as usize / std::mem::size_of::<Frame>()).min(self.slots.len());
-        // Fully free: every slot index is on the free list, so dropping
-        // the tail and rebuilding the (LIFO-equivalent) free list is safe.
-        self.slots.truncate(keep);
-        self.slots.shrink_to_fit();
-        self.free.clear();
-        self.free.extend((0..keep as u32).rev());
-        self.free.shrink_to_fit();
-        #[cfg(debug_assertions)]
-        {
-            self.live.truncate(keep);
-            self.live.shrink_to_fit();
-        }
-        before - self.retained_bytes()
     }
 }
 
@@ -469,34 +442,6 @@ mod tests {
         assert_eq!(arena.capacity(), 2);
         assert_eq!(*arena.get(a), probe(0));
         assert_eq!(*arena.get(c), probe(2));
-    }
-
-    #[test]
-    fn arena_shrinks_only_when_drained() {
-        let mut arena = FrameArena::new();
-        let ids: Vec<FrameId> = (0..64).map(|i| arena.alloc(probe(i))).collect();
-        let grown = arena.retained_bytes();
-        assert!(grown >= 64 * std::mem::size_of::<Frame>() as u64);
-        // In-flight frames pin their slots: nothing may move.
-        assert_eq!(arena.shrink_retained(0), 0);
-        assert_eq!(*arena.get(ids[0]), probe(0));
-        for id in ids {
-            arena.release(id);
-        }
-        let freed = arena.shrink_retained(0);
-        assert!(freed > 0 && arena.retained_bytes() < grown);
-        // Capacity regrows on demand and the arena still works.
-        let id = arena.alloc(probe(7));
-        assert_eq!(arena.take(id), probe(7));
-    }
-
-    #[test]
-    fn arena_shrink_is_a_noop_under_budget() {
-        let mut arena = FrameArena::new();
-        let id = arena.alloc(probe(0));
-        arena.release(id);
-        assert_eq!(arena.shrink_retained(u64::MAX), 0);
-        assert!(arena.capacity() > 0, "under-budget capacity is kept");
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! - **Geographic delay** — every link carries a propagation delay derived
 //!   from fiber distance, so a remote peer's interface answers with an RTT
 //!   that reflects where the router really is, not where the IXP is.
-//! - **Congestion** — links can carry transient congestion episodes and
-//!   persistent extra delay, giving the RTT-consistent and LG-consistent
-//!   filters real work.
+//! - **Jitter and delay epochs** — links add exponential per-frame jitter,
+//!   and persistent episodes raise a link's delay floor for a whole epoch,
+//!   giving the RTT-consistent and LG-consistent filters real work.
 //! - **Blackholing** — responders can silently drop echo requests, which the
 //!   sample-size filter must absorb.
 //!
@@ -42,7 +42,7 @@ pub mod sim;
 mod sponge;
 pub mod switch;
 
-pub use fault::{FaultConfig, FaultCounts, FaultEvent, FaultInjector, FaultKind};
+pub use fault::{FaultConfig, FaultCounts, FaultInjector, FaultKind};
 pub use frame::{ArpOp, ArpPacket, Frame, IcmpMessage, Ipv4Packet, MacAddr, Payload};
 pub use host::{Host, PingOutcome, PingReply};
 pub use link::{CongestionEpisode, DelayModel};

@@ -1,9 +1,10 @@
 //! Links and delay models.
 //!
-//! A link's one-way delay is `base propagation + exponential jitter +
-//! persistent extra + any active congestion episode`. The base term carries
-//! geography (section 3's signal); the other three terms are the noise the
-//! paper's filters and min-RTT estimator exist to defeat.
+//! A link's one-way delay is `base propagation + exponential jitter + any
+//! active persistent episode`. The base term carries geography (section
+//! 3's signal); jitter is the noise the min-RTT estimator defeats, and a
+//! persistent episode shifts the achievable floor itself for an epoch —
+//! the disagreement the LG-consistent filter exists to catch.
 
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -11,15 +12,15 @@ use rp_types::dist::exponential;
 use rp_types::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// A bounded interval of elevated delay on a link — transient congestion.
+/// A bounded interval of constant extra delay on a link (see
+/// [`DelayModel::persistent_episodes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CongestionEpisode {
     /// Episode start (inclusive).
     pub start: SimTime,
     /// Episode end (exclusive).
     pub end: SimTime,
-    /// Mean of the exponential extra delay added while the episode is
-    /// active, in milliseconds.
+    /// Extra delay added while the episode is active, in milliseconds.
     pub extra_mean_ms: f64,
 }
 
@@ -39,30 +40,12 @@ pub struct DelayModel {
     /// Mean of per-traversal exponential jitter, in milliseconds (queuing,
     /// serialization, scheduler noise). Zero disables jitter.
     pub jitter_mean_ms: f64,
-    /// Bound of additional per-traversal *uniform* jitter, in milliseconds —
-    /// the saturated-port regime, where queue occupancy swings over a wide
-    /// but bounded range. Bounded noise keeps the achievable minimum honest
-    /// (the conservative threshold can never be crossed by congestion
-    /// alone) while spreading replies so thin that few corroborate the
-    /// minimum. Zero disables.
-    pub jitter_uniform_ms: f64,
-    /// Constant extra delay, in milliseconds — persistent congestion (the
-    /// LG-consistent filter's target when it afflicts one LG's access link).
-    pub persistent_extra_ms: f64,
-    /// Transient congestion episodes (random extra delay while active).
-    pub episodes: Vec<CongestionEpisode>,
     /// Windows of *constant* extra delay — long structural changes such as
     /// a rerouted circuit or a saturated epoch, which elevate the achievable
     /// floor itself instead of adding noise around it. The LG-consistent
     /// filter exists because such epochs make two vantage servers probing
     /// in different periods disagree on the minimum RTT.
     pub persistent_episodes: Vec<CongestionEpisode>,
-    /// Link capacity in megabits per second. `None` = unconstrained (the
-    /// default — measurement probes are far too sparse to queue on real
-    /// IXP-grade links). With a capacity set, the simulator serializes
-    /// frames through a per-direction FIFO: each frame occupies the line
-    /// for `size / capacity` and later frames wait their turn.
-    pub bandwidth_mbps: Option<f64>,
 }
 
 impl DelayModel {
@@ -71,11 +54,7 @@ impl DelayModel {
         DelayModel {
             base,
             jitter_mean_ms: 0.0,
-            jitter_uniform_ms: 0.0,
-            persistent_extra_ms: 0.0,
-            episodes: Vec::new(),
             persistent_episodes: Vec::new(),
-            bandwidth_mbps: None,
         }
     }
 
@@ -85,34 +64,7 @@ impl DelayModel {
         DelayModel {
             base: SimDuration::from_millis_f64(ms),
             jitter_mean_ms: 0.03,
-            jitter_uniform_ms: 0.0,
-            persistent_extra_ms: 0.0,
-            episodes: Vec::new(),
             persistent_episodes: Vec::new(),
-            bandwidth_mbps: None,
-        }
-    }
-
-    /// Add bounded uniform jitter (saturated-port noise).
-    pub fn with_jitter_uniform_ms(mut self, bound_ms: f64) -> Self {
-        self.jitter_uniform_ms = bound_ms;
-        self
-    }
-
-    /// Constrain the link to a finite capacity.
-    pub fn with_bandwidth_mbps(mut self, mbps: f64) -> Self {
-        self.bandwidth_mbps = Some(mbps);
-        self
-    }
-
-    /// Serialization time of `bytes` on this link ([`SimDuration::ZERO`]
-    /// when unconstrained).
-    pub fn serialization(&self, bytes: u32) -> SimDuration {
-        match self.bandwidth_mbps {
-            Some(mbps) if mbps > 0.0 => {
-                SimDuration::from_nanos((bytes as f64 * 8.0 * 1_000.0 / mbps) as u64)
-            }
-            _ => SimDuration::ZERO,
         }
     }
 
@@ -122,58 +74,28 @@ impl DelayModel {
         self
     }
 
-    /// Add a transient congestion episode.
-    pub fn with_episode(mut self, e: CongestionEpisode) -> Self {
-        self.episodes.push(e);
-        self
-    }
-
     /// Set the jitter mean.
     pub fn with_jitter_ms(mut self, ms: f64) -> Self {
         self.jitter_mean_ms = ms;
         self
     }
 
-    /// Set a persistent extra delay.
-    pub fn with_persistent_extra_ms(mut self, ms: f64) -> Self {
-        self.persistent_extra_ms = ms;
-        self
-    }
-
-    /// Sample the one-way delay for a frame entering the link at `now`.
+    /// Sample the one-way delay for a frame entering the link at `now`:
+    /// the jitter-free [`floor_at`](Self::floor_at) plus exponential
+    /// jitter.
     pub fn sample(&self, now: SimTime, rng: &mut StdRng) -> SimDuration {
-        let mut extra_ms = self.persistent_extra_ms;
+        let mut jitter_ms = 0.0;
         if self.jitter_mean_ms > 0.0 {
-            extra_ms += exponential(rng, 1.0 / self.jitter_mean_ms);
-        }
-        if self.jitter_uniform_ms > 0.0 {
-            extra_ms += rng.random::<f64>() * self.jitter_uniform_ms;
-        }
-        for e in &self.episodes {
-            if e.active_at(now) && e.extra_mean_ms > 0.0 {
-                extra_ms += exponential(rng, 1.0 / e.extra_mean_ms);
-            }
-        }
-        for e in &self.persistent_episodes {
-            if e.active_at(now) {
-                extra_ms += e.extra_mean_ms;
-            }
+            jitter_ms += exponential(rng, 1.0 / self.jitter_mean_ms);
         }
         // Touch the RNG even without jitter so enabling/disabling episodes
         // far in the future does not silently shift unrelated samples.
         let _ = rng.random::<u32>();
-        self.base + SimDuration::from_millis_f64(extra_ms)
-    }
-
-    /// The minimum achievable one-way delay (no jitter, no episodes).
-    #[inline]
-    pub fn floor(&self) -> SimDuration {
-        self.base + SimDuration::from_millis_f64(self.persistent_extra_ms)
+        self.base + SimDuration::from_millis_f64(self.plus_episodes(now, jitter_ms))
     }
 
     /// A hard lower bound on *every* traversal of this link, at any time:
-    /// `base`. All other terms — exponential and uniform jitter,
-    /// persistent extras, congestion episodes, serialization, injected
+    /// `base`. All other terms — jitter, persistent episodes, injected
     /// jitter spikes — only add delay. The sharded scheduler's
     /// conservative lookahead is the minimum of this bound over all
     /// cross-shard links: a shard that has processed everything before
@@ -185,37 +107,33 @@ impl DelayModel {
     }
 
     /// True when [`sample`](Self::sample) draws nothing from its RNG that
-    /// affects the result: no exponential or uniform jitter, and no
-    /// transient episode with a positive mean. Links with such models
-    /// skip RNG construction and per-frame sampling entirely — each link
-    /// owns an isolated random stream, so never touching it cannot shift
-    /// any other stream.
+    /// affects the result: no jitter. Such a model's `sample` equals
+    /// [`floor_at`](Self::floor_at), so its links skip RNG construction
+    /// and per-frame sampling entirely — each link owns an isolated random
+    /// stream, so never touching it cannot shift any other stream.
     pub fn is_deterministic(&self) -> bool {
         self.jitter_mean_ms <= 0.0
-            && self.jitter_uniform_ms <= 0.0
-            && self.episodes.iter().all(|e| e.extra_mean_ms <= 0.0)
-    }
-
-    /// [`sample`](Self::sample) for deterministic models (see
-    /// [`is_deterministic`](Self::is_deterministic)), computed without an
-    /// RNG. Bit-identical to what `sample` returns on such a model.
-    pub fn sample_deterministic(&self, now: SimTime) -> SimDuration {
-        debug_assert!(self.is_deterministic());
-        self.floor_at(now)
     }
 
     /// The jitter-free one-way delay for a frame entering the link at
-    /// `now`: base, persistent extra and any active persistent episode,
-    /// with no random term. ARP frames travel at this delay so they never
-    /// touch a link's random stream.
+    /// `now`: base plus any active persistent episode, with no random
+    /// term. Deterministic links and ARP frames travel at this delay, so
+    /// they never touch a link's random stream.
     pub fn floor_at(&self, now: SimTime) -> SimDuration {
-        let mut extra_ms = self.persistent_extra_ms;
+        self.base + SimDuration::from_millis_f64(self.plus_episodes(now, 0.0))
+    }
+
+    /// `extra_ms` plus the extra delay of every persistent episode active
+    /// at `now`, summed in episode order. `sample` passes its jitter in
+    /// rather than adding a separate episode sum, so the floating-point
+    /// additions keep the order every recorded artifact was produced with.
+    fn plus_episodes(&self, now: SimTime, mut extra_ms: f64) -> f64 {
         for e in &self.persistent_episodes {
             if e.active_at(now) {
                 extra_ms += e.extra_mean_ms;
             }
         }
-        self.base + SimDuration::from_millis_f64(extra_ms)
+        extra_ms
     }
 }
 
@@ -248,38 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn episode_applies_only_inside_window() {
-        let m = DelayModel::ideal(SimDuration::from_millis(1)).with_episode(CongestionEpisode {
-            start: SimTime(1_000),
-            end: SimTime(2_000),
-            extra_mean_ms: 50.0,
-        });
-        let mut r = rng();
-        // Outside: exact base.
-        assert_eq!(m.sample(SimTime(0), &mut r), SimDuration::from_millis(1));
-        assert_eq!(
-            m.sample(SimTime(2_000), &mut r),
-            SimDuration::from_millis(1)
-        );
-        // Inside: almost surely above base (mean 50 ms extra).
-        let mut raised = 0;
-        for _ in 0..50 {
-            if m.sample(SimTime(1_500), &mut r) > SimDuration::from_millis(2) {
-                raised += 1;
-            }
-        }
-        assert!(raised > 45, "{raised}");
-    }
-
-    #[test]
-    fn persistent_extra_raises_floor() {
-        let m = DelayModel::ideal(SimDuration::from_millis(1)).with_persistent_extra_ms(3.0);
-        assert_eq!(m.floor(), SimDuration::from_millis(4));
-        let mut r = rng();
-        assert!(m.sample(SimTime::ZERO, &mut r) >= SimDuration::from_millis(4));
-    }
-
-    #[test]
     fn persistent_episode_raises_the_floor_inside_its_window() {
         let m = DelayModel::ideal(SimDuration::from_millis(1)).with_persistent_episode(
             CongestionEpisode {
@@ -295,39 +181,22 @@ mod tests {
     }
 
     #[test]
-    fn uniform_jitter_is_bounded() {
-        let m = DelayModel::ideal(SimDuration::from_millis(1)).with_jitter_uniform_ms(8.0);
-        let mut r = rng();
-        for _ in 0..500 {
-            let d = m.sample(SimTime::ZERO, &mut r);
-            assert!(d >= SimDuration::from_millis(1));
-            assert!(d <= SimDuration::from_millis_f64(9.0));
-        }
-    }
-
-    #[test]
     fn deterministic_models_sample_without_an_rng() {
-        let windowed = CongestionEpisode {
-            start: SimTime(100),
-            end: SimTime(200),
-            extra_mean_ms: 6.0,
-        };
-        let det = DelayModel::ideal(SimDuration::from_millis(2))
-            .with_persistent_extra_ms(1.0)
-            .with_persistent_episode(windowed);
+        let det = DelayModel::ideal(SimDuration::from_millis(2)).with_persistent_episode(
+            CongestionEpisode {
+                start: SimTime(100),
+                end: SimTime(200),
+                extra_mean_ms: 6.0,
+            },
+        );
         assert!(det.is_deterministic());
         let mut r = rng();
         for t in [SimTime(0), SimTime(150), SimTime(300)] {
-            assert_eq!(det.sample_deterministic(t), det.sample(t, &mut r));
+            assert_eq!(det.floor_at(t), det.sample(t, &mut r));
         }
-        // Any stochastic term disqualifies the fast path.
+        // Jitter disqualifies the fast path.
         assert!(!DelayModel::with_one_way_ms(1.0).is_deterministic());
-        assert!(!DelayModel::ideal(SimDuration::ZERO)
-            .with_jitter_uniform_ms(1.0)
-            .is_deterministic());
-        assert!(!DelayModel::ideal(SimDuration::ZERO)
-            .with_episode(windowed)
-            .is_deterministic());
+        assert!(!det.with_jitter_ms(0.5).is_deterministic());
     }
 
     #[test]

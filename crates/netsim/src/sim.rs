@@ -23,8 +23,8 @@
 //!   (see `fault.rs`).
 //!
 //! ARP frames touch none of these streams: they travel at the link's
-//! jitter-free delay ([`DelayModel::floor_at`]), skip the fault injector,
-//! never occupy a transmit queue and never advance a router's RNG index.
+//! jitter-free delay ([`DelayModel::floor_at`]), skip the fault injector
+//! and never advance a router's RNG index.
 //! So the number of ARP copies a fabric delivers cannot move an IP result.
 //!
 //! None of these depend on how entities are assigned to shards, so any
@@ -36,7 +36,7 @@
 //! non-negative), and windows never extend past `t_min + lookahead`.
 
 use crate::event::{Event, EventKey, EventQueue};
-use crate::fault::{FaultCounts, FaultEvent, FaultInjector, TxFaults, DUPLICATE_GAP};
+use crate::fault::{FaultCounts, FaultInjector, TxFaults, DUPLICATE_GAP};
 use crate::frame::{ArpOp, Frame, FrameArena, IcmpMessage, MacAddr, Payload};
 use crate::host::Host;
 use crate::link::DelayModel;
@@ -191,9 +191,6 @@ struct DirState {
     /// a pure function of each direction's own traffic, independent of the
     /// shard layout.
     rng: Option<StdRng>,
-    /// Transmit-queue horizon: the instant this direction's line becomes
-    /// idle (finite-bandwidth links only).
-    busy_until: SimTime,
 }
 
 /// A frame in transit to another shard, buffered until the next barrier.
@@ -264,10 +261,6 @@ struct Shard {
     events_by_kind: [u64; EV_KINDS],
     /// Frames dropped because a device transmitted on an unconnected port.
     dropped_unconnected: u64,
-    /// Largest per-link transmit-queue depth seen (frames waiting ahead of
-    /// a newly enqueued frame, plus itself). Only tracked while
-    /// observability is on.
-    queue_depth_hwm: u64,
     /// Commutative trace digest: the wrapping sum of a mixed hash of
     /// `(time, node, kind)` over every dispatched event. Addition commutes,
     /// so the merged digest is independent of how events interleave across
@@ -325,12 +318,6 @@ const EV_COUNTERS: [&str; EV_KINDS] = [
     "netsim.sim.events.timer",
 ];
 
-/// How many windows pass between memory-budget checks. Measuring retained
-/// capacity walks every shard's bucket ring, so the check amortizes over a
-/// batch of windows; capacity only ever grows with the in-flight peak, so
-/// a late check bounds the same maximum.
-const BUDGET_CHECK_WINDOWS: u64 = 64;
-
 #[inline]
 fn mix64(mut x: u64) -> u64 {
     // splitmix64 finalizer: cheap, well-distributed, dependency-free.
@@ -364,7 +351,6 @@ impl Shard {
             events_processed: 0,
             events_by_kind: [0; EV_KINDS],
             dropped_unconnected: 0,
-            queue_depth_hwm: 0,
             digest: 0,
             outbox: (0..total).map(|_| Vec::new()).collect(),
             handoffs: 0,
@@ -374,8 +360,7 @@ impl Shard {
     }
 
     /// Exact heap bytes retained by this shard's data-plane storage: the
-    /// event queue's bucket capacity plus the frame arena's slots. The
-    /// quantity [`Network::set_memory_budget`] bounds.
+    /// event queue's bucket capacity plus the frame arena's slots.
     fn retained_bytes(&self) -> u64 {
         self.queue.retained_bytes() + self.frames.retained_bytes()
     }
@@ -490,9 +475,9 @@ impl Shard {
                         continue; // unconnected port: drop
                     };
                     // ARP traffic is invisible to every random stream: it
-                    // bypasses fault decisions, draws no jitter and leaves
-                    // the transmit queue to IP frames. How many ARP copies
-                    // a fabric delivers can then never move an IP result.
+                    // bypasses fault decisions and draws no jitter. How
+                    // many ARP copies a fabric delivers can then never move
+                    // an IP result.
                     let arp = matches!(frame.payload, Payload::Arp(_));
                     let fx = match self.faults.as_mut() {
                         Some(inj) if !arp => {
@@ -503,32 +488,8 @@ impl Shard {
                     if fx.drop {
                         continue; // injected loss: the frame never transmits
                     }
-                    let ready = self.now + after;
-                    let delay_model = &ctx.links[att.link as usize].delay;
-                    // Finite-bandwidth links serialize frames through a
-                    // per-direction FIFO: transmission starts when both the
-                    // frame and the line are ready.
-                    let tx_time = delay_model.serialization(frame.wire_size());
-                    let ds = &mut self.dirs[att.dir_loc as usize];
-                    let start = ready.max(ds.busy_until);
-                    if ctx.obs_active && (self.events_processed & 63) == 0 {
-                        // Queue depth behind this frame, in frames: backlog
-                        // wait divided by one serialization time, plus the
-                        // frame itself. Sampled on power-of-two per-shard
-                        // event counts so the gauge costs nothing in steady
-                        // state. Pure read — never feeds back into the
-                        // simulation (which is why a shard-count-dependent
-                        // sampling phase is acceptable here).
-                        let tx_ns = tx_time.nanos();
-                        if tx_ns > 0 && start > ready {
-                            let depth = (start.nanos() - ready.nanos()) / tx_ns + 1;
-                            self.queue_depth_hwm = self.queue_depth_hwm.max(depth);
-                        }
-                    }
-                    let tx_done = start + tx_time;
-                    if !arp {
-                        ds.busy_until = tx_done;
-                    }
+                    let start = self.now + after;
+                    let link = &ctx.links[att.link as usize];
                     if ctx.obs_active {
                         // Per-class wire-byte timelines, keyed by transmit
                         // start (sim time) and the link's *canonical* role —
@@ -537,7 +498,7 @@ impl Shard {
                         let bytes = frame.wire_size() as u64;
                         let t = start.nanos();
                         let (rates, rec) = (&mut self.tl_rates, &mut self.timeline);
-                        match ctx.links[att.link as usize].class {
+                        match link.class {
                             LinkClass::Core => {}
                             LinkClass::Access => rates.add(rec, TL_ACCESS_BYTES, t, bytes),
                             LinkClass::InterSite => {
@@ -547,11 +508,11 @@ impl Shard {
                             LinkClass::Pseudowire => rates.add(rec, TL_PSEUDOWIRE_BYTES, t, bytes),
                         }
                     }
-                    let delay = match ds.rng.as_mut() {
-                        Some(rng) if !arp => delay_model.sample(start, rng),
-                        _ => delay_model.floor_at(start),
+                    let delay = match self.dirs[att.dir_loc as usize].rng.as_mut() {
+                        Some(rng) if !arp => link.delay.sample(start, rng),
+                        _ => link.delay.floor_at(start),
                     };
-                    let arrival = tx_done + delay + fx.extra_delay;
+                    let arrival = start + delay + fx.extra_delay;
                     if fx.duplicate {
                         let key = self.next_key(node, loc);
                         self.deliver(ctx, &att, arrival + DUPLICATE_GAP, key, frame);
@@ -658,19 +619,6 @@ pub struct Network {
     barrier_rounds: u64,
     /// Wall-clock nanoseconds spent inside barriers (obs runs only).
     barrier_wait_ns: u64,
-    /// Optional byte budget for the network's retained per-shard capacity
-    /// (frame-arena slots plus event-queue buckets). `None` — the default —
-    /// never shrinks, preserving the grow-only high-water behavior.
-    memory_budget: Option<u64>,
-    /// Capacity-eviction rounds executed under the budget (a round =
-    /// one shard found over its cap and shrunk).
-    shrink_rounds: u64,
-    /// Total bytes released by capacity evictions.
-    shrink_bytes: u64,
-    /// Largest per-shard retained-capacity byte count observed (sampled at
-    /// budget checks and at the final flush).
-    arena_bytes_hwm: u64,
-    obs_flushed_shrinks: u64,
     /// Debug-only extra delay on cross-shard deliveries; breaks the
     /// shard-count invariance on purpose so oracle tests can prove their
     /// checkers fire. Zero in all real runs.
@@ -714,11 +662,6 @@ impl Network {
             flood_arp: false,
             barrier_rounds: 0,
             barrier_wait_ns: 0,
-            memory_budget: None,
-            shrink_rounds: 0,
-            shrink_bytes: 0,
-            arena_bytes_hwm: 0,
-            obs_flushed_shrinks: 0,
             xshard_skew: SimDuration::ZERO,
             timeline_scope: None,
         }
@@ -737,66 +680,17 @@ impl Network {
         self.shards.len() as u32
     }
 
-    /// Cap the network's retained per-shard capacity (frame-arena slots
-    /// plus event-queue buckets) at `bytes`, split evenly across shards.
-    /// Enforcement happens between windows by releasing *idle* capacity —
-    /// drained queue buckets, fully-freed arena slots — so pending events
-    /// and in-flight frames are never touched and every simulation result
-    /// is byte-identical with or without a budget. Purely a peak-RSS
-    /// policy, like the shard count itself.
-    pub fn set_memory_budget(&mut self, bytes: u64) {
-        self.memory_budget = Some(bytes);
-    }
-
     /// Exact heap bytes currently retained by every shard's data-plane
-    /// storage (capacity, not occupancy).
+    /// storage (capacity, not occupancy). Nothing ever shrinks, so after a
+    /// run this is the network's high-water capacity.
     pub fn retained_bytes(&self) -> u64 {
         self.shards.iter().map(Shard::retained_bytes).sum()
-    }
-
-    /// Capacity-eviction rounds executed so far under the memory budget.
-    pub fn capacity_evictions(&self) -> u64 {
-        self.shrink_rounds
-    }
-
-    /// Total bytes released by capacity evictions so far.
-    pub fn bytes_reclaimed(&self) -> u64 {
-        self.shrink_bytes
-    }
-
-    /// Release idle capacity on every shard over its per-shard cap. Called
-    /// between windows (every [`BUDGET_CHECK_WINDOWS`]) and once after the
-    /// final drain; a no-op without a configured budget.
-    fn enforce_budget(&mut self) {
-        let Some(budget) = self.memory_budget else {
-            return;
-        };
-        let cap = budget / self.shards.len().max(1) as u64;
-        for s in &mut self.shards {
-            let held = s.retained_bytes();
-            self.arena_bytes_hwm = self.arena_bytes_hwm.max(held);
-            if held <= cap {
-                continue;
-            }
-            // Queue capacity first (drained buckets dominate the slack),
-            // then the arena gets whatever headroom remains.
-            let mut freed = s
-                .queue
-                .shrink_retained(cap.saturating_sub(s.frames.retained_bytes()));
-            freed += s
-                .frames
-                .shrink_retained(cap.saturating_sub(s.queue.retained_bytes()));
-            if freed > 0 {
-                self.shrink_rounds += 1;
-                self.shrink_bytes += freed;
-            }
-        }
     }
 
     /// Install a fault injector; every subsequent frame transmission
     /// consults it. Replaces any previously installed injector. Each shard
     /// gets its own copy — decision streams are keyed by `(link, dir)`, so
-    /// the copies never interfere and tallies/logs merge exactly.
+    /// the copies never interfere and tallies merge exactly.
     pub fn install_faults(&mut self, injector: FaultInjector) {
         let cfg = injector.config().clone();
         for s in &mut self.shards {
@@ -814,12 +708,6 @@ impl Network {
             }
         }
         total
-    }
-
-    /// The injector's replay log in canonical order, merged across shards
-    /// (empty without an injector).
-    pub fn fault_log(&self) -> Vec<FaultEvent> {
-        FaultInjector::merge_logs(self.shards.iter().filter_map(|s| s.faults.as_ref()))
     }
 
     fn add_node_on(&mut self, shard: usize, device: Device) -> NodeId {
@@ -917,7 +805,6 @@ impl Network {
                 } else {
                     Some(seed::rng2(seed, "link", link_idx as u64, dir as u64))
                 },
-                busy_until: SimTime::ZERO,
             });
             loc
         };
@@ -1037,15 +924,6 @@ impl Network {
         }
     }
 
-    /// Current simulated time: the furthest any shard has advanced.
-    pub fn now(&self) -> SimTime {
-        self.shards
-            .iter()
-            .map(|s| s.now)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
     /// Total events processed so far, across all shards.
     pub fn events_processed(&self) -> u64 {
         self.shards.iter().map(|s| s.events_processed).sum()
@@ -1067,16 +945,6 @@ impl Network {
     /// Frames dropped so far at unconnected ports.
     pub fn frames_dropped_unconnected(&self) -> u64 {
         self.shards.iter().map(|s| s.dropped_unconnected).sum()
-    }
-
-    /// Largest per-link transmit-queue depth observed (0 unless a run
-    /// executed with observability enabled).
-    pub fn queue_depth_hwm(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.queue_depth_hwm)
-            .max()
-            .unwrap_or(0)
     }
 
     /// Frames that crossed a shard boundary so far.
@@ -1248,9 +1116,9 @@ impl Network {
         }
     }
 
-    /// Push the run's event/drop deltas, queue-depth high-water mark, and
-    /// (multi-shard runs) barrier statistics to the process-wide metrics
-    /// registry.
+    /// Push the run's event/drop deltas, the largest shard's retained
+    /// capacity, and (multi-shard runs) barrier statistics to the
+    /// process-wide metrics registry.
     fn flush_obs(&mut self) {
         if !self.obs_active {
             return;
@@ -1271,20 +1139,13 @@ impl Network {
         rp_obs::counter!("netsim.sim.frames_dropped_unconnected")
             .add(drops - self.obs_flushed_drops);
         self.obs_flushed_drops = drops;
-        rp_obs::gauge!("netsim.link.queue_depth_hwm").record_max(self.queue_depth_hwm());
         let held = self
             .shards
             .iter()
             .map(Shard::retained_bytes)
             .max()
             .unwrap_or(0);
-        self.arena_bytes_hwm = self.arena_bytes_hwm.max(held);
-        rp_obs::gauge!("netsim.shard.arena_bytes").record_max(self.arena_bytes_hwm);
-        if self.shrink_rounds > self.obs_flushed_shrinks {
-            rp_obs::counter!("netsim.shard.capacity_evictions")
-                .add(self.shrink_rounds - self.obs_flushed_shrinks);
-            self.obs_flushed_shrinks = self.shrink_rounds;
-        }
+        rp_obs::gauge!("netsim.shard.arena_bytes").record_max(held);
         if self.shards.len() > 1 {
             rp_obs::gauge!("netsim.shard.count").record_max(self.shards.len() as u64);
             rp_obs::counter!("netsim.shard.barriers")
@@ -1322,68 +1183,40 @@ impl Network {
         }
     }
 
-    /// The bounded-lag event loop: repeatedly pick the global minimum
-    /// pending time, drain every shard up to `t_min + lookahead`, then
-    /// exchange cross-shard frames at the barrier.
-    fn drain(&mut self, deadline: Option<SimTime>) {
+    /// Run until no events remain: the bounded-lag event loop. Repeatedly
+    /// pick the global minimum pending time, drain every shard up to
+    /// `t_min + lookahead`, then exchange cross-shard frames at the
+    /// barrier.
+    pub fn run_to_completion(&mut self) {
         self.obs_active = rp_obs::enabled();
         let _sp = rp_obs::span("netsim.run");
         let lookahead = self.lookahead();
         if self.owners.is_none() {
             self.owners = Some(self.owner_table());
         }
-        let mut windows = 0u64;
-        loop {
-            let t_min = self
-                .shards
-                .iter_mut()
-                .filter_map(|s| s.queue.peek_time())
-                .min();
-            let Some(t_min) = t_min else { break };
-            if deadline.is_some_and(|d| t_min > d) {
-                break;
-            }
+        while let Some(t_min) = self
+            .shards
+            .iter_mut()
+            .filter_map(|s| s.queue.peek_time())
+            .min()
+        {
             // Window horizon is exclusive. With cross-shard links the
             // lookahead is positive (enforced above), so the window always
             // contains the t_min event: progress is guaranteed.
-            let mut horizon = match lookahead {
+            let horizon = match lookahead {
                 Some(l) => SimTime(t_min.nanos().saturating_add(l.nanos())),
                 None => SimTime(u64::MAX),
             };
-            if let Some(d) = deadline {
-                horizon = horizon.min(SimTime(d.nanos().saturating_add(1)));
-            }
             self.run_window(horizon);
             self.deliver_handoffs();
-            windows += 1;
-            if self.memory_budget.is_some() && windows % BUDGET_CHECK_WINDOWS == 0 {
-                self.enforce_budget();
-            }
-        }
-        self.enforce_budget();
-        if let Some(d) = deadline {
-            for s in &mut self.shards {
-                s.now = s.now.max(d);
-            }
         }
         self.flush_obs();
-    }
-
-    /// Run until the queue drains or the next event lies beyond `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        self.drain(Some(deadline));
-    }
-
-    /// Run until no events remain.
-    pub fn run_to_completion(&mut self) {
-        self.drain(None);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::CongestionEpisode;
 
     fn ip(s: &str) -> Ipv4Addr {
         s.parse().unwrap()
@@ -1554,64 +1387,6 @@ mod tests {
         assert!(ho2 > 0, "the remote chain must actually cross shards");
     }
 
-    /// A memory budget is pure peak-RSS policy: the tightest possible cap
-    /// must reproduce the uncapped run bit for bit, while actually
-    /// releasing retained capacity along the way.
-    #[test]
-    fn memory_budget_is_invisible_to_results() {
-        let run = |budget: Option<u64>| {
-            let mut f = figure1_sharded(42, 2);
-            if let Some(b) = budget {
-                f.net.set_memory_budget(b);
-            }
-            ping_n(&mut f.net, f.lg, f.direct_ip, 8);
-            ping_n(&mut f.net, f.lg, f.remote_ip, 8);
-            f.net.run_to_completion();
-            (
-                f.net.host(f.lg).outcomes().to_vec(),
-                f.net.events_processed(),
-                f.net.trace_digest(),
-                f.net.bytes_reclaimed(),
-            )
-        };
-        let (out_free, ev_free, dig_free, rec_free) = run(None);
-        // A 1-byte budget forces a shrink at every check: the harshest cap.
-        let (out_cap, ev_cap, dig_cap, rec_cap) = run(Some(1));
-        assert_eq!(out_free, out_cap, "budget must not change outcomes");
-        assert_eq!(ev_free, ev_cap, "budget must not change the event count");
-        assert_eq!(dig_free, dig_cap, "budget must not change the trace");
-        assert_eq!(rec_free, 0, "no budget, no evictions");
-        assert!(rec_cap > 0, "an over-budget run must release capacity");
-    }
-
-    /// Budget enforcement releases only idle capacity: after a capped run
-    /// the retained bytes are below the uncapped run's, and the network
-    /// still works (a follow-up ping regrows what it needs).
-    #[test]
-    fn memory_budget_bounds_retained_capacity() {
-        let mut f = figure1(43);
-        ping_n(&mut f.net, f.lg, f.direct_ip, 8);
-        f.net.run_to_completion();
-        let uncapped = f.net.retained_bytes();
-
-        let mut g = figure1(43);
-        g.net.set_memory_budget(1);
-        ping_n(&mut g.net, g.lg, g.direct_ip, 8);
-        g.net.run_to_completion();
-        assert!(
-            g.net.retained_bytes() < uncapped,
-            "capped {} must hold less than uncapped {}",
-            g.net.retained_bytes(),
-            uncapped
-        );
-        assert!(g.net.capacity_evictions() > 0);
-        // The shrunk network keeps working: capacity regrows on demand.
-        let before = g.net.host(g.lg).outcomes().len();
-        g.net.plan_ping(g.lg, SimTime(1 << 40), g.direct_ip);
-        g.net.run_to_completion();
-        assert_eq!(g.net.host(g.lg).outcomes().len(), before + 1);
-    }
-
     /// The broken-oracle hook: skewing cross-shard deliveries must change
     /// observables, proving the equivalence assertions above have teeth.
     #[test]
@@ -1698,6 +1473,8 @@ mod tests {
         }
     }
 
+    /// A persistent episode lifts the delay floor only inside its window:
+    /// every probe during it is slow, and the minimum recovers after.
     #[test]
     fn congestion_episode_inflates_rtt_but_min_recovers() {
         let mut net = Network::new(4);
@@ -1709,7 +1486,7 @@ mod tests {
             initial_ttl: 255,
             ..Default::default()
         });
-        let episode = CongestionEpisode {
+        let episode = crate::link::CongestionEpisode {
             start: SimTime::ZERO,
             end: SimTime::ZERO + SimDuration::from_secs(100),
             extra_mean_ms: 40.0,
@@ -1717,11 +1494,11 @@ mod tests {
         let (_, mp) = net.connect(
             fabric,
             member,
-            DelayModel::with_one_way_ms(0.4).with_episode(episode),
+            DelayModel::with_one_way_ms(0.4).with_persistent_episode(episode),
         );
         net.bind_router(member, mp, ip("10.0.0.10"));
 
-        // Probes both during and after the congestion window.
+        // Probes both during and after the episode.
         for k in 0..5 {
             net.plan_ping(
                 lg,
@@ -1745,70 +1522,13 @@ mod tests {
             .map(|r| r.rtt.as_millis_f64())
             .collect();
         assert_eq!(rtts.len(), 10);
-        let during_max = rtts[..5].iter().cloned().fold(0.0, f64::max);
+        let during_min = rtts[..5].iter().cloned().fold(f64::INFINITY, f64::min);
         let after_min = rtts[5..].iter().cloned().fold(f64::INFINITY, f64::min);
-        assert!(during_max > 5.0, "congestion visible: max {during_max} ms");
-        assert!(after_min < 3.0, "min-RTT recovers: {after_min} ms");
-    }
-
-    #[test]
-    fn finite_bandwidth_serializes_back_to_back_frames() {
-        // A 1 Mbps member access link: a 98-byte ping takes 784 µs on the
-        // wire, so five pings fired simultaneously drain as a FIFO and the
-        // k-th reply is delayed by ~k·784 µs of queueing on the request
-        // direction.
-        let mut net = Network::new(11);
-        let fabric = net.add_switch();
-        let lg = net.add_host();
-        let (_, lgp) = net.connect(fabric, lg, DelayModel::ideal(SimDuration::from_micros(5)));
-        net.bind_host(lg, lgp, ip("10.0.0.1"));
-        let member = net.add_router(RouterBehavior {
-            initial_ttl: 255,
-            proc_delay_us: (10, 10),
-            ..Default::default()
-        });
-        let (_, mp) = net.connect(
-            fabric,
-            member,
-            DelayModel::ideal(SimDuration::from_micros(50)).with_bandwidth_mbps(1.0),
-        );
-        net.bind_router(member, mp, ip("10.0.0.10"));
-        // Resolve ARP first so the burst is pure echo traffic.
-        net.plan_ping(
-            lg,
-            SimTime::ZERO + SimDuration::from_secs(1),
-            ip("10.0.0.10"),
-        );
-        for _ in 0..5 {
-            net.plan_ping(
-                lg,
-                SimTime::ZERO + SimDuration::from_secs(2),
-                ip("10.0.0.10"),
-            );
-        }
-        net.run_to_completion();
-        let rtts: Vec<f64> = net
-            .host(lg)
-            .outcomes()
-            .iter()
-            .skip(1)
-            .filter_map(|o| o.reply)
-            .map(|r| r.rtt.as_millis_f64())
-            .collect();
-        assert_eq!(rtts.len(), 5);
-        // Strictly increasing queueing delay across the burst...
-        for w in rtts.windows(2) {
-            assert!(
-                w[1] > w[0] + 0.5,
-                "queueing must separate replies: {rtts:?}"
-            );
-        }
-        // ... by roughly one serialization time (0.784 ms) per position.
-        let spread = rtts[4] - rtts[0];
         assert!(
-            (2.5..5.0).contains(&spread),
-            "spread {spread} ms over the burst"
+            during_min > 80.0,
+            "episode lifts the floor: min {during_min} ms"
         );
+        assert!(after_min < 3.0, "min-RTT recovers: {after_min} ms");
     }
 
     #[test]
@@ -1888,26 +1608,24 @@ mod tests {
             ping_n(&mut f.net, f.lg, f.direct_ip, 30);
             f.net.run_to_completion();
             let outcomes = f.net.host(f.lg).outcomes().to_vec();
-            (outcomes, f.net.fault_counts(), f.net.fault_log())
+            (outcomes, f.net.fault_counts())
         };
-        let (a_out, a_counts, a_log) = run(7, 1);
-        let (b_out, b_counts, b_log) = run(7, 1);
+        let (a_out, a_counts) = run(7, 1);
+        let (b_out, b_counts) = run(7, 1);
         assert_eq!(a_out, b_out, "same fault seed must replay bit for bit");
         assert_eq!(a_counts, b_counts);
-        assert_eq!(a_log, b_log);
         assert!(a_counts.total() > 0, "faults must actually fire");
         assert!(a_counts.probe_drops > 0, "{a_counts:?}");
         let lost = a_out.iter().filter(|o| o.reply.is_none()).count();
         assert!(lost > 0, "probe loss must cost replies");
 
         // Fault decisions key on (link, dir), so the shard layout cannot
-        // change what fires — counts and merged log included.
-        let (s_out, s_counts, s_log) = run(7, 2);
+        // change what fires — counts included.
+        let (s_out, s_counts) = run(7, 2);
         assert_eq!(a_out, s_out, "fault outcomes must survive sharding");
         assert_eq!(a_counts, s_counts);
-        assert_eq!(a_log, s_log);
 
-        let (c_out, c_counts, _) = run(8, 1);
+        let (c_out, c_counts) = run(8, 1);
         assert!(
             a_out != c_out || a_counts != c_counts,
             "different fault seeds must differ somewhere"
@@ -1969,50 +1687,5 @@ mod tests {
             .count();
         assert_eq!(answered, 0, "nothing crosses a flapping link");
         assert!(f.net.fault_counts().flap_drops > 0);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut f = figure1(5);
-        ping_n(&mut f.net, f.lg, f.direct_ip, 5); // at t = 1..5 s
-        f.net
-            .run_until(SimTime::ZERO + SimDuration::from_millis(1_500));
-        let answered = f
-            .net
-            .host(f.lg)
-            .outcomes()
-            .iter()
-            .filter(|o| o.reply.is_some())
-            .count();
-        assert_eq!(answered, 1, "only the first probe fits before the deadline");
-        f.net.run_to_completion();
-        let answered = f
-            .net
-            .host(f.lg)
-            .outcomes()
-            .iter()
-            .filter(|o| o.reply.is_some())
-            .count();
-        assert_eq!(answered, 5);
-    }
-
-    /// Deadlines compose with sharding: pausing at a deadline and resuming
-    /// must land exactly where an uninterrupted run does.
-    #[test]
-    fn sharded_run_until_resumes_exactly() {
-        let mut f = figure1_sharded(5, 2);
-        ping_n(&mut f.net, f.lg, f.remote_ip, 5);
-        f.net
-            .run_until(SimTime::ZERO + SimDuration::from_millis(2_500));
-        f.net.run_to_completion();
-        let mut g = figure1_sharded(5, 2);
-        ping_n(&mut g.net, g.lg, g.remote_ip, 5);
-        g.net.run_to_completion();
-        assert_eq!(
-            f.net.host(f.lg).outcomes(),
-            g.net.host(g.lg).outcomes(),
-            "pause/resume must not perturb the run"
-        );
-        assert_eq!(f.net.trace_digest(), g.net.trace_digest());
     }
 }

@@ -144,22 +144,37 @@ proptest! {
         }
     }
 
+    /// Jitter only adds to the jitter-free floor, episodes included; with
+    /// no jitter the two are equal, which is what lets deterministic links
+    /// skip their random stream and ARP frames travel at `floor_at`.
     #[test]
     fn delay_samples_never_undershoot_the_floor(
         base_ms in 0.0f64..50.0,
         jitter in 0.0f64..20.0,
-        uniform in 0.0f64..20.0,
-        persistent in 0.0f64..10.0,
+        jittered in any::<bool>(),
+        start in 0u64..50_000,
+        len in 1u64..50_000,
+        extra in 0.0f64..10.0,
         rng_seed in any::<u64>(),
     ) {
+        let episode = |start: u64| CongestionEpisode {
+            start: SimTime(start),
+            end: SimTime(start + len),
+            extra_mean_ms: extra,
+        };
+        // Two overlapping episodes, so their extras also stack.
         let model = DelayModel::with_one_way_ms(base_ms)
-            .with_jitter_ms(jitter)
-            .with_jitter_uniform_ms(uniform)
-            .with_persistent_extra_ms(persistent);
+            .with_jitter_ms(if jittered { jitter } else { 0.0 })
+            .with_persistent_episode(episode(start))
+            .with_persistent_episode(episode(start + len / 2));
         let mut rng = seed::rng(rng_seed, "delay", 0);
         for k in 0..50u64 {
-            let d = model.sample(SimTime(k * 1_000), &mut rng);
-            prop_assert!(d >= model.floor(), "{d} < {}", model.floor());
+            let t = SimTime(k * 2_000);
+            let (d, floor) = (model.sample(t, &mut rng), model.floor_at(t));
+            prop_assert!(d >= floor, "{d} < {floor}");
+            if !jittered {
+                prop_assert_eq!(d, floor);
+            }
         }
     }
 

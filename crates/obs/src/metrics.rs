@@ -360,12 +360,6 @@ pub const CATALOG: &[CatalogEntry] = &[
         doc: "Data points consumed across all decay fits",
     },
     CatalogEntry {
-        name: "netsim.link.queue_depth_hwm",
-        kind: "gauge",
-        scale: "events",
-        doc: "High-water mark of any shard's pending event-queue depth",
-    },
-    CatalogEntry {
         name: "netsim.shard.arena_bytes",
         kind: "gauge",
         scale: "bytes",
@@ -382,12 +376,6 @@ pub const CATALOG: &[CatalogEntry] = &[
         kind: "counter",
         scale: "rounds",
         doc: "Epoch-barrier rounds executed by sharded runs",
-    },
-    CatalogEntry {
-        name: "netsim.shard.capacity_evictions",
-        kind: "counter",
-        scale: "rounds",
-        doc: "Shard shrink rounds that released idle capacity under a memory budget",
     },
     CatalogEntry {
         name: "netsim.shard.count",

@@ -1,8 +1,10 @@
 //! Memory-budget regressions: the dense planes keep a built world's
-//! resident bytes proportional to its interface count, and the exact
-//! accounting (`World::approx_bytes`) stays exact.
+//! resident bytes proportional to its interface count, the exact
+//! accounting (`World::approx_bytes`) stays exact, and the per-IXP probe
+//! estimate that sizes budgeted chunks stays conservative.
 
 use remote_peering::world::{World, WorldConfig};
+use remote_peering::Campaign;
 
 /// Pinned ceiling on resident bytes per member interface at `world_scale`
 /// 10 — the scale the `sharded_world` bench and the production preset
@@ -47,4 +49,34 @@ fn approx_bytes_scales_with_the_scene_not_a_constant() {
         big.approx_bytes() > small.approx_bytes(),
         "more interfaces must mean more accounted bytes"
     );
+}
+
+#[test]
+fn approx_probe_bytes_covers_the_largest_paper_scale_ixps() {
+    // The chunk width of a budgeted `probe_all` divides the budget by this
+    // estimate, so it must not undershoot what one IXP really holds: the
+    // simulator's high-water queue and arena capacity plus the finished
+    // probe plane. Checked on the three largest studied IXPs, one shard
+    // each (the default at one site).
+    let world = World::build(&WorldConfig::paper_scale(42));
+    let mut studied: Vec<_> = world.scene.studied().collect();
+    studied.sort_by_key(|x| std::cmp::Reverse(x.members.len()));
+    let campaign = Campaign {
+        shards: 1,
+        ..Campaign::default_paper()
+    };
+    for inst in studied.into_iter().take(3) {
+        let run = campaign.run_ixp(&world, inst.id, false);
+        let held = run.retained_bytes + run.plane.plane_bytes();
+        let estimate = Campaign::approx_probe_bytes(inst);
+        assert!(
+            estimate >= held,
+            "{}: estimate {estimate} bytes < {held} held ({} retained by the \
+             network + {} of probe plane, {} members)",
+            inst.meta.acronym,
+            run.retained_bytes,
+            run.plane.plane_bytes(),
+            inst.members.len()
+        );
+    }
 }
