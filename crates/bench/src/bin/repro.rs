@@ -723,9 +723,11 @@ fn run_bench_command(args: &Args) -> Outcome {
         });
     }
 
-    // Calendar-queue microbenches. Spread: pops chase pushes through
-    // distinct buckets. Burst: 200 same-time events per drain round (the
-    // ARP-flood shape the lazy-sort buckets exist for).
+    // Event-queue microbenches. Both push device keys, so they time the
+    // queue's heap half only; planned pings go to the presorted plan run,
+    // which the probing rows above time. Spread: pops chase pushes at
+    // distinct times. Burst: 200 same-time events per drain round (an ARP
+    // flood's shape).
     let timer = |i: u32| Event::Timer {
         node: NodeId(i),
         token: 0,

@@ -193,11 +193,12 @@ impl Campaign {
     /// only to size [`Campaign::probe_all`] chunks, so it must scale with
     /// the member count and never undershoot, not be exact.
     ///
-    /// Calibrated on seed 42: the three largest paper-scale IXPs hold
-    /// 6.8–7.4 KB per member, production AMS-IX (8,480 members) 12.2 KB.
-    /// The ARP flood term grows faster than the member count, so a larger
-    /// world needs re-measuring (`tests/memory_budget.rs` pins paper
-    /// scale).
+    /// Calibrated on seed 42, one shard: the three largest paper-scale
+    /// IXPs hold 5.6–6.7 KB per member (estimate 2.7–3.2× the held
+    /// bytes), production AMS-IX (8,480 members) 6.9 KB (2.4×). The
+    /// event queue's plan run and the probe plane grow with the member
+    /// count; a larger world still needs re-measuring
+    /// (`tests/memory_budget.rs` pins paper scale).
     pub fn approx_probe_bytes(inst: &IxpInstance) -> u64 {
         (1 << 20) + inst.members.len() as u64 * 16_384
     }

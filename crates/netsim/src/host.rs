@@ -188,12 +188,17 @@ impl Host {
         (plan_idx != NOT_INFLIGHT).then_some(plan_idx)
     }
 
-    fn send_echo(&mut self, now: SimTime, plan_idx: usize, out: &mut Vec<Action>) {
+    /// Send plan `plan_idx`'s echo request to `mac_target`, the MAC the
+    /// caller resolved for the plan's target.
+    fn send_echo(
+        &mut self,
+        now: SimTime,
+        plan_idx: usize,
+        mac_target: MacAddr,
+        out: &mut Vec<Action>,
+    ) {
         let (port, ip, mac) = self.iface.expect("host bound");
         let (_, target, probe_ttl) = self.plans[plan_idx];
-        let Some(mac_target) = self.arp_lookup(target) else {
-            return; // caller guarantees resolution; defensive
-        };
         let seq = self.track_inflight(plan_idx);
         self.outcomes[plan_idx].sent_at = Some(now);
         out.push(Action::send(
@@ -221,8 +226,8 @@ impl Host {
         let Some(&(_, target, _)) = self.plans.get(plan_idx) else {
             return;
         };
-        if self.arp_lookup(target).is_some() {
-            self.send_echo(now, plan_idx, out);
+        if let Some(mac_target) = self.arp_lookup(target) {
+            self.send_echo(now, plan_idx, mac_target, out);
         } else {
             let (port, ip, mac) = self.iface.expect("host bound");
             let waiting = match self.awaiting_arp.binary_search_by_key(&target, |(k, _)| *k) {
@@ -276,7 +281,7 @@ impl Host {
                     {
                         let (_, waiting) = self.awaiting_arp.remove(pos);
                         for plan_idx in waiting {
-                            self.send_echo(now, plan_idx, out);
+                            self.send_echo(now, plan_idx, arp.sender_mac, out);
                         }
                     }
                 }

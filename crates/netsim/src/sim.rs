@@ -1,8 +1,9 @@
 //! The network container and sharded event loop.
 //!
 //! `Network` owns every device and link, partitioned into one or more
-//! *shards* — each with its own calendar event queue, frame arena, RNG
-//! streams, and fault injector. Shards advance in lock-step *windows*
+//! *shards* — each with its own event queue (the campaign's planned pings
+//! in a presorted run beside a small heap for frames in flight; see
+//! `event.rs`), frame arena, RNG streams, and fault injector. Shards advance in lock-step *windows*
 //! bounded by a conservative lookahead (the minimum one-way base delay of
 //! any link that crosses a shard boundary); frames crossing shards are
 //! buffered in per-destination outboxes and delivered at the epoch barrier
@@ -360,7 +361,8 @@ impl Shard {
     }
 
     /// Exact heap bytes retained by this shard's data-plane storage: the
-    /// event queue's bucket capacity plus the frame arena's slots.
+    /// event queue's plan-run and heap capacity plus the frame arena's
+    /// slots.
     fn retained_bytes(&self) -> u64 {
         self.queue.retained_bytes() + self.frames.retained_bytes()
     }

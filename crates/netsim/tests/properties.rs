@@ -117,6 +117,74 @@ proptest! {
         }
     }
 
+    /// The plan run and the heap together pop exactly what a
+    /// sort-everything reference pops: random device and plan pushes
+    /// (plans out of order, plans pushed after a partial drain, same-time
+    /// ties between `PLAN_CREATOR` and device keys) interleaved with `pop`
+    /// and `pop_before`.
+    #[test]
+    fn event_queue_matches_a_sort_everything_reference(
+        ops in proptest::collection::vec((0u8..6, 0u64..8, 0u32..4), 1..200),
+    ) {
+        let mut q = EventQueue::new();
+        let mut reference: Vec<(SimTime, EventKey, u64)> = Vec::new();
+        let mut seqs = [0u64; 4];
+        let mut plan_seq = 0u64;
+        let mut now = 0u64;
+        let pop_reference = |reference: &mut Vec<(SimTime, EventKey, u64)>,
+                                 horizon: SimTime| {
+            let (i, &(at, _, token)) = reference
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, &(at, key, _))| (at, key))?;
+            (at < horizon).then(|| {
+                reference.remove(i);
+                (at, token)
+            })
+        };
+        for (token, &(op, dt, creator)) in ops.iter().enumerate() {
+            let token = token as u64;
+            let at = SimTime(now + dt);
+            match op {
+                0 | 1 => {
+                    let c = creator as usize;
+                    let key = EventKey { creator, seq: seqs[c] };
+                    seqs[c] += 1;
+                    q.push(at, key, Event::Timer { node: NodeId(creator), token });
+                    reference.push((at, key, token));
+                }
+                2 | 3 => {
+                    let key = EventKey { creator: EventKey::PLAN_CREATOR, seq: plan_seq };
+                    plan_seq += 1;
+                    q.push(at, key, Event::Timer { node: NodeId(0), token });
+                    reference.push((at, key, token));
+                }
+                _ => {
+                    let horizon = if op == 4 { SimTime(u64::MAX) } else { at };
+                    let got = if op == 4 { q.pop() } else { q.pop_before(horizon) };
+                    let got = got.map(|(at, e)| match e {
+                        Event::Timer { token, .. } => (at, token),
+                        Event::FrameArrival { .. } => unreachable!("only timers pushed"),
+                    });
+                    let want = pop_reference(&mut reference, horizon);
+                    prop_assert_eq!(got, want, "op {} at now {}", op, now);
+                    if let Some((at, _)) = got {
+                        now = at.nanos();
+                    }
+                }
+            }
+            prop_assert_eq!(q.len(), reference.len());
+        }
+        while let Some(want) = pop_reference(&mut reference, SimTime(u64::MAX)) {
+            let got = q.pop().map(|(at, e)| match e {
+                Event::Timer { token, .. } => (at, token),
+                Event::FrameArrival { .. } => unreachable!("only timers pushed"),
+            });
+            prop_assert_eq!(got, Some(want));
+        }
+        prop_assert!(q.pop().is_none());
+    }
+
     /// The ordering theorem behind the sharded data plane: partition keyed
     /// events across any number of queues, run bounded-lag windows with
     /// barrier-deferred cross-shard spawns, and the concatenation of
