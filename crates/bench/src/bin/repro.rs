@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [EXPERIMENT] [--seed N] [--scale test|paper|production] [--out DIR]
-//!       [--threads N] [--shards N]
+//!       [--threads N]
 //! repro sweep <SPEC.json|PRESET> [--replicates N] [other flags]
 //! repro check [--faults N] [--fuzz N] [other flags]
 //! ```
@@ -97,11 +97,6 @@ struct Args {
     fuzz: Option<u64>,
     /// `--quick` single-repetition smoke mode for `bench` (CI).
     quick: bool,
-    /// `--shards` data-plane shards per simulated IXP network; 0 resolves
-    /// to one shard per fabric site, capped at the available cores.
-    /// Results are bit-identical at every value — like `--threads`, this
-    /// only trades wall-clock time.
-    shards: usize,
     /// `--addr` listen address for `serve`.
     addr: String,
     /// `--workers` job worker threads for `serve`.
@@ -116,7 +111,7 @@ struct Args {
 fn usage_text() -> String {
     let mut s = String::from(
         "usage: repro [EXPERIMENT] [--seed N] [--scale test|paper|production] [--out DIR]\n\
-         \x20            [--threads N] [--shards N]\n\
+         \x20            [--threads N]\n\
          \x20      repro sweep <SPEC.json|PRESET> [--replicates N] [other flags]\n\
          \x20      repro check [--faults N] [--fuzz N] [other flags]\n\
          \x20      repro bench [--quick] [other flags]\n\
@@ -140,8 +135,6 @@ fn usage_text() -> String {
          \x20 --scale S         world scale: test | paper | production (default paper)\n\
          \x20 --out DIR         JSON output directory (default results/)\n\
          \x20 --threads N       worker threads, 0 = automatic (default 0)\n\
-         \x20 --shards N        data-plane shards per IXP network,\n\
-         \x20                   0 = one per fabric site, capped at cores (default 0)\n\
          \x20 --replicates N    sweep replicate seeds per cell (default: the spec's)\n\
          \x20 --faults N        check: perturbation trials (default 200)\n\
          \x20 --fuzz N          check: fuzzer iterations per target (default 500)\n\
@@ -158,7 +151,7 @@ fn usage_text() -> String {
          \x20 --trace           print the span tree to stderr\n\
          \x20 --trace-json P    stream span/metric events to a JSONL file\n\
          \x20 --trace-chrome P  write a Chrome trace-event file (chrome://tracing,\n\
-         \x20                   Perfetto); shards appear as separate tracks\n",
+         \x20                   Perfetto)\n",
     );
     s
 }
@@ -196,7 +189,6 @@ fn parse_args() -> Args {
         faults: None,
         fuzz: None,
         quick: false,
-        shards: 0,
         addr: "127.0.0.1:8080".into(),
         workers: 2,
         queue_cap: 256,
@@ -225,11 +217,6 @@ fn parse_args() -> Args {
             "--threads" => {
                 args.threads = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
                     bad_usage("--threads requires a numeric count (0 = automatic)")
-                })
-            }
-            "--shards" => {
-                args.shards = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    bad_usage("--shards requires a numeric count (0 = one per fabric site)")
                 })
             }
             "--report" => {
@@ -410,11 +397,10 @@ fn emit(out_dir: &Path, span: &'static str, f: impl FnOnce() -> ExperimentOutput
     );
 }
 
-/// The campaign every subcommand runs: the paper defaults with the
-/// `--shards` override applied (0 keeps the per-site default).
+/// The campaign every subcommand runs: the paper defaults under the
+/// scale's default memory budget.
 fn campaign_for(args: &Args) -> Campaign {
     Campaign {
-        shards: args.shards,
         memory_budget_bytes: args.scale().default_memory_budget(),
         ..Campaign::default_paper()
     }
@@ -771,13 +757,12 @@ fn run_bench_command(args: &Args) -> Outcome {
         events_per_op: 1.0,
     });
 
-    // Sharded-world benchmark: one big multi-fabric world — the
-    // `world_scale` topology knob times the membership scale gives ~10×
-    // the members of the base world — probed once pinned to a single
-    // shard and once at the sharded default, so the JSON shows what the
-    // epoch-barrier data plane buys on a world large enough to need it.
-    // Single repetition: this section measures the shard layout's effect,
-    // not run-to-run noise.
+    // Sharded-world benchmark (named for the shard layout the simulator
+    // once had; the names stay so the committed baselines keep pairing):
+    // one big multi-fabric world — the `world_scale` topology knob times
+    // the membership scale gives ~10× the members of the base world —
+    // drained one IXP at a time on the calling thread. Single repetition:
+    // this section measures scale behavior, not run-to-run noise.
     let wscale = if args.quick { 2.0 } else { 10.0 };
     let mut big_cfg = WorldConfig::test_scale(args.seed);
     big_cfg.topology.world_scale = wscale;
@@ -791,34 +776,18 @@ fn run_bench_command(args: &Args) -> Outcome {
         ns_per_op: t.elapsed().as_nanos() as f64,
         events_per_op: 0.0,
     });
-    let big_ixps = big.studied_ixps();
-    let mut big_events = 0u64;
-    for (name, shards) in [
-        ("sharded_world_1shard", 1),
-        ("sharded_world_sharded", args.shards),
-    ] {
-        let campaign = Campaign {
-            shards,
-            ..Campaign::default_paper()
-        };
-        let t = Instant::now();
-        let n: u64 = big_ixps
-            .iter()
-            .map(|&ixp| campaign.run_ixp(&big, ixp, false).events)
-            .sum();
-        let ns = t.elapsed().as_nanos() as f64;
-        if big_events == 0 {
-            big_events = n;
-        } else {
-            assert_eq!(n, big_events, "shard count changed the event count");
-        }
-        rows.push(BenchRow {
-            name,
-            ops: 1,
-            ns_per_op: ns,
-            events_per_op: n as f64,
-        });
-    }
+    let t = Instant::now();
+    let big_events: u64 = big
+        .studied_ixps()
+        .iter()
+        .map(|&ixp| Campaign::default_paper().run_ixp(&big, ixp, false).events)
+        .sum();
+    rows.push(BenchRow {
+        name: "sharded_world_1shard",
+        ops: 1,
+        ns_per_op: t.elapsed().as_nanos() as f64,
+        events_per_op: big_events as f64,
+    });
 
     // Production-scale world: the `--scale production` preset (the
     // Euro-IX scene replicated ×10 via `world_scale`, membership density
@@ -850,7 +819,6 @@ fn run_bench_command(args: &Args) -> Outcome {
         events_per_op: 0.0,
     });
     let prod_campaign = Campaign {
-        shards: args.shards,
         memory_budget_bytes: prod_budget,
         ..Campaign::default_paper()
     };
@@ -863,39 +831,20 @@ fn run_bench_command(args: &Args) -> Outcome {
     let prod_peak_rss = rp_obs::peak_rss_bytes();
     let prod_plane_bytes: u64 = prod_probes.iter().map(|(_, p)| p.plane_bytes()).sum();
     drop(prod_probes);
-    // Pure shard-drain throughput, one shard vs the `--shards` default:
-    // the aggregate events/s the epoch-barrier data plane sustains on a
-    // world this size. Byte-identity across shard counts is asserted via
-    // the event totals (the determinism suites pin the artifacts).
-    let prod_ixps = prod.studied_ixps();
-    let mut prod_events = 0u64;
-    for (name, shards) in [
-        ("production_drain_1shard", 1),
-        ("production_drain_sharded", args.shards),
-    ] {
-        let campaign = Campaign {
-            shards,
-            memory_budget_bytes: prod_budget,
-            ..Campaign::default_paper()
-        };
-        let t = Instant::now();
-        let n: u64 = prod_ixps
-            .iter()
-            .map(|&ixp| campaign.run_ixp(&prod, ixp, false).events)
-            .sum();
-        let ns = t.elapsed().as_nanos() as f64;
-        if prod_events == 0 {
-            prod_events = n;
-        } else {
-            assert_eq!(n, prod_events, "shard count changed the event count");
-        }
-        rows.push(BenchRow {
-            name,
-            ops: 1,
-            ns_per_op: ns,
-            events_per_op: n as f64,
-        });
-    }
+    // Pure drain throughput: every studied IXP's event loop run in turn
+    // on the calling thread, the aggregate events/s on a world this size.
+    let t = Instant::now();
+    let prod_events: u64 = prod
+        .studied_ixps()
+        .iter()
+        .map(|&ixp| prod_campaign.run_ixp(&prod, ixp, false).events)
+        .sum();
+    rows.push(BenchRow {
+        name: "production_drain_1shard",
+        ops: 1,
+        ns_per_op: t.elapsed().as_nanos() as f64,
+        events_per_op: prod_events as f64,
+    });
     rows.push(BenchRow {
         name: "production_probe_all",
         ops: 1,
@@ -981,7 +930,7 @@ fn run_bench_command(args: &Args) -> Outcome {
         fault_trials: 20,
         fuzz_iters: 20,
         scale: Scale::Test,
-        shards: args.shards,
+        shards: 0,
     };
     // Untimed warm pass per arm: the fork path's world memo and the
     // allocator reach steady state, which is what a long-lived process
@@ -1028,7 +977,6 @@ fn run_bench_command(args: &Args) -> Outcome {
     let sweep_spec = rp_scenario::ScenarioSpec::preset("smoke").expect("smoke preset exists");
     let sweep_base = rp_scenario::SweepConfig {
         replicates: 2,
-        shards: args.shards,
         ..rp_scenario::SweepConfig::test_default(args.seed)
     };
     std::hint::black_box(sweep_reference(&sweep_spec, &sweep_base));
@@ -1091,7 +1039,6 @@ fn run_bench_command(args: &Args) -> Outcome {
         "scale": args.scale,
         "quick": args.quick,
         "threads": rayon::current_num_threads(),
-        "shards": args.shards,
         "total_events_per_campaign": events,
         "sharded_world": {
             "world_scale": wscale,
@@ -1138,14 +1085,14 @@ fn job_spec(args: &Args) -> rp_server::JobSpec {
             fault_trials: args.faults.unwrap_or(200),
             fuzz_iters: args.fuzz.unwrap_or(500),
             scale: args.scale(),
-            shards: args.shards,
+            shards: 0,
         }),
         "sweep" => JobSpec::Sweep {
             spec: resolve_spec(args.operand()),
             seed: args.seed,
             scale: args.scale(),
             replicates: args.replicates,
-            shards: args.shards,
+            shards: 0,
         },
         _ => {
             let path = args.operand();

@@ -136,38 +136,21 @@ pub struct Campaign {
     /// sequence is replayable and independent per IXP. `None` = the clean
     /// campaign.
     pub faults: Option<rp_netsim::FaultConfig>,
-    /// Data-plane shards per IXP network. `0` (the default) means one
-    /// shard per IXP fabric site, capped at the machine's available cores;
-    /// any explicit value is used as-is. Results are bit-identical at
-    /// every shard count, which is why the default may depend on the
-    /// machine. A network drains its shards one after another on the
-    /// thread probing its IXP, so the count buys no parallelism: it only
-    /// sets how many windows and barrier handoffs a drain takes.
+    /// Ignored: every IXP network runs one event loop. The field stays
+    /// because the benchmark harness (`rpbench/`) sets it, and because
+    /// `Campaign`'s `Debug` text is part of the memo keys.
     #[serde(default)]
     pub shards: usize,
-    /// Optional world-level byte budget for the campaign's peak working
-    /// set. Bounds how many IXP networks [`Campaign::probe_all`] keeps
-    /// alive at once: probing proceeds in sequential chunks sized so the
-    /// concurrent scenes fit the budget. Like `shards`, pure peak-RSS
+    /// Optional byte budget for the campaign's concurrent probing. It
+    /// bounds only how many IXPs [`Campaign::probe_all`] puts in one
+    /// parallel chunk: chunk width is the budget divided by
+    /// [`Campaign::approx_probe_bytes`] of the largest studied IXP. It does
+    /// not bound peak RSS by itself: within a chunk the rayon pool keeps at
+    /// most one network per worker thread alive, and the finished probe
+    /// planes of every IXP accumulate outside the budget. Pure peak-RSS
     /// policy: results are byte-identical with or without a budget.
     #[serde(default)]
     pub memory_budget_bytes: Option<u64>,
-}
-
-/// Resolve a requested shard count: `0` = one shard per fabric site,
-/// capped at available cores; explicit values pass through (clamped to at
-/// least 1 by the simulator). Shards drain serially, so this picks a
-/// partition, not a degree of parallelism.
-fn resolve_shards(requested: usize, sites: usize) -> usize {
-    match requested {
-        0 => {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            sites.min(cores).max(1)
-        }
-        n => n,
-    }
 }
 
 impl Campaign {
@@ -193,7 +176,7 @@ impl Campaign {
     /// only to size [`Campaign::probe_all`] chunks, so it must scale with
     /// the member count and never undershoot, not be exact.
     ///
-    /// Calibrated on seed 42, one shard: the three largest paper-scale
+    /// Calibrated on seed 42: the three largest paper-scale
     /// IXPs hold 5.6–6.7 KB per member (estimate 2.7–3.2× the held
     /// bytes), production AMS-IX (8,480 members) 6.9 KB (2.4×). The
     /// event queue's plan run and the probe plane grow with the member
@@ -253,21 +236,11 @@ impl Campaign {
         );
         let duration = world.campaign_duration();
         let seed_base = seed::derive(world.config.seed, domain, ixp.0 as u64);
-        let n_shards = resolve_shards(self.shards, inst.sites.len());
-        let mut net = Network::with_shards(seed_base, n_shards);
+        let mut net = Network::new(seed_base);
         net.set_timeline_scope(format!("ixp.{}", inst.meta.acronym));
-        let n_shards = net.shard_count() as usize;
-        let shard_for = move |site: usize| site % n_shards;
 
-        // Fabric: one switch per site, chained with inter-site spans. The
-        // data plane shards by site: everything hanging off a site's
-        // fabric switch (LG hosts, member routers, remote-peering
-        // pseudowires) lives on that site's shard, so the only cross-shard
-        // links are the inter-site spans — whose ≥ 0.05 ms fiber delay is
-        // the scheduler's lookahead.
-        let fabrics: Vec<NodeId> = (0..inst.sites.len())
-            .map(|w| net.add_switch_on(shard_for(w)))
-            .collect();
+        // Fabric: one switch per site, chained with inter-site spans.
+        let fabrics: Vec<NodeId> = (0..inst.sites.len()).map(|_| net.add_switch()).collect();
         for w in 0..fabrics.len().saturating_sub(1) {
             let a_city = WORLD_CITIES[inst.sites[w] as usize].location;
             let b_city = WORLD_CITIES[inst.sites[w + 1] as usize].location;
@@ -284,7 +257,7 @@ impl Campaign {
         let mut lgs: Vec<(LgOperator, NodeId)> = Vec::new();
         for (k, &op) in inst.meta.lg.iter().enumerate() {
             let site = k.min(fabrics.len() - 1);
-            let host = net.add_host_on(shard_for(site));
+            let host = net.add_host();
             let (_, hp) = net.connect(fabrics[site], host, DelayModel::with_one_way_ms(0.05));
             net.bind_host(host, hp, IxpInstance::lg_ip(ixp, k as u32));
             lgs.push((op, host));
@@ -322,12 +295,8 @@ impl Campaign {
     /// Run one IXP's campaign to completion: materialize the scene,
     /// schedule every LG query (plus, with `with_route_server`, section
     /// 3.3's route-server pings from inside the fabric), drain the event
-    /// loop, and collect everything the run produced into one [`IxpRun`].
-    ///
-    /// With [`Campaign::shards`] > 1 (or more than one fabric site under
-    /// the default), the network's event loop drains its shards in turn
-    /// between epoch barriers, on the calling thread — results are
-    /// bit-identical to the single-shard run either way.
+    /// loop on the calling thread, and collect everything the run produced
+    /// into one [`IxpRun`].
     pub fn run_ixp(&self, world: &World, ixp: IxpId, with_route_server: bool) -> IxpRun {
         let inst = world.scene.ixp(ixp);
         let duration = world.campaign_duration();
@@ -564,10 +533,13 @@ impl Campaign {
     /// `tests/parallel_determinism.rs`.
     ///
     /// Under [`Campaign::memory_budget_bytes`] the IXPs run in sequential
-    /// chunks: peak RSS is bounded by the widest chunk's scenes, not the
-    /// world size. Chunks concatenate in studied-IXP order, so the output
-    /// bytes are identical at every chunk width (one chunk without a
-    /// budget).
+    /// chunks of at most the budget's width. That caps how many networks
+    /// are alive at once at the smaller of the chunk width and the pool's
+    /// thread count (the pool alone already caps it at the thread count);
+    /// the finished probe planes of all IXPs are kept either way, so they
+    /// grow with the world, outside the budget. Chunks concatenate in
+    /// studied-IXP order, so the output bytes are identical at every chunk
+    /// width (one chunk without a budget).
     ///
     /// With a [`Reuse`] source, every studied IXP outside the fork's dirty
     /// set takes the parent's plane instead of re-running. Byte-identical
@@ -638,9 +610,6 @@ impl Campaign {
         let site = (m.access.site() as usize).min(fabrics.len() - 1);
         let fabric = fabrics[site];
         let ixp_loc = WORLD_CITIES[inst.sites[site] as usize].location;
-        // Everything below hangs off this site's fabric switch, so it all
-        // lives on the site's shard: only inter-site spans cross shards.
-        let shard = site % net.shard_count() as usize;
 
         // The attachment point seen from the fabric plus the access link's
         // delay model.
@@ -654,8 +623,8 @@ impl Campaign {
             } => {
                 // Provider switch at the IXP, long-haul pseudowire to the
                 // provider switch near the member, then the member's tail.
-                let prov_ixp = net.add_switch_on(shard);
-                let prov_far = net.add_switch_on(shard);
+                let prov_ixp = net.add_switch();
+                let prov_far = net.add_switch();
                 net.connect(fabric, prov_ixp, DelayModel::with_one_way_ms(0.05));
                 let origin = WORLD_CITIES[origin_city as usize].location;
                 let wire_ms = (world.scene.providers[provider as usize]
@@ -726,14 +695,14 @@ impl Campaign {
             // Registry-stale gadget: a front router proxy-ARPs for the
             // listed address and forwards one IP hop to the inner router
             // that actually holds it.
-            let front = net.add_router_on(shard, RouterBehavior::default());
+            let front = net.add_router(RouterBehavior::default());
             let (_, f_access) = net.connect_classed(attach, front, link, LinkClass::Access);
             // The front's own address mirrors the member address plan in
             // 172.16.0.0/12, so no two fronts of one fabric share it (the
             // ARP sponge rejects two owners of one address).
             let front_ip = Ipv4Addr::new(172, 16, (slot / 250) as u8, (2 + slot % 250) as u8);
             net.bind_router(front, f_access, front_ip);
-            let inner = net.add_router_on(shard, behavior);
+            let inner = net.add_router(behavior);
             let (f_in, i_port) = net.connect(front, inner, DelayModel::with_one_way_ms(0.8));
             net.bind_router(front, f_in, Ipv4Addr::new(192, 168, (slot % 250) as u8, 1));
             net.bind_router(inner, i_port, m.ip);
@@ -745,7 +714,7 @@ impl Campaign {
             let inner_r = net.router_mut(inner);
             inner_r.set_default_route(i_port);
         } else {
-            let router = net.add_router_on(shard, behavior);
+            let router = net.add_router(behavior);
             let (_, r_port) = net.connect_classed(attach, router, link, LinkClass::Access);
             net.bind_router(router, r_port, m.ip);
         }

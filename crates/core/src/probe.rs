@@ -155,7 +155,11 @@ impl ProbePlane {
     /// The `i`-th row as a cheap view.
     #[inline]
     pub fn row(&self, i: usize) -> PlaneRow<'_> {
-        debug_assert!(i < self.len());
+        assert!(
+            i < self.len(),
+            "row {i} out of range: plane has {} rows",
+            self.len()
+        );
         PlaneRow {
             plane: self,
             row: i,
@@ -216,7 +220,9 @@ impl<'a> PlaneRow<'a> {
     /// answered.
     #[inline]
     pub fn unanswered(&self, k: usize) -> u32 {
-        self.plane.unanswered[self.row * self.plane.lgs.len() + k]
+        let lgs = self.plane.lgs.len();
+        assert!(k < lgs, "LG {k} out of range: plane has {lgs} LGs");
+        self.plane.unanswered[self.row * lgs + k]
     }
 
     /// Materialize this row as an owned [`InterfaceSamples`].
@@ -414,5 +420,25 @@ mod tests {
         let mut b = one_per_row();
         b.place(1, 0, sample(1.0, 255));
         b.finish();
+    }
+
+    fn full_one_per_row() -> ProbePlane {
+        let mut b = one_per_row();
+        b.place(0, 0, sample(1.0, 255));
+        b.place(1, 0, sample(2.0, 255));
+        b.finish()
+    }
+
+    #[test]
+    #[should_panic(expected = "row 2 out of range: plane has 2 rows")]
+    fn row_past_the_end_panics() {
+        let _ = full_one_per_row().row(2);
+    }
+
+    /// Without the check, row 0's LG 1 would silently read row 1's LG 0.
+    #[test]
+    #[should_panic(expected = "LG 1 out of range: plane has 1 LGs")]
+    fn unanswered_past_the_last_lg_panics() {
+        let _ = full_one_per_row().row(0).unanswered(1);
     }
 }

@@ -2,11 +2,10 @@
 //!
 //! A deterministic queue ordered by `(time, key)`, where the [`EventKey`]
 //! is *intrinsic* to the event: the node that created it plus that node's
-//! private creation counter. Intrinsic keys are what make the sharded
-//! simulator bit-reproducible — a key does not depend on the global
-//! interleaving of pushes, so any partition of the events across shard
-//! queues pops in exactly the order one big queue would produce (the
-//! shard-equivalence contract pinned by `tests/shard_determinism.rs`).
+//! private creation counter. Intrinsic keys are what make the simulator
+//! bit-reproducible — a key does not depend on the global interleaving
+//! of pushes, so the pop order is a pure function of what each device
+//! did (pinned by the trace digests and `tests/artifact_determinism.rs`).
 //!
 //! # Structure
 //!
@@ -21,7 +20,7 @@
 //!   sorted once, at the first pop after an out-of-order push; plans
 //!   pushed in order never sort at all.
 //! - a **binary heap** for everything else: frame arrivals, device
-//!   timers and cross-shard handoffs.
+//!   timers.
 //!
 //! Each pop compares the two fronts on the full `(time, key)` pair, so
 //! the merge is exact. Keys are unique (each creator numbers its events
@@ -43,7 +42,7 @@ pub enum Event {
         node: NodeId,
         /// Receiving port.
         port: PortId,
-        /// The arriving frame, resident in the owning shard's frame arena.
+        /// The arriving frame, resident in the network's frame arena.
         frame: FrameId,
     },
     /// An application timer (hosts use these to send planned pings).
@@ -58,8 +57,8 @@ pub enum Event {
 /// Intrinsic tie-break key of an event: who created it and how many events
 /// that creator had produced before. Unlike a queue-global insertion
 /// counter, the pair is a pure function of the creator's own execution
-/// history, so it is identical at every shard count — the property that
-/// lets cross-shard handoffs merge into a byte-identical trace.
+/// history, so it does not depend on the order in which events were
+/// pushed.
 ///
 /// Simultaneous events order by `(creator, seq)`; keys are globally unique
 /// because each creator numbers its events densely.
@@ -261,7 +260,7 @@ mod tests {
     #[test]
     fn ties_break_by_key_not_push_order() {
         // Push keys in reverse: pops must follow (creator, seq) order, not
-        // arrival order — the property the sharded barrier merge relies on.
+        // arrival order.
         let mut q = EventQueue::new();
         for i in (0..100u64).rev() {
             q.push(SimTime(5), key(0, i), timer(0, i));

@@ -10,11 +10,9 @@
 //! injector's seed, the link *direction* (`link × 2 + dir`), and a
 //! per-direction decision counter. A direction is only ever driven by the
 //! device transmitting on it, so each decision stream is a pure function
-//! of that device's own execution history — independent of how the
-//! network is partitioned into shards and of global event interleaving.
-//! The same seed therefore replays the identical faults, frame for frame
-//! (the replay invariant pinned by `rp-testkit`), at every shard count
-//! (the shard-equivalence contract of `tests/shard_determinism.rs`).
+//! of that device's own execution history, independent of global event
+//! interleaving. The same seed therefore replays the identical faults,
+//! frame for frame (the replay invariant pinned by `rp-testkit`).
 
 use crate::frame::{Frame, IcmpMessage, Payload};
 use rand::RngExt;
@@ -176,9 +174,6 @@ pub struct TxFaults {
 pub const DUPLICATE_GAP: SimDuration = SimDuration::from_micros(90);
 
 /// Seeded fault state; install with [`crate::Network::install_faults`].
-/// The sharded network keeps one injector per shard — each link direction
-/// is driven by exactly one shard, so the per-direction streams never
-/// interleave and tallies merge losslessly.
 #[derive(Debug)]
 pub struct FaultInjector {
     cfg: FaultConfig,

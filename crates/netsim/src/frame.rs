@@ -196,11 +196,11 @@ impl Frame {
 /// events carry instead of a 40-byte [`Frame`] copy.
 ///
 /// Under `debug_assertions` the id also remembers which arena issued it,
-/// so presenting a shard A frame id to shard B's arena panics instead of
-/// silently reading an unrelated slot — the hazard the sharded data plane
-/// introduces, since every shard owns a private arena and cross-shard
-/// handoffs must carry frames *by value*, never by id. Equality ignores
-/// the tag, so debug and release builds agree on id comparisons.
+/// so presenting one network's frame id to another network's arena panics
+/// instead of silently reading an unrelated slot: every network owns a
+/// private arena, so a frame that leaves one must travel *by value*,
+/// never by id. Equality ignores the tag, so debug and release builds
+/// agree on id comparisons.
 #[derive(Debug, Clone, Copy, Eq)]
 pub struct FrameId {
     idx: u32,
@@ -227,7 +227,7 @@ static NEXT_ARENA_TAG: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU
 /// Freed slots are recycled LIFO so the hot path keeps touching the same
 /// few cache lines.
 ///
-/// Lifecycle misuse (double free, use after free, and — since each shard
+/// Lifecycle misuse (double free, use after free, and — since each network
 /// owns its own arena — handing a [`FrameId`] to a foreign arena) is
 /// caught by a slot-liveness bitmap and a per-arena tag under
 /// `debug_assertions`; release builds pay nothing for either.
@@ -268,7 +268,7 @@ impl FrameArena {
         debug_assert!(
             id.arena == self.tag,
             "foreign arena: {id:?} was issued by arena {}, not arena {} — \
-             cross-shard frames must be handed off by value",
+             frames leave an arena by value, never by id",
             id.arena,
             self.tag
         );
@@ -468,35 +468,35 @@ mod tests {
     #[should_panic(expected = "foreign arena")]
     #[cfg(debug_assertions)]
     fn arena_catches_foreign_release() {
-        // Shard A's id freed into shard B's arena: the per-shard liveness
-        // state must not be consulted with another shard's index.
-        let mut shard_a = FrameArena::new();
-        let mut shard_b = FrameArena::new();
-        let id_a = arena_id(&mut shard_a);
-        let _ = shard_b.alloc(probe(1)); // same slot index exists in B
-        shard_b.release(id_a);
+        // Arena A's id freed into arena B: B's liveness state must not be
+        // consulted with another arena's index.
+        let mut arena_a = FrameArena::new();
+        let mut arena_b = FrameArena::new();
+        let id_a = arena_id(&mut arena_a);
+        let _ = arena_b.alloc(probe(1)); // same slot index exists in B
+        arena_b.release(id_a);
     }
 
     #[test]
     #[should_panic(expected = "foreign arena")]
     #[cfg(debug_assertions)]
     fn arena_catches_foreign_take() {
-        let mut shard_a = FrameArena::new();
-        let mut shard_b = FrameArena::new();
-        let id_a = arena_id(&mut shard_a);
-        let _ = shard_b.alloc(probe(1));
-        let _ = shard_b.take(id_a);
+        let mut arena_a = FrameArena::new();
+        let mut arena_b = FrameArena::new();
+        let id_a = arena_id(&mut arena_a);
+        let _ = arena_b.alloc(probe(1));
+        let _ = arena_b.take(id_a);
     }
 
     #[test]
     #[should_panic(expected = "foreign arena")]
     #[cfg(debug_assertions)]
     fn arena_catches_foreign_get() {
-        let mut shard_a = FrameArena::new();
-        let mut shard_b = FrameArena::new();
-        let id_a = arena_id(&mut shard_a);
-        let _ = shard_b.alloc(probe(1));
-        let _ = shard_b.get(id_a);
+        let mut arena_a = FrameArena::new();
+        let mut arena_b = FrameArena::new();
+        let id_a = arena_id(&mut arena_a);
+        let _ = arena_b.alloc(probe(1));
+        let _ = arena_b.get(id_a);
     }
 
     #[cfg(debug_assertions)]

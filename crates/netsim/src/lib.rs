@@ -2,11 +2,10 @@
 
 //! # rp-netsim
 //!
-//! A deterministic, shardable, discrete-event packet simulator for
-//! layer-2/layer-3 scenes — the substrate under the paper's ping-based
-//! detection method (section 3). The data plane partitions into per-shard
-//! event queues coupled by epoch barriers (see `sim.rs`); results are
-//! bit-identical at every shard and thread count.
+//! A deterministic discrete-event packet simulator for layer-2/layer-3
+//! scenes — the substrate under the paper's ping-based detection method
+//! (section 3). Each network runs one event loop (see `sim.rs`); results
+//! are bit-identical at every thread count.
 //!
 //! The paper's six measurement filters are only meaningful if the network
 //! artifacts they guard against can actually occur. This simulator models

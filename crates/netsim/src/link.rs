@@ -94,18 +94,6 @@ impl DelayModel {
         self.base + SimDuration::from_millis_f64(self.plus_episodes(now, jitter_ms))
     }
 
-    /// A hard lower bound on *every* traversal of this link, at any time:
-    /// `base`. All other terms — jitter, persistent episodes, injected
-    /// jitter spikes — only add delay. The sharded scheduler's
-    /// conservative lookahead is the minimum of this bound over all
-    /// cross-shard links: a shard that has processed everything before
-    /// time `T` can never receive a cross-shard frame earlier than
-    /// `T + min_one_way()`, which is what makes the epoch barrier safe.
-    #[inline]
-    pub fn min_one_way(&self) -> SimDuration {
-        self.base
-    }
-
     /// True when [`sample`](Self::sample) draws nothing from its RNG that
     /// affects the result: no jitter. Such a model's `sample` equals
     /// [`floor_at`](Self::floor_at), so its links skip RNG construction

@@ -232,7 +232,7 @@ mod tests {
     /// target, the hops it revealed.
     type Observed = Vec<(Vec<PingOutcome>, Vec<Vec<(u8, Option<Ipv4Addr>)>>)>;
 
-    /// A random IXP-like fabric on two shards, probed from its looking
+    /// A random IXP-like fabric, probed from its looking
     /// glasses: `sites` fabric switches chained by inter-site spans, member
     /// routers attached directly, behind two-switch pseudowires or behind
     /// the proxy-ARP extra-hop gadget, listed addresses with no device,
@@ -241,12 +241,12 @@ mod tests {
     /// the events the run dispatched.
     fn probe_random_fabric(seed: u64, flood: bool) -> (Observed, u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut net = Network::with_shards(seed, 2);
+        let mut net = Network::new(seed);
         if flood {
             net.flood_arp();
         }
         let sites = rng.random_range(1..=3usize);
-        let fabrics: Vec<NodeId> = (0..sites).map(|w| net.add_switch_on(w % 2)).collect();
+        let fabrics: Vec<NodeId> = (0..sites).map(|_| net.add_switch()).collect();
         for w in 1..sites {
             let ms = rng.random_range(0.05..2.0);
             net.connect(fabrics[w - 1], fabrics[w], DelayModel::with_one_way_ms(ms));
@@ -255,7 +255,7 @@ mod tests {
         let mut hosts = Vec::new();
         for k in 0..rng.random_range(1..=3u8) {
             let w = site(&mut rng);
-            let h = net.add_host_on(w % 2);
+            let h = net.add_host();
             let (_, hp) = net.connect(fabrics[w], h, DelayModel::with_one_way_ms(0.05));
             net.bind_host(h, hp, Ipv4Addr::new(10, 0, 0, 1 + k));
             hosts.push(h);
@@ -265,7 +265,6 @@ mod tests {
             let ip = Ipv4Addr::new(10, 0, 1, 1 + i);
             targets.push(ip);
             let w = site(&mut rng);
-            let shard = w % 2;
             let mut link = DelayModel::with_one_way_ms(rng.random_range(0.05..1.0));
             if rng.random_bool(0.3) {
                 link = link.with_persistent_episode(CongestionEpisode {
@@ -287,7 +286,7 @@ mod tests {
             let attach = if rng.random_bool(0.3) {
                 // Remote member: provider switch at the fabric, long-haul
                 // pseudowire, provider switch near the member.
-                let (near, far) = (net.add_switch_on(shard), net.add_switch_on(shard));
+                let (near, far) = (net.add_switch(), net.add_switch());
                 net.connect(fabrics[w], near, DelayModel::with_one_way_ms(0.05));
                 let ms = rng.random_range(1.0..30.0);
                 net.connect(near, far, DelayModel::with_one_way_ms(ms));
@@ -299,10 +298,10 @@ mod tests {
                 0 => {} // listed, but no device answers
                 1 => {
                     // Registry-stale target behind one extra IP hop.
-                    let front = net.add_router_on(shard, RouterBehavior::default());
+                    let front = net.add_router(RouterBehavior::default());
                     let (_, f_access) = net.connect(attach, front, link);
                     net.bind_router(front, f_access, Ipv4Addr::new(172, 16, 0, 1 + i));
-                    let inner = net.add_router_on(shard, behavior);
+                    let inner = net.add_router(behavior);
                     let (f_in, i_port) =
                         net.connect(front, inner, DelayModel::with_one_way_ms(0.8));
                     net.bind_router(front, f_in, Ipv4Addr::new(192, 168, i, 1));
@@ -315,7 +314,7 @@ mod tests {
                     net.router_mut(inner).set_default_route(i_port);
                 }
                 _ => {
-                    let router = net.add_router_on(shard, behavior);
+                    let router = net.add_router(behavior);
                     let (_, rp) = net.connect(attach, router, link);
                     net.bind_router(router, rp, ip);
                 }

@@ -9,89 +9,6 @@ use rp_netsim::{
 use rp_types::{seed, SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
-/// Run the epoch-barrier scheduler in miniature over bare event queues:
-/// `n_shards` queues, windows bounded by `t_min + L`, and "cross-shard"
-/// spawns delivered only at the barrier between windows. Returns the
-/// canonical merged trace — per window, pops from all shards sorted by
-/// `(time, key)`, windows concatenated.
-///
-/// Each entry is `(time, creator, spawn_target)`; a `Some` target makes the
-/// popped event spawn a follow-up event at `time + L + (creator % 3)` keyed
-/// by the spawner, exercising the epoch edge (`+ 0` lands exactly on the
-/// next window's horizon).
-fn run_barrier_model(n_shards: usize, entries: &[(u64, u32, Option<u32>)]) -> Vec<(u64, u32, u64)> {
-    const L: u64 = 7;
-    let shard_of = |c: u32| (c as usize) % n_shards;
-    let mut queues: Vec<EventQueue> = (0..n_shards).map(|_| EventQueue::new()).collect();
-    let mut seqs = [0u64; 8];
-    let mut spawns: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-    for &(t, c, spawn) in entries {
-        let seq = seqs[c as usize];
-        seqs[c as usize] += 1;
-        let token = (u64::from(c) << 32) | seq;
-        if let Some(d) = spawn {
-            spawns.insert(token, d);
-        }
-        queues[shard_of(c)].push(
-            SimTime(t),
-            EventKey { creator: c, seq },
-            Event::Timer {
-                node: NodeId(c),
-                token,
-            },
-        );
-    }
-    let mut trace: Vec<(u64, u32, u64)> = Vec::new();
-    loop {
-        let t_min = queues.iter_mut().filter_map(|q| q.peek_time()).min();
-        let Some(t_min) = t_min else { break };
-        let horizon = SimTime(t_min.0 + L);
-        let mut window: Vec<(u64, u32, u64)> = Vec::new();
-        let mut handoffs: Vec<(usize, SimTime, EventKey, Event)> = Vec::new();
-        for q in queues.iter_mut() {
-            while let Some(at) = q.peek_time() {
-                if at >= horizon {
-                    break;
-                }
-                let (at, ev) = q.pop().expect("peeked");
-                let Event::Timer { node, token } = ev else {
-                    unreachable!("model pushes only timers")
-                };
-                let (c, seq) = ((token >> 32) as u32, token & 0xffff_ffff);
-                window.push((at.0, c, seq));
-                if let Some(d) = spawns.remove(&token) {
-                    let spawner = node.0;
-                    let sseq = seqs[spawner as usize];
-                    seqs[spawner as usize] += 1;
-                    let skey = EventKey {
-                        creator: spawner,
-                        seq: sseq,
-                    };
-                    let stoken = (u64::from(spawner) << 32) | sseq;
-                    let sat = SimTime(at.0 + L + u64::from(spawner) % 3);
-                    handoffs.push((
-                        shard_of(d),
-                        sat,
-                        skey,
-                        Event::Timer {
-                            node: NodeId(d),
-                            token: stoken,
-                        },
-                    ));
-                }
-            }
-        }
-        // The canonical merge: within a window, order is (time, key).
-        window.sort_unstable_by_key(|&(t, c, s)| (t, c, s));
-        trace.extend(window);
-        // The barrier: spawned events enter destination queues only now.
-        for (dst, at, key, ev) in handoffs {
-            queues[dst].push(at, key, ev);
-        }
-    }
-    trace
-}
-
 proptest! {
     #[test]
     fn event_queue_pops_in_time_then_key_order(
@@ -183,33 +100,6 @@ proptest! {
             prop_assert_eq!(got, Some(want));
         }
         prop_assert!(q.pop().is_none());
-    }
-
-    /// The ordering theorem behind the sharded data plane: partition keyed
-    /// events across any number of queues, run bounded-lag windows with
-    /// barrier-deferred cross-shard spawns, and the concatenation of
-    /// per-window `(time, key)` merges is exactly the single-queue global
-    /// pop order — simultaneous timestamps and spawns landing precisely on
-    /// a window horizon included.
-    #[test]
-    fn sharded_queues_merge_in_global_key_order(
-        raw in proptest::collection::vec((0u64..40, 0u32..8, 0u32..16), 1..120),
-        n_shards in 2usize..5,
-    ) {
-        // Third element doubles as the optional spawn target: values in
-        // 0..8 spawn a cross-shard follow-up at that node, 8..16 spawn
-        // nothing — the vendored proptest has no Option strategy.
-        let entries: Vec<(u64, u32, Option<u32>)> = raw
-            .iter()
-            .map(|&(t, c, s)| (t, c, (s < 8).then_some(s)))
-            .collect();
-        let reference = run_barrier_model(1, &entries);
-        let sharded = run_barrier_model(n_shards, &entries);
-        prop_assert_eq!(&reference, &sharded, "merged trace must not depend on the partition");
-        // And the merged trace really is globally sorted by (time, key).
-        for w in reference.windows(2) {
-            prop_assert!(w[0] <= w[1], "global (time, creator, seq) order: {w:?}");
-        }
     }
 
     /// Jitter only adds to the jitter-free floor, episodes included; with

@@ -363,37 +363,7 @@ pub const CATALOG: &[CatalogEntry] = &[
         name: "netsim.shard.arena_bytes",
         kind: "gauge",
         scale: "bytes",
-        doc: "High-water exact bytes of any shard's retained frame-arena and event-queue capacity",
-    },
-    CatalogEntry {
-        name: "netsim.shard.barrier_wait_ns",
-        kind: "gauge",
-        scale: "ns",
-        doc: "Worst cumulative wall time a run spent at epoch barriers",
-    },
-    CatalogEntry {
-        name: "netsim.shard.barriers",
-        kind: "counter",
-        scale: "rounds",
-        doc: "Epoch-barrier rounds executed by sharded runs",
-    },
-    CatalogEntry {
-        name: "netsim.shard.count",
-        kind: "gauge",
-        scale: "shards",
-        doc: "Largest shard count any network ran with",
-    },
-    CatalogEntry {
-        name: "netsim.shard.events_max",
-        kind: "gauge",
-        scale: "events",
-        doc: "Largest per-shard event count (load-balance indicator)",
-    },
-    CatalogEntry {
-        name: "netsim.shard.handoffs",
-        kind: "counter",
-        scale: "frames",
-        doc: "Frames handed across shard boundaries at epoch barriers",
+        doc: "High-water exact bytes of any network's retained frame-arena and event-queue capacity",
     },
     CatalogEntry {
         name: "netsim.sim.events.arp_reply",

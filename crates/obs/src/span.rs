@@ -104,12 +104,6 @@ fn offset_ns(at: Instant) -> u64 {
     at.saturating_duration_since(origin).as_nanos() as u64
 }
 
-/// Now, as ns since the shared monotonic origin — the one timebase spans
-/// and the trace export agree on.
-pub(crate) fn now_offset_ns() -> u64 {
-    offset_ns(Instant::now())
-}
-
 fn global() -> &'static Mutex<HashMap<Vec<&'static str>, Agg>> {
     GLOBAL.get_or_init(|| Mutex::new(HashMap::new()))
 }

@@ -3,24 +3,20 @@
 //!
 //! The run report's end-of-run aggregates say *how much* happened; the
 //! `timelines` section says *when*. Every series here is a pure function
-//! of the simulated event trace, which the sharded data plane already
-//! guarantees is byte-identical at any `--threads`/`--shards` setting
-//! (DESIGN.md §11) — so the section inherits that guarantee for free,
-//! provided three rules hold:
+//! of the simulated event trace, which the simulator already guarantees
+//! is byte-identical at any `--threads` setting (DESIGN.md §11) — so the
+//! section inherits that guarantee for free, provided three rules hold:
 //!
 //! 1. **Sample on sim time only.** A point is keyed by the bucket of a
 //!    simulation timestamp (or a canonical index, see [`Axis::Index`]),
-//!    never by wall clock, thread id, or shard id.
-//! 2. **Record shard-invariant quantities.** Anything derived from the
-//!    physical shard layout (barrier waits, arena residency, actual
-//!    handoff counts) is *not* timeline material — it goes to the trace
-//!    export ([`crate::trace`]) and the `netsim.shard.*` metrics instead.
-//!    Cross-shard traffic is therefore recorded against the *canonical
-//!    partition* (link classes: what crosses fabric sites), which is the
-//!    same at `--shards 1` and `--shards 8`.
+//!    never by wall clock or thread id.
+//! 2. **Record schedule-invariant quantities.** Anything derived from how
+//!    the host ran the simulation (wall time, arena residency) is *not*
+//!    timeline material — it goes to the trace export ([`crate::trace`])
+//!    and the metrics instead.
 //! 3. **Merge commutatively.** Recorders accumulate per-bucket integer
 //!    sums (or difference-array deltas); merging is addition, so the
-//!    order in which rayon workers or shards publish cannot show in the
+//!    order in which rayon workers publish cannot show in the
 //!    output. The final snapshot sorts by series name and bucket.
 //!
 //! ## Series shapes
@@ -134,8 +130,8 @@ impl SeriesData {
     }
 }
 
-/// A private, lock-free accumulator for one worker (a netsim shard, a
-/// detection pass). Merge-or-publish when done.
+/// A private, lock-free accumulator for one worker (a simulated network,
+/// a detection pass). Merge-or-publish when done.
 #[derive(Debug, Default, Clone)]
 pub struct TimelineRecorder {
     series: BTreeMap<&'static str, SeriesData>,

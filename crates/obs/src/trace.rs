@@ -1,19 +1,17 @@
-//! Structured trace export: stream span and simulation events to disk as
-//! they close, in either of two formats.
+//! Structured trace export: stream span events to disk as they close, in
+//! either of two formats.
 //!
 //! - **JSONL** (`repro --trace-json PATH`): one JSON object per line —
-//!   `span` records as spans close, `instant` records from the data
-//!   plane, one `metric` record per registered metric when the
-//!   session closes (`{"type":"metric","name":N,"metric":{…}}`, where
-//!   `{…}` is that metric's `/metrics` object), and a final `summary`
-//!   line. Line order is arrival order (wall clock), so the stream is
+//!   `span` records as spans close, one `metric` record per registered
+//!   metric when the session closes
+//!   (`{"type":"metric","name":N,"metric":{…}}`, where `{…}` is that
+//!   metric's `/metrics` object), and a final `summary` line. Line order is arrival order (wall clock), so the stream is
 //!   *not* deterministic — it is a diagnostic artifact, never a gated one.
 //! - **Chrome trace-event format** (`repro --trace-chrome PATH`): a JSON
 //!   array of trace events loadable in Perfetto or `chrome://tracing`.
-//!   Spans become `ph:"X"` complete events on their thread's track, and
-//!   netsim epoch barriers appear as `ph:"i"` instant events spanning the
-//!   process. Shards get no tracks of their own: a network drains every
-//!   shard on the thread that runs it, inside that thread's spans.
+//!   Spans become `ph:"X"` complete events on their thread's track; a
+//!   simulated network runs inside the spans of the thread that probes
+//!   its IXP.
 //!
 //! Streams are opened and closed by the observability session
 //! ([`crate::Session`]). Every emission site builds one `Event` and each
@@ -116,12 +114,6 @@ enum Event<'a> {
         start_ns: u64,
         end_ns: u64,
     },
-    /// A process-scoped instant (epoch barriers).
-    Instant {
-        name: &'a str,
-        at_ns: u64,
-        detail: u64,
-    },
 }
 
 fn json_escape(s: &str) -> String {
@@ -150,19 +142,6 @@ impl Event<'_> {
                 us(*start_ns),
                 us(end_ns.saturating_sub(*start_ns)),
             ),
-            (Format::Jsonl, Event::Instant { name, at_ns, detail }) => format!(
-                "{{\"type\":\"instant\",\"name\":{},\"at_ns\":{},\"detail\":{}}}",
-                json_escape(name),
-                at_ns,
-                detail,
-            ),
-            (Format::Chrome, Event::Instant { name, at_ns, detail }) => format!(
-                "{{\"name\":{},\"cat\":\"netsim\",\"ph\":\"i\",\"s\":\"p\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"args\":{{\"detail\":{}}}}}",
-                json_escape(name),
-                thread,
-                us(*at_ns),
-                detail,
-            ),
         }
     }
 }
@@ -185,17 +164,6 @@ pub fn span_event(path: &[&'static str], start_ns: u64, end_ns: u64) {
             path,
             start_ns,
             end_ns,
-        });
-    }
-}
-
-/// Emit a process-scoped instant event (epoch barriers).
-pub fn instant(name: &str, detail: u64) {
-    if active() {
-        emit(Event::Instant {
-            name,
-            at_ns: crate::span::now_offset_ns(),
-            detail,
         });
     }
 }

@@ -42,11 +42,6 @@ pub struct SweepConfig {
     pub confidence: f64,
     /// Bootstrap resamples per (cell, metric) interval.
     pub resamples: usize,
-    /// Data-plane shards per simulated IXP network (0 = one per fabric
-    /// site, capped at the available cores). Pure performance policy:
-    /// sweep results are bit-identical at every value, so the knob never
-    /// appears in the output JSON.
-    pub shards: usize,
 }
 
 impl SweepConfig {
@@ -58,7 +53,6 @@ impl SweepConfig {
             replicates: 8,
             confidence: 0.95,
             resamples: 400,
-            shards: 0,
         }
     }
 }
@@ -128,7 +122,6 @@ pub fn run_sweep_with(
             let base = cfg.scale.config(rep_seed);
             let world_cfg = cells[members[0]].apply_world(&base);
             let campaign = Campaign {
-                shards: cfg.shards,
                 memory_budget_bytes: cfg.scale.default_memory_budget(),
                 ..Campaign::default_paper()
             };

@@ -29,6 +29,9 @@ pub enum JobSpec {
         seed: u64,
         scale: Scale,
         replicates: Option<u64>,
+        /// The envelope's `"shards"` key. Ignored, since every IXP network
+        /// runs one event loop, but kept: [`JobSpec::id`] hashes this
+        /// enum's `Debug` text, and the job ids are pinned.
         shards: usize,
     },
     /// The correctness harness (`repro check`).
@@ -39,6 +42,7 @@ pub enum JobSpec {
         cell: Cell,
         seed: u64,
         scale: Scale,
+        /// Ignored; kept for the job id, as in [`JobSpec::Sweep`].
         shards: usize,
     },
 }
@@ -65,8 +69,8 @@ impl JobSpec {
     /// Parse a job envelope. The common keys are `kind` (required:
     /// `sweep` | `check` | `campaign`), `seed` (default 42), `scale`
     /// (`test` default | `paper` | `production`), and `shards` (default
-    /// 0 = auto);
-    /// unknown keys are rejected so typos fail loudly at submission.
+    /// 0; validated but ignored, see [`JobSpec::Sweep`]); unknown keys are
+    /// rejected so typos fail loudly at submission.
     pub fn parse(v: &Value) -> Result<JobSpec, String> {
         let obj = v
             .as_object()
@@ -256,7 +260,7 @@ pub fn run_job(spec: &JobSpec) -> JobResult {
             seed,
             scale,
             replicates,
-            shards,
+            ..
         } => {
             let cfg = rp_scenario::SweepConfig {
                 seed: *seed,
@@ -264,7 +268,6 @@ pub fn run_job(spec: &JobSpec) -> JobResult {
                 replicates: replicates.unwrap_or(spec.default_replicates),
                 confidence: 0.95,
                 resamples: 400,
-                shards: *shards,
             };
             let out = {
                 let _run = rp_obs::span("repro.run");
@@ -280,15 +283,11 @@ pub fn run_job(spec: &JobSpec) -> JobResult {
             JobResult::check(&outcome)
         }
         JobSpec::Campaign {
-            cell,
-            seed,
-            scale,
-            shards,
+            cell, seed, scale, ..
         } => {
             let base = scale.config(*seed);
             let cfg = cell.apply_world(&base);
             let campaign = Campaign {
-                shards: *shards,
                 memory_budget_bytes: scale.default_memory_budget(),
                 ..Campaign::default_paper()
             };

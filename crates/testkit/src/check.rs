@@ -39,11 +39,10 @@ pub struct CheckConfig {
     pub fuzz_iters: u64,
     /// Which world preset to build: test (default), paper, or production.
     pub scale: Scale,
-    /// Data-plane shards per simulated IXP network (0 = one per fabric
-    /// site, capped at the available cores). Deliberately absent from the
-    /// report JSON: the shard-partition invariant below asserts it cannot
-    /// change a single byte of the outcome, so recording it would turn a
-    /// performance policy into spurious report churn.
+    /// Ignored: every IXP network runs one event loop. Still parsed and
+    /// validated, because `repro serve` job ids hash the `Debug` text of
+    /// the job spec this config sits in, and those ids are pinned. Absent
+    /// from the report JSON.
     pub shards: usize,
 }
 
@@ -340,7 +339,6 @@ pub(crate) fn run_check_with(cfg: &CheckConfig, reference: bool) -> CheckOutcome
     // bypassing every cache, so the differential comparison covers the
     // memo layer too.
     let clean_campaign = Campaign {
-        shards: cfg.shards,
         memory_budget_bytes: cfg.scale.default_memory_budget(),
         ..Campaign::default_paper()
     };
@@ -376,7 +374,6 @@ pub(crate) fn run_check_with(cfg: &CheckConfig, reference: bool) -> CheckOutcome
         (fork.into_world(), scene)
     };
     let campaign = Campaign {
-        shards: cfg.shards,
         memory_budget_bytes: cfg.scale.default_memory_budget(),
         ..plan.campaign()
     };
@@ -481,14 +478,19 @@ pub(crate) fn run_check_with(cfg: &CheckConfig, reference: bool) -> CheckOutcome
             }
         }
 
-        // Shard-partition invariance on the clean world: re-probe at
-        // explicit shard counts and demand bit-identical run metrics
-        // against the single-queue reference. This is the end-to-end
-        // form of the netsim epoch-barrier contract — every metric the
-        // sweeps track, not just the event trace.
-        let shard_metrics = |shards: usize| -> Vec<(&'static str, f64)> {
+        // Budget-partition invariance on the clean world: re-probe under
+        // budgets sized to the largest studied IXP, so `probe_all` runs at
+        // chunk widths 1 and 2, and demand run metrics bit-identical to
+        // the unbudgeted run's.
+        let worst = clean_world
+            .scene
+            .studied()
+            .map(Campaign::approx_probe_bytes)
+            .max()
+            .unwrap_or(1);
+        let budget_metrics = |budget: Option<u64>| -> Vec<(&'static str, f64)> {
             let campaign = Campaign {
-                shards,
+                memory_budget_bytes: budget,
                 ..Campaign::default_paper()
             };
             let run = PreparedRun::probe((*clean_world).clone(), &campaign);
@@ -496,7 +498,7 @@ pub(crate) fn run_check_with(cfg: &CheckConfig, reference: bool) -> CheckOutcome
                 .named()
                 .to_vec()
         };
-        invariants::shard_partition_invariant(&mut h, &shard_metrics, &[2, 4]);
+        invariants::budget_partition_invariant(&mut h, &budget_metrics, &[worst, 2 * worst]);
 
         // Econ scale invariance at the example point and seeded nearby ones.
         let mut rng = seed::rng(cfg.seed, "testkit-econ", 0);

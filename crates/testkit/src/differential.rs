@@ -51,7 +51,7 @@ pub struct ArmResult {
 /// supposed to?
 #[derive(Debug, Clone)]
 pub struct DiffOutcome {
-    /// Human-readable row label (`shards=2 round=1 deltas=3`, ...).
+    /// Human-readable row label (`round=1 deltas=3`, ...).
     pub label: String,
     /// The arms agreed byte-for-byte.
     pub matched: bool,
@@ -222,39 +222,34 @@ fn visible_delta(world: &World) -> Option<Delta> {
 }
 
 /// Run the probe/metrics differential: `rounds` randomized delta
-/// sequences per shard count, each compared fork-incremental vs rebuild,
-/// plus one broken-oracle row per shard count. Deterministic in `seed`.
-pub fn run_differential(seed: u64, rounds: u64, shard_counts: &[usize]) -> Vec<DiffOutcome> {
+/// sequences, each compared fork-incremental vs rebuild, plus one
+/// broken-oracle row. Deterministic in `seed`.
+pub fn run_differential(seed: u64, rounds: u64) -> Vec<DiffOutcome> {
     let world_cfg = WorldConfig::test_scale(seed);
     let world = World::build(&world_cfg);
+    let campaign = Campaign::default_paper();
+    let parent_probes = campaign.probe_all(&world);
     let mut out = Vec::new();
-    for &shards in shard_counts {
-        let campaign = Campaign {
-            shards,
-            ..Campaign::default_paper()
-        };
-        let parent_probes = campaign.probe_all(&world);
-        for round in 0..rounds {
-            let stream = seed::derive2(seed, "diff-round", round, shards as u64);
-            let deltas = random_deltas(&world, stream, 1 + round as usize % 5);
-            let inc = incremental_arm(&world, &parent_probes, &campaign, &deltas);
-            let reb = rebuild_arm(&world_cfg, &campaign, &deltas);
-            out.push(DiffOutcome {
-                label: format!("shards={shards} round={round} deltas={}", deltas.len()),
-                matched: arms_identical(&inc, &reb),
-                expected: true,
-            });
-        }
-        if let Some(d) = visible_delta(&world) {
-            let deltas = [d];
-            let stale = stale_fork_arm(&world, &parent_probes, &deltas);
-            let reb = rebuild_arm(&world_cfg, &campaign, &deltas);
-            out.push(DiffOutcome {
-                label: format!("shards={shards} broken-oracle"),
-                matched: arms_identical(&stale, &reb),
-                expected: false,
-            });
-        }
+    for round in 0..rounds {
+        let stream = seed::derive(seed, "diff-round", round);
+        let deltas = random_deltas(&world, stream, 1 + round as usize % 5);
+        let inc = incremental_arm(&world, &parent_probes, &campaign, &deltas);
+        let reb = rebuild_arm(&world_cfg, &campaign, &deltas);
+        out.push(DiffOutcome {
+            label: format!("round={round} deltas={}", deltas.len()),
+            matched: arms_identical(&inc, &reb),
+            expected: true,
+        });
+    }
+    if let Some(d) = visible_delta(&world) {
+        let deltas = [d];
+        let stale = stale_fork_arm(&world, &parent_probes, &deltas);
+        let reb = rebuild_arm(&world_cfg, &campaign, &deltas);
+        out.push(DiffOutcome {
+            label: "broken-oracle".to_string(),
+            matched: arms_identical(&stale, &reb),
+            expected: false,
+        });
     }
     out
 }
@@ -294,7 +289,7 @@ pub fn check_report_differential(cfg: &CheckConfig) -> DiffOutcome {
     let a = serde_json::to_string(&run_check(cfg).to_json()).expect("render check report");
     let b = serde_json::to_string(&check_reference(cfg).to_json()).expect("render check report");
     DiffOutcome {
-        label: format!("check seed={} shards={}", cfg.seed, cfg.shards),
+        label: format!("check seed={}", cfg.seed),
         matched: a == b,
         expected: true,
     }
@@ -307,7 +302,7 @@ pub fn sweep_differential(preset: &str, cfg: &rp_scenario::SweepConfig) -> DiffO
     let a = serde_json::to_string(&rp_scenario::run_sweep(&spec, cfg)).expect("render sweep");
     let b = serde_json::to_string(&sweep_reference(&spec, cfg)).expect("render sweep");
     DiffOutcome {
-        label: format!("sweep {preset} seed={} shards={}", cfg.seed, cfg.shards),
+        label: format!("sweep {preset} seed={}", cfg.seed),
         matched: a == b,
         expected: true,
     }
@@ -319,9 +314,9 @@ mod tests {
 
     #[test]
     fn incremental_matches_rebuild_for_random_delta_sequences() {
-        let rows = run_differential(11, 3, &[1, 2]);
+        let rows = run_differential(11, 6);
         let equivalence: Vec<_> = rows.iter().filter(|r| r.expected).collect();
-        assert!(equivalence.len() >= 6);
+        assert_eq!(equivalence.len(), 6);
         for r in &equivalence {
             assert!(
                 r.ok(),
@@ -333,7 +328,7 @@ mod tests {
 
     #[test]
     fn broken_oracle_is_caught() {
-        let rows = run_differential(11, 1, &[1]);
+        let rows = run_differential(11, 1);
         let oracles: Vec<_> = rows.iter().filter(|r| !r.expected).collect();
         assert!(!oracles.is_empty(), "the broken-oracle row must exist");
         for r in &oracles {

@@ -349,28 +349,29 @@ pub fn paired_delta_antisymmetric(
     });
 }
 
-/// Shard-partition invariance: the sharded data plane's contract is that
-/// the fabric→shard assignment is a pure performance policy — the same
-/// world must produce *bit-identical* metrics at every shard count.
-/// `metrics` maps a shard count to the run's named metric values; a count
-/// of 1 is the single-queue reference every partition is held to. The
-/// comparison is on the float bits, not within a tolerance: the epoch
-/// barrier guarantees the merged event trace byte for byte, so any drift
-/// at all is a barrier-ordering bug.
-pub fn shard_partition_invariant(
+/// Budget-partition invariance: [`Campaign::memory_budget_bytes`] only
+/// sets how many IXPs `probe_all` runs side by side, so the same world
+/// must produce *bit-identical* metrics under every budget. `metrics` maps
+/// a budget to the run's named metric values; `None` (one chunk holding
+/// every IXP) is the reference each budget is held to. The comparison is
+/// on the float bits, not within a tolerance: chunks concatenate in
+/// studied-IXP order, so any drift at all is a chunking bug.
+///
+/// [`Campaign::memory_budget_bytes`]: remote_peering::campaign::Campaign::memory_budget_bytes
+pub fn budget_partition_invariant(
     h: &mut Harness,
-    metrics: &dyn Fn(usize) -> Vec<(&'static str, f64)>,
-    shard_counts: &[usize],
+    metrics: &dyn Fn(Option<u64>) -> Vec<(&'static str, f64)>,
+    budgets: &[u64],
 ) {
-    let reference = metrics(1);
-    for &shards in shard_counts {
-        let got = metrics(shards);
+    let reference = metrics(None);
+    for &budget in budgets {
+        let got = metrics(Some(budget));
         let ok = got.len() == reference.len()
             && got
                 .iter()
                 .zip(&reference)
                 .all(|((gn, gv), (rn, rv))| gn == rn && gv.to_bits() == rv.to_bits());
-        h.check("shard_partition_invariant", ok, || {
+        h.check("budget_partition_invariant", ok, || {
             let diffs: Vec<String> = reference
                 .iter()
                 .zip(&got)
@@ -378,7 +379,7 @@ pub fn shard_partition_invariant(
                 .map(|((name, rv), (_, gv))| format!("{name}: {rv} vs {gv}"))
                 .collect();
             format!(
-                "{shards}-shard run diverged from the single-queue reference: {}",
+                "run under a {budget}-byte budget diverged from the unbudgeted reference: {}",
                 if diffs.is_empty() {
                     "metric sets differ in shape".to_string()
                 } else {
@@ -668,66 +669,48 @@ mod tests {
         assert!(!h.ok());
     }
 
-    /// Probe a two-fabric network partitioned over `shards` shards and
-    /// return its event-trace digest as the sole "metric". `skew_ns`
-    /// artificially delays cross-shard handoffs — the barrier-ordering
-    /// bug the shard-partition invariant exists to catch (0 = correct).
-    fn sharded_digest(shards: usize, skew_ns: u64) -> Vec<(&'static str, f64)> {
-        use rp_netsim::{DelayModel, Network, RouterBehavior};
-        use rp_types::SimDuration;
-        let mut net = Network::with_shards(7, shards);
-        net.debug_skew_cross_shard(SimDuration(skew_ns));
-        let far = (net.shard_count() as usize - 1).min(1);
-        let fabric_a = net.add_switch_on(0);
-        let fabric_b = net.add_switch_on(far);
-        net.connect(
-            fabric_a,
-            fabric_b,
-            DelayModel::ideal(rp_types::SimDuration::from_millis(2)),
-        );
-        let lg = net.add_host_on(0);
-        let (_, lgp) = net.connect(
-            fabric_a,
-            lg,
-            DelayModel::ideal(rp_types::SimDuration::from_micros(10)),
-        );
-        net.bind_host(lg, lgp, "10.0.0.1".parse().unwrap());
-        let member = net.add_router_on(far, RouterBehavior::default());
-        let (_, mp) = net.connect(
-            fabric_b,
-            member,
-            DelayModel::ideal(rp_types::SimDuration::from_micros(10)),
-        );
-        net.bind_router(member, mp, "10.0.0.9".parse().unwrap());
-        for k in 0..4u64 {
-            net.plan_ping(
-                lg,
-                SimTime::ZERO + rp_types::SimDuration::from_millis(1 + k),
-                "10.0.0.9".parse().unwrap(),
-            );
-        }
-        net.run_to_completion();
-        vec![("trace_digest", f64::from_bits(net.trace_digest()))]
-    }
-
     #[test]
-    fn shard_partition_invariant_real_and_mutated() {
+    fn budget_partition_invariant_real_and_mutated() {
+        use remote_peering::campaign::Campaign;
+        use remote_peering::metrics::{MethodParams, PreparedRun, RunMetrics};
+        use remote_peering::world::{World, WorldConfig};
+        let world = World::build(&WorldConfig::test_scale(23));
+        let worst = world
+            .scene
+            .studied()
+            .map(Campaign::approx_probe_bytes)
+            .max()
+            .expect("studied IXPs");
+        let metrics = |budget: Option<u64>| {
+            let campaign = Campaign {
+                memory_budget_bytes: budget,
+                ..Campaign::default_paper()
+            };
+            let run = PreparedRun::probe(world.clone(), &campaign);
+            RunMetrics::collect(&run, &MethodParams::default())
+                .named()
+                .to_vec()
+        };
         let mut h = Harness::new();
-        shard_partition_invariant(&mut h, &|s| sharded_digest(s, 0), &[2, 3]);
+        budget_partition_invariant(&mut h, &metrics, &[worst, 2 * worst]);
         assert!(h.ok(), "{:?}", h.violations);
         assert_eq!(h.checks, 2);
 
-        // Mutated oracle: cross-shard arrivals skewed by half a
-        // millisecond — events cross the epoch barrier late, the merged
-        // trace reorders, and the checker must fire. (The single-shard
-        // reference is immune: it has no cross-shard handoffs to skew.)
+        // Mutated oracle: a run whose first metric drifts by one ulp at
+        // chunk width 2 only, the shape of a chunk-order bug. The checker
+        // must fire on that width and stay quiet on the other.
+        let mutated = |budget: Option<u64>| {
+            let mut m = metrics(budget);
+            if budget == Some(2 * worst) {
+                m[0].1 = f64::from_bits(m[0].1.to_bits() ^ 1);
+            }
+            m
+        };
         let mut h = Harness::new();
-        shard_partition_invariant(&mut h, &|s| sharded_digest(s, 500_000), &[2]);
-        assert!(!h.ok());
-        assert!(h
-            .violations
-            .iter()
-            .all(|v| v.invariant == "shard_partition_invariant"));
+        budget_partition_invariant(&mut h, &mutated, &[worst, 2 * worst]);
+        assert_eq!(h.checks, 2);
+        assert_eq!(h.violations.len(), 1, "{:?}", h.violations);
+        assert_eq!(h.violations[0].invariant, "budget_partition_invariant");
     }
 
     #[test]

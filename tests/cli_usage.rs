@@ -40,11 +40,14 @@ fn assert_usage_error(out: &Output, expected_first_line: &str) {
 fn unknown_flag_is_one_line_error_exit_2() {
     // `bench` always writes `<out>/bench.json`, and bench results are
     // compared by `scripts/check_bench_trend.py`, so these are no flags.
+    // Every IXP network runs one event loop, so there is no shard count
+    // to set either.
     for args in [
         &["--definitely-bogus"][..],
         &["bench", "--compare", "x"],
         &["bench", "--warn-only"],
         &["bench", "--json", "x"],
+        &["check", "--shards", "2"],
     ] {
         let out = repro(args);
         let flag = args.iter().find(|a| a.starts_with("--")).expect("a flag");

@@ -1,8 +1,7 @@
 //! Fork equivalence, end to end through the real `repro` binary: the
 //! default paths — copy-on-write fork, incremental recompute, memoized
 //! worlds and probe sets — must produce artifacts **byte-identical** to
-//! `rp-testkit`'s from-scratch reference arms, across the full
-//! `--threads 1/4` × `--shards 1/2/4` matrix.
+//! `rp-testkit`'s from-scratch reference arms, at `--threads` 1 and 4.
 //!
 //! Two artifact surfaces are compared:
 //!
@@ -30,7 +29,6 @@ use rp_testkit::CheckConfig;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-const SHARD_COUNTS: [&str; 3] = ["1", "2", "4"];
 const THREAD_COUNTS: [&str; 2] = ["1", "4"];
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -40,40 +38,38 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Run `repro <args>` across the thread × shard matrix and require each
+/// Run `repro <args>` at every thread count and require each
 /// run's stdout and artifact (`artifact_rel` under `--out`) to equal the
 /// reference rendering byte for byte.
 fn assert_matrix_matches(args: &[&str], reference: &JobResult) {
     let artifact_rel = reference.artifact_rel_path();
     for threads in THREAD_COUNTS {
-        for shards in SHARD_COUNTS {
-            let tag = format!("{}-t{threads}-s{shards}", reference.kind);
-            let out_dir = temp_dir(&tag);
-            let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-                .args(args)
-                .args(["--threads", threads, "--shards", shards])
-                .args(["--out", out_dir.to_str().unwrap()])
-                .output()
-                .expect("spawn repro");
-            assert!(
-                out.status.success(),
-                "[{tag}] repro failed: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            assert_eq!(
-                String::from_utf8_lossy(&out.stdout),
-                reference.digest,
-                "[{tag}] stdout differs from the reference arm"
-            );
-            let artifact = std::fs::read_to_string(Path::new(&out_dir).join(&artifact_rel))
-                .expect("artifact written");
-            assert!(!artifact.is_empty());
-            assert!(
-                artifact == reference.artifact,
-                "[{tag}] {artifact_rel} differs from the reference arm"
-            );
-            let _ = std::fs::remove_dir_all(&out_dir);
-        }
+        let tag = format!("{}-t{threads}", reference.kind);
+        let out_dir = temp_dir(&tag);
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .args(["--threads", threads])
+            .args(["--out", out_dir.to_str().unwrap()])
+            .output()
+            .expect("spawn repro");
+        assert!(
+            out.status.success(),
+            "[{tag}] repro failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            reference.digest,
+            "[{tag}] stdout differs from the reference arm"
+        );
+        let artifact = std::fs::read_to_string(Path::new(&out_dir).join(&artifact_rel))
+            .expect("artifact written");
+        assert!(!artifact.is_empty());
+        assert!(
+            artifact == reference.artifact,
+            "[{tag}] {artifact_rel} differs from the reference arm"
+        );
+        let _ = std::fs::remove_dir_all(&out_dir);
     }
 }
 
@@ -84,7 +80,7 @@ fn check_fork_path_matches_reference_rebuild_across_the_matrix() {
         fault_trials: 40,
         fuzz_iters: 60,
         scale: Scale::Test,
-        shards: 1,
+        shards: 0,
     });
     assert!(reference.passed());
     assert_matrix_matches(
@@ -101,7 +97,6 @@ fn sweep_probe_reuse_matches_probe_rebuild_across_the_matrix() {
     // The configuration `run_job` builds for `repro sweep smoke`.
     let cfg = SweepConfig {
         replicates: spec.default_replicates,
-        shards: 1,
         ..SweepConfig::test_default(42)
     };
     let reference = JobResult::sweep(&spec.name, sweep_reference(&spec, &cfg));

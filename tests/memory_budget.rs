@@ -56,15 +56,11 @@ fn approx_probe_bytes_covers_the_largest_paper_scale_ixps() {
     // The chunk width of a budgeted `probe_all` divides the budget by this
     // estimate, so it must not undershoot what one IXP really holds: the
     // simulator's high-water queue and arena capacity plus the finished
-    // probe plane. Checked on the three largest studied IXPs, one shard
-    // each (the default at one site).
+    // probe plane. Checked on the three largest studied IXPs.
     let world = World::build(&WorldConfig::paper_scale(42));
     let mut studied: Vec<_> = world.scene.studied().collect();
     studied.sort_by_key(|x| std::cmp::Reverse(x.members.len()));
-    let campaign = Campaign {
-        shards: 1,
-        ..Campaign::default_paper()
-    };
+    let campaign = Campaign::default_paper();
     for inst in studied.into_iter().take(3) {
         let run = campaign.run_ixp(&world, inst.id, false);
         let held = run.retained_bytes + run.plane.plane_bytes();

@@ -17,14 +17,13 @@ use rp_types::IxpId;
 const SEEDS: [u64; 3] = [7, 42, 20140101];
 
 /// Golden fold of the per-IXP event-trace digests for the seed-42
-/// test-scale campaign, captured on the sharded scheduler with intrinsic
-/// `(creator, seq)` event keys and per-direction link/fault RNG streams
-/// that ARP frames never touch.
+/// test-scale campaign, with intrinsic `(creator, seq)` event keys and
+/// per-direction link/fault RNG streams that ARP frames never touch.
 /// `Network::trace_digest` folds a commutative hash of `(time, node,
 /// kind)` over every dispatched event, so this constant pins the exact
-/// event multiset of every studied IXP's campaign at every shard and
-/// thread count: any event-queue, frame-pool, or shard-layout rework must
-/// reproduce it bit for bit.
+/// event multiset of every studied IXP's campaign at every thread count:
+/// any event-queue, frame-pool, or event-loop rework must reproduce it
+/// bit for bit.
 const GOLDEN_TRACE_FOLD_SEED_42: u64 = 0x730a_c9de_132b_c3d3;
 
 /// Total events dispatched across all studied IXPs for the same campaign
@@ -79,33 +78,6 @@ fn golden_event_trace_digest_survives_scheduler_and_pool_swap() {
         events, GOLDEN_TRACE_EVENTS_SEED_42,
         "total dispatched events diverged (events={events})"
     );
-}
-
-/// The shard-equivalence contract at the campaign level: explicit shard
-/// counts 1, 2, and 4 must all reproduce the golden trace fold (the
-/// machine-dependent default is therefore also covered, since it resolves
-/// to some explicit count).
-#[test]
-fn trace_digest_is_shard_count_invariant() {
-    let world = World::build(&WorldConfig::test_scale(42));
-    let fold_at = |shards: usize| {
-        let campaign = Campaign {
-            shards,
-            ..Campaign::default_paper()
-        };
-        world
-            .studied_ixps()
-            .iter()
-            .map(|&ixp| trace(&campaign, &world, ixp))
-            .fold(0xcbf2_9ce4_8422_2325_u64, |h, (d, _)| fnv1a_fold(h, d))
-    };
-    for shards in [1usize, 2, 4] {
-        assert_eq!(
-            fold_at(shards),
-            GOLDEN_TRACE_FOLD_SEED_42,
-            "--shards {shards} diverged from the golden trace"
-        );
-    }
 }
 
 #[test]
@@ -188,7 +160,7 @@ fn reachable_cone_cache_composes_exactly() {
 fn instrumentation_is_result_invariant() {
     // The rp-obs spans, counters, and timeline recorders threaded through
     // the hot paths must be pure observers: enabling them cannot perturb a
-    // single result, at any shard count. (The byte-level guard on the
+    // single result. (The byte-level guard on the
     // emitted JSON lives in tests/report_schema.rs; this is the in-process
     // version over the same pipelines.)
     let world = World::build(&WorldConfig::test_scale(42));
@@ -196,28 +168,15 @@ fn instrumentation_is_result_invariant() {
     let plain_greedy =
         OffloadStudy::new(&world).greedy_by(PeerGroup::All, 20, GreedyMetric::Traffic);
 
-    let mut baseline_probes = None;
-    for shards in [1usize, 2, 4] {
-        let campaign = Campaign {
-            shards,
-            ..Campaign::default_paper()
-        };
-        let plain = campaign.probe_all(&world);
-        rp_obs::enable();
-        let instrumented = campaign.probe_all(&world);
-        rp_obs::disable();
-        assert_eq!(
-            plain, instrumented,
-            "instrumented campaign produced different samples at --shards {shards}"
-        );
-        match &baseline_probes {
-            None => baseline_probes = Some(plain),
-            Some(b) => assert_eq!(
-                b, &plain,
-                "campaign samples changed between shard counts (shards={shards})"
-            ),
-        }
-    }
+    let campaign = Campaign::default_paper();
+    let plain = campaign.probe_all(&world);
+    rp_obs::enable();
+    let instrumented = campaign.probe_all(&world);
+    rp_obs::disable();
+    assert_eq!(
+        plain, instrumented,
+        "instrumented campaign produced different samples"
+    );
 
     rp_obs::enable();
     let instrumented_world = World::build(&WorldConfig::test_scale(42));

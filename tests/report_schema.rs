@@ -206,26 +206,26 @@ fn report_schema_and_outputs_are_deterministic() {
 }
 
 /// The full determinism matrix for the observability layer: every gated
-/// artifact must be byte-identical across `--shards` 1/2/4, with tracing
+/// artifact must be byte-identical across `--threads` 1/4, with tracing
 /// and reporting on or off, and the `timelines` section of the run report
-/// must itself be identical at every shard count (it samples simulation
-/// time, never the shard layout). The Chrome trace must parse as a
+/// must itself be identical at every thread count (it samples simulation
+/// time, never the schedule). The Chrome trace must parse as a
 /// trace-event JSON array.
 #[test]
-fn timelines_and_outputs_are_shard_and_trace_invariant() {
+fn timelines_and_outputs_are_thread_and_trace_invariant() {
     let base = temp_dir("matrix-base");
-    repro(&base, &["--shards", "1"]);
+    repro(&base, &["--threads", "1"]);
 
     let mut timelines: Option<String> = None;
-    for shards in ["1", "2", "4"] {
-        let dir = temp_dir(&format!("matrix-s{shards}"));
+    for threads in ["1", "4"] {
+        let dir = temp_dir(&format!("matrix-t{threads}"));
         let jsonl = dir.join("trace.jsonl");
         let chrome = dir.join("trace_chrome.json");
         repro(
             &dir,
             &[
-                "--shards",
-                shards,
+                "--threads",
+                threads,
                 "--report",
                 "--trace-json",
                 jsonl.to_str().unwrap(),
@@ -236,7 +236,7 @@ fn timelines_and_outputs_are_shard_and_trace_invariant() {
         let compared = assert_outputs_identical(
             &base,
             &dir,
-            &format!("shards=1 plain vs shards={shards} traced"),
+            &format!("threads=1 plain vs threads={threads} traced"),
         );
         assert!(compared >= 10, "only {compared} outputs compared");
 
@@ -265,7 +265,7 @@ fn timelines_and_outputs_are_shard_and_trace_invariant() {
             None => timelines = Some(rendered),
             Some(first) => assert_eq!(
                 first, &rendered,
-                "timelines section changed at --shards {shards}"
+                "timelines section changed at --threads {threads}"
             ),
         }
 

@@ -1,19 +1,18 @@
 //! Pins of the deterministic parts of a campaign's run report.
 //!
 //! `tests/report_schema.rs` checks that the `timelines` section is the same
-//! at every shard count and with tracing on or off; a change that moved
+//! at every thread count and with tracing on or off; a change that moved
 //! every run's timelines the same way would still pass it. This file pins
 //! the section itself: the FNV-1a-64 of the serialized `timelines` of a
 //! test-scale `repro table1` campaign (seed 42, collection on) at
-//! `--shards` 1 and 2 and `--threads` 1 and 2. A deliberate change to what
-//! the timelines record updates the pin; the failing assertion prints the
-//! new value.
+//! `--threads` 1 and 2. A deliberate change to what the timelines record
+//! updates the pin; the failing assertion prints the new value.
 //!
 //! It also checks the per-kind event counters (`netsim.sim.events.*`):
 //! they sum to `netsim.sim.events_processed` and do not depend on the
-//! shard count. So do the per-IXP series `core.campaign.events_by_ixp`
-//! and `core.campaign.interfaces_by_ixp`, which must add up to the event
-//! and probed-interface totals of the run.
+//! thread count. The per-IXP series `core.campaign.events_by_ixp` and
+//! `core.campaign.interfaces_by_ixp` must add up to the event and
+//! probed-interface totals of the run.
 
 use serde_json::Value;
 use std::process::Command;
@@ -39,12 +38,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Run `repro table1` at test scale, seed 42, and return its run report.
 /// Every call gets its own `--out` dir: the tests run in parallel and ask
-/// for the same `(shards, threads)` pairs, so a dir keyed on those alone
-/// could be removed under another call's running repro.
-fn campaign_report(shards: u32, threads: u32) -> Value {
+/// for the same thread counts, so a dir keyed on those alone could be
+/// removed under another call's running repro.
+fn campaign_report(threads: u32) -> Value {
     static CALLS: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "rp-run-report-golden-s{shards}-t{threads}-{}-{}",
+        "rp-run-report-golden-t{threads}-{}-{}",
         std::process::id(),
         CALLS.fetch_add(1, Ordering::Relaxed)
     ));
@@ -53,7 +52,6 @@ fn campaign_report(shards: u32, threads: u32) -> Value {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .arg("table1")
         .args(["--scale", "test", "--seed", "42"])
-        .args(["--shards", &shards.to_string()])
         .args(["--threads", &threads.to_string()])
         .arg("--out")
         .arg(&dir)
@@ -64,7 +62,7 @@ fn campaign_report(shards: u32, threads: u32) -> Value {
         .expect("spawn repro");
     assert!(
         out.status.success(),
-        "repro table1 --shards {shards} --threads {threads}: {}\n{}",
+        "repro table1 --threads {threads}: {}\n{}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
@@ -104,48 +102,48 @@ fn counter(report: &Value, name: &str) -> u64 {
 
 #[test]
 fn campaign_timelines_are_pinned() {
-    for (shards, threads) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
-        let report = campaign_report(shards, threads);
+    for threads in [1, 2] {
+        let report = campaign_report(threads);
         let timelines = report.get("timelines").expect("timelines section");
         let rendered = serde_json::to_string(timelines).expect("serialize timelines");
         let got = fnv1a(rendered.as_bytes());
-        println!("--shards {shards} --threads {threads}: timelines {got:#018x}");
+        println!("--threads {threads}: timelines {got:#018x}");
         assert_eq!(
             got, TIMELINES_FNV,
-            "timelines moved at --shards {shards} --threads {threads}: {got:#018x}"
+            "timelines moved at --threads {threads}: {got:#018x}"
         );
     }
 }
 
 #[test]
 fn event_kind_counters_sum_to_events_processed() {
-    let by_shards: Vec<Vec<u64>> = [1, 2]
+    let by_threads: Vec<Vec<u64>> = [1, 2]
         .into_iter()
-        .map(|shards| {
-            let report = campaign_report(shards, 1);
+        .map(|threads| {
+            let report = campaign_report(threads);
             let kinds: Vec<u64> = EVENT_KINDS.iter().map(|k| counter(&report, k)).collect();
             let total = counter(&report, "netsim.sim.events_processed");
             assert!(total > 0, "campaign dispatched no events");
             assert_eq!(
                 kinds.iter().sum::<u64>(),
                 total,
-                "--shards {shards}: per-kind counts {kinds:?} do not sum to {total}"
+                "--threads {threads}: per-kind counts {kinds:?} do not sum to {total}"
             );
             assert_eq!(
                 series_total(&report, "core.campaign.events_by_ixp"),
                 total,
-                "--shards {shards}: per-IXP events do not sum to the run's events"
+                "--threads {threads}: per-IXP events do not sum to the run's events"
             );
             assert_eq!(
                 series_total(&report, "core.campaign.interfaces_by_ixp"),
                 counter(&report, "core.campaign.interfaces_probed"),
-                "--shards {shards}: per-IXP interfaces do not sum to the probed total"
+                "--threads {threads}: per-IXP interfaces do not sum to the probed total"
             );
             kinds
         })
         .collect();
     assert_eq!(
-        by_shards[0], by_shards[1],
-        "per-kind event counts differ between --shards 1 and 2"
+        by_threads[0], by_threads[1],
+        "per-kind event counts differ between --threads 1 and 2"
     );
 }
