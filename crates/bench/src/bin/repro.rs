@@ -833,11 +833,25 @@ fn run_bench_command(args: &Args) -> Outcome {
     drop(prod_probes);
     // Pure drain throughput: every studied IXP's event loop run in turn
     // on the calling thread, the aggregate events/s on a world this size.
+    // The largest studied IXP's held bytes (queue and arena, host records,
+    // plane) ride along: what `Campaign::approx_probe_bytes` must cover.
+    let largest = prod
+        .scene
+        .studied()
+        .max_by_key(|inst| inst.members.len())
+        .map(|inst| inst.id);
+    let mut prod_largest_held = 0;
     let t = Instant::now();
     let prod_events: u64 = prod
         .studied_ixps()
         .iter()
-        .map(|&ixp| prod_campaign.run_ixp(&prod, ixp, false).events)
+        .map(|&ixp| {
+            let run = prod_campaign.run_ixp(&prod, ixp, false);
+            if Some(ixp) == largest {
+                prod_largest_held = run.held_bytes();
+            }
+            run.events
+        })
         .sum();
     rows.push(BenchRow {
         name: "production_drain_1shard",
@@ -861,6 +875,7 @@ fn run_bench_command(args: &Args) -> Outcome {
         "memory_budget_bytes": prod_budget,
         "events_per_campaign": prod_events,
         "probe_plane_bytes": prod_plane_bytes,
+        "largest_ixp_held_bytes": prod_largest_held,
     });
     drop(prod);
 

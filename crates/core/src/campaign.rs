@@ -71,10 +71,23 @@ pub struct IxpRun {
     pub trace_digest: u64,
     /// Total events the run dispatched.
     pub events: u64,
-    /// Heap bytes the network's event queues and frame arenas retained
+    /// Heap bytes the network's event queue and frame arena retained
     /// after the drain ([`Network::retained_bytes`]). Their capacity never
-    /// shrinks, so this is the run's high-water simulator footprint.
+    /// shrinks, so this is the run's high-water queue and arena footprint.
     pub retained_bytes: u64,
+    /// Heap bytes the network's hosts held for their probes after the
+    /// drain ([`Network::host_record_bytes`]): one record per planned
+    /// ping, the in-flight tables and the ARP state, by capacity.
+    pub host_bytes: u64,
+}
+
+impl IxpRun {
+    /// Everything the run held at its high-water mark that the estimate
+    /// [`Campaign::approx_probe_bytes`] must cover: queue and arena, host
+    /// records, and the finished probe plane.
+    pub fn held_bytes(&self) -> u64 {
+        self.retained_bytes + self.host_bytes + self.plane.plane_bytes()
+    }
 }
 
 /// Parent planes a forked world may reuse in [`Campaign::probe_all_with`]:
@@ -170,18 +183,22 @@ impl Campaign {
         }
     }
 
-    /// Conservative peak-bytes estimate for probing one IXP: the
-    /// simulator's high-water event-queue and frame-arena capacity
-    /// ([`IxpRun::retained_bytes`]) plus the finished probe plane. Used
-    /// only to size [`Campaign::probe_all`] chunks, so it must scale with
-    /// the member count and never undershoot, not be exact.
+    /// Conservative peak-bytes estimate for probing one IXP: what
+    /// [`IxpRun::held_bytes`] counts — the simulator's high-water
+    /// event-queue and frame-arena capacity, the hosts' probe records,
+    /// and the finished probe plane. Used only to size
+    /// [`Campaign::probe_all`] chunks, so it must scale with the member
+    /// count and never undershoot, not be exact.
     ///
-    /// Calibrated on seed 42: the three largest paper-scale
-    /// IXPs hold 5.6–6.7 KB per member (estimate 2.7–3.2× the held
-    /// bytes), production AMS-IX (8,480 members) 6.9 KB (2.4×). The
-    /// event queue's plan run and the probe plane grow with the member
-    /// count; a larger world still needs re-measuring
-    /// (`tests/memory_budget.rs` pins paper scale).
+    /// Calibrated on seed 42: the three largest paper-scale IXPs hold
+    /// 6.9–7.1 KB per member (estimate 2.5–2.6× the held bytes),
+    /// production AMS-IX (8,480 members) 6.4 KB and DE-CIX and LINX
+    /// 6.3 KB (2.6× each). The plan run, the host records and the probe
+    /// plane all grow with the member count; a larger world still needs
+    /// re-measuring (`tests/memory_budget.rs` pins paper scale). The
+    /// held bytes leave out the network's devices and wiring: production
+    /// AMS-IX raises the process high-water mark by 83 MiB against
+    /// 52 MiB held.
     pub fn approx_probe_bytes(inst: &IxpInstance) -> u64 {
         (1 << 20) + inst.members.len() as u64 * 16_384
     }
@@ -331,6 +348,20 @@ impl Campaign {
             1 => vec![(0.0, 1.0)],
             _ => vec![(0.0, 0.5), (0.5, 1.0)],
         };
+        // Every host's ping count is known before anything is planned, so
+        // the plan run and the probe records are sized exactly.
+        let mut pings: Vec<(NodeId, usize)> = lgs
+            .iter()
+            .zip(&windows)
+            .map(|(&(op, host), _)| {
+                let per_iface = self.queries_for(op) as usize * op.pings_per_query() as usize;
+                (host, per_iface * listed.len())
+            })
+            .collect();
+        if let Some(rs) = route_server {
+            pings.push((rs, self.route_server_pings as usize * listed.len()));
+        }
+        net.reserve_pings(&pings);
         for ((op, host), (w_lo, w_hi)) in lgs.iter().zip(windows) {
             let q_count = self.queries_for(*op);
             let total_queries = (q_count as u64) * listed.len().max(1) as u64;
@@ -393,10 +424,10 @@ impl Campaign {
         let mut unanswered = vec![0u32; rows * lg_n];
         for (k, (_, host)) in lgs.iter().enumerate() {
             for outcome in net.host(*host).outcomes() {
-                let Some(i) = row_for(outcome.target) else {
+                let Some(i) = row_for(outcome.target()) else {
                     continue;
                 };
-                match outcome.reply {
+                match outcome.reply() {
                     Some(_) => reply_counts[i * lg_n + k] += 1,
                     None => unanswered[i * lg_n + k] += 1,
                 }
@@ -408,16 +439,15 @@ impl Campaign {
         rp_obs::counter!("core.campaign.interfaces_probed").add(listed.len() as u64);
         for (k, (_, host)) in lgs.iter().enumerate() {
             for outcome in net.host(*host).outcomes() {
-                let Some(i) = row_for(outcome.target) else {
+                let Some(i) = row_for(outcome.target()) else {
                     continue;
                 };
-                if let Some(r) = outcome.reply {
+                if let Some(r) = outcome.reply() {
                     rtt_hist.observe(r.rtt.as_millis_f64());
                     builder.place(
                         i,
                         k,
                         Sample {
-                            sent_at: outcome.sent_at.unwrap_or(outcome.planned_at),
                             rtt_ms: r.rtt.as_millis_f64(),
                             ttl: r.ttl,
                         },
@@ -430,8 +460,8 @@ impl Campaign {
             // Dense per-slot minima; +∞ marks "never answered".
             let mut mins = vec![f64::INFINITY; inst.members.len()];
             for outcome in net.host(rs).outcomes() {
-                if let Some(r) = outcome.reply {
-                    if let Some(slot) = inst.slot_of(outcome.target) {
+                if let Some(r) = outcome.reply() {
+                    if let Some(slot) = inst.slot_of(outcome.target()) {
                         let e = &mut mins[slot as usize];
                         *e = e.min(r.rtt.as_millis_f64());
                     }
@@ -464,6 +494,7 @@ impl Campaign {
             trace_digest: net.trace_digest(),
             events,
             retained_bytes: net.retained_bytes(),
+            host_bytes: net.host_record_bytes(),
         }
     }
 

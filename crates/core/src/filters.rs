@@ -302,7 +302,6 @@ mod tests {
     use super::*;
     use crate::probe::{InterfaceSamples, Sample};
     use rp_ixp::LgOperator;
-    use rp_types::SimTime;
 
     fn entry(ip: &str, asns: Vec<u32>) -> ListingEntry {
         ListingEntry {
@@ -320,11 +319,7 @@ mod tests {
                     (
                         op,
                         v.into_iter()
-                            .map(|(rtt, ttl)| Sample {
-                                sent_at: SimTime::ZERO,
-                                rtt_ms: rtt,
-                                ttl,
-                            })
+                            .map(|(rtt, ttl)| Sample { rtt_ms: rtt, ttl })
                             .collect(),
                     )
                 })

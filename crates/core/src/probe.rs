@@ -1,15 +1,14 @@
 //! Probe sample containers — the raw material the filters consume.
 
 use rp_ixp::LgOperator;
-use rp_types::SimTime;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
-/// One accepted ping reply as seen by an LG server.
+/// One accepted ping reply as seen by an LG server. The filters read
+/// only the RTT and the TTL; a plane holds one per reply, so the type
+/// carries nothing else (16 bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Sample {
-    /// When the echo request left the LG server.
-    pub sent_at: SimTime,
     /// Round-trip time in milliseconds.
     pub rtt_ms: f64,
     /// TTL field of the reply as observed at the LG server.
@@ -279,7 +278,6 @@ impl PlaneBuilder {
         }
         let cursors = offsets[..reply_counts.len()].to_vec();
         let filler = Sample {
-            sent_at: SimTime::ZERO,
             rtt_ms: 0.0,
             ttl: 0,
         };
@@ -323,11 +321,14 @@ mod tests {
     use super::*;
 
     fn sample(rtt: f64, ttl: u8) -> Sample {
-        Sample {
-            sent_at: SimTime::ZERO,
-            rtt_ms: rtt,
-            ttl,
-        }
+        Sample { rtt_ms: rtt, ttl }
+    }
+
+    #[test]
+    fn sample_size_is_pinned() {
+        // A plane holds one sample per reply: growing it is a deliberate
+        // change.
+        assert_eq!(std::mem::size_of::<Sample>(), 16);
     }
 
     #[test]

@@ -6,14 +6,12 @@ use remote_peering::filters::{apply, AnalyzedInterface, Discard, FilterConfig};
 use remote_peering::probe::{InterfaceSamples, Sample};
 use rp_ixp::registry::ListingEntry;
 use rp_ixp::LgOperator;
-use rp_types::{Asn, SimTime};
+use rp_types::Asn;
 
 fn samples_from(replies: &[(f64, u8)], second_lg: Option<&[(f64, u8)]>) -> InterfaceSamples {
     let mk = |v: &[(f64, u8)]| -> Vec<Sample> {
         v.iter()
-            .enumerate()
-            .map(|(k, (rtt, ttl))| Sample {
-                sent_at: SimTime(k as u64 * 60_000_000_000),
+            .map(|(rtt, ttl)| Sample {
                 rtt_ms: *rtt,
                 ttl: *ttl,
             })

@@ -15,12 +15,15 @@
 //! trigger keep only a handful of events in flight at once. So the queue
 //! holds two structures:
 //!
-//! - the **plan run**: every event keyed by [`EventKey::PLAN_CREATOR`],
+//! - the **plan run**: every timer keyed by [`EventKey::PLAN_CREATOR`],
 //!   in a `Vec` drained front to back by a cursor. Its unconsumed tail is
 //!   sorted once, at the first pop after an out-of-order push; plans
-//!   pushed in order never sort at all.
+//!   pushed in order never sort at all. The run is the queue's bulk, so
+//!   it stores a 24-byte `PlanEntry` (time, `u32` plan sequence, node,
+//!   token) instead of the heap's 40-byte generic entry, and rebuilds the
+//!   [`Event::Timer`] on pop.
 //! - a **binary heap** for everything else: frame arrivals, device
-//!   timers.
+//!   timers, and any non-timer event that carries a plan key.
 //!
 //! Each pop compares the two fronts on the full `(time, key)` pair, so
 //! the merge is exact. Keys are unique (each creator numbers its events
@@ -78,6 +81,7 @@ impl EventKey {
     pub const PLAN_CREATOR: u32 = u32::MAX;
 }
 
+/// A heap event: any event, under its full key.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     at: SimTime,
@@ -89,6 +93,35 @@ impl Entry {
     #[inline]
     fn sort_key(&self) -> (SimTime, EventKey) {
         (self.at, self.key)
+    }
+}
+
+/// A planned timer in the plan run: the creator is implied
+/// ([`EventKey::PLAN_CREATOR`]) and the sequence narrowed to `u32`, so an
+/// entry is 24 bytes where the heap's generic [`Entry`] is 40.
+#[derive(Debug, Clone, Copy)]
+struct PlanEntry {
+    at: SimTime,
+    seq: u32,
+    node: NodeId,
+    token: u64,
+}
+
+impl PlanEntry {
+    /// Order within the plan run: every entry shares the creator.
+    #[inline]
+    fn run_key(&self) -> (SimTime, u32) {
+        (self.at, self.seq)
+    }
+
+    /// The full `(time, key)` pair, for the merge with the heap.
+    #[inline]
+    fn sort_key(&self) -> (SimTime, EventKey) {
+        let key = EventKey {
+            creator: EventKey::PLAN_CREATOR,
+            seq: u64::from(self.seq),
+        };
+        (self.at, key)
     }
 }
 
@@ -117,14 +150,14 @@ impl Ord for HeapEntry {
 /// Deterministic time-ordered event queue.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    /// Planned events; `plans[cursor..]` are pending. Emptied (keeping its
-    /// capacity) whenever the cursor reaches the end.
-    plans: Vec<Entry>,
+    /// Planned timers; `plans[cursor..]` are pending. Emptied (keeping
+    /// its capacity) whenever the cursor reaches the end.
+    plans: Vec<PlanEntry>,
     cursor: usize,
     /// Set when a push broke the ascending order of `plans[cursor..]`;
     /// the next look at the front sorts that tail.
     unsorted: bool,
-    /// Every event not keyed by [`EventKey::PLAN_CREATOR`].
+    /// Every event the plan run does not hold.
     heap: BinaryHeap<HeapEntry>,
 }
 
@@ -135,72 +168,68 @@ impl EventQueue {
     }
 
     /// Schedule `event` at absolute time `at` under its intrinsic `key`.
+    ///
+    /// # Panics
+    /// When a timer keyed by [`EventKey::PLAN_CREATOR`] carries a `seq`
+    /// past `u32::MAX`: the plan run numbers its entries in 32 bits, and
+    /// a wrapped sequence would silently reorder ties.
     pub fn push(&mut self, at: SimTime, key: EventKey, event: Event) {
-        let entry = Entry { at, key, event };
-        if key.creator != EventKey::PLAN_CREATOR {
-            self.heap.push(HeapEntry(entry));
-            return;
-        }
+        let (node, token) = match event {
+            Event::Timer { node, token } if key.creator == EventKey::PLAN_CREATOR => (node, token),
+            _ => return self.heap.push(HeapEntry(Entry { at, key, event })),
+        };
+        let seq = u32::try_from(key.seq).unwrap_or_else(|_| {
+            panic!(
+                "plan seq {} past u32::MAX: the plan run numbers at most 2^32 planned timers",
+                key.seq
+            )
+        });
+        let entry = PlanEntry {
+            at,
+            seq,
+            node,
+            token,
+        };
         if let Some(last) = self.plans.last() {
-            self.unsorted |= entry.sort_key() < last.sort_key();
+            self.unsorted |= entry.run_key() < last.run_key();
         }
         self.plans.push(entry);
     }
 
-    /// Time of the earliest pending event, and whether the plan run (not
-    /// the heap) holds it.
-    #[inline]
-    fn front(&mut self) -> Option<(SimTime, bool)> {
-        if self.unsorted {
-            self.plans[self.cursor..].sort_unstable_by_key(Entry::sort_key);
-            self.unsorted = false;
-        }
-        let plan = self.plans.get(self.cursor).map(Entry::sort_key);
-        let other = self.heap.peek().map(|e| e.0.sort_key());
-        match (plan, other) {
-            (None, None) => None,
-            (Some(p), Some(h)) if h < p => Some((h.0, false)),
-            (Some(p), _) => Some((p.0, true)),
-            (None, Some(h)) => Some((h.0, false)),
-        }
-    }
-
-    /// Remove the front of the plan run or of the heap.
-    #[inline]
-    fn take(&mut self, from_plans: bool) -> (SimTime, Event) {
-        let entry = if from_plans {
-            let entry = self.plans[self.cursor];
-            self.cursor += 1;
-            if self.cursor == self.plans.len() {
-                self.plans.clear();
-                self.cursor = 0;
-            }
-            entry
-        } else {
-            self.heap.pop().expect("peeked heap entry").0
-        };
-        (entry.at, entry.event)
+    /// Make room for `additional` more planned timers in the plan run, at
+    /// exactly that size: a caller that knows its plan count up front
+    /// leaves no doubling slack behind.
+    pub(crate) fn reserve_plans(&mut self, additional: usize) {
+        self.plans.reserve_exact(additional);
     }
 
     /// Pop the earliest event (ties broken by [`EventKey`] order).
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        let (_, from_plans) = self.front()?;
-        Some(self.take(from_plans))
-    }
-
-    /// Pop the earliest event if it lies strictly before `horizon`.
-    ///
-    /// Exactly `peek_time()` followed by `pop()` when the peeked time is
-    /// under the horizon, fused so the drain loop compares the two fronts
-    /// once per event instead of twice.
-    pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, Event)> {
-        let (at, from_plans) = self.front()?;
-        (at < horizon).then(|| self.take(from_plans))
-    }
-
-    /// Time of the next event without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.front().map(|(at, _)| at)
+        if self.unsorted {
+            self.plans[self.cursor..].sort_unstable_by_key(PlanEntry::run_key);
+            self.unsorted = false;
+        }
+        let plan = self.plans.get(self.cursor).map(PlanEntry::sort_key);
+        let other = self.heap.peek().map(|e| e.0.sort_key());
+        let from_plans = match (plan, other) {
+            (None, None) => return None,
+            (Some(p), Some(h)) => p < h,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+        };
+        if !from_plans {
+            let entry = self.heap.pop().expect("peeked heap entry").0;
+            return Some((entry.at, entry.event));
+        }
+        let PlanEntry {
+            at, node, token, ..
+        } = self.plans[self.cursor];
+        self.cursor += 1;
+        if self.cursor == self.plans.len() {
+            self.plans.clear();
+            self.cursor = 0;
+        }
+        Some((at, Event::Timer { node, token }))
     }
 
     /// Number of pending events.
@@ -212,7 +241,7 @@ impl EventQueue {
     /// heap's capacity. Capacity, not occupancy — both keep their
     /// high-water allocation for the queue's lifetime.
     pub fn retained_bytes(&self) -> u64 {
-        let plans = self.plans.capacity() * std::mem::size_of::<Entry>();
+        let plans = self.plans.capacity() * std::mem::size_of::<PlanEntry>();
         let heap = self.heap.capacity() * std::mem::size_of::<HeapEntry>();
         (plans + heap) as u64
     }
@@ -288,9 +317,11 @@ mod tests {
     fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert!(q.pop().is_none());
         q.push(SimTime(7), key(1, 0), timer(1, 1));
-        assert_eq!(q.peek_time(), Some(SimTime(7)));
+        q.push(SimTime(9), plan(0), timer(1, 2));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop().map(|(at, _)| at), Some(SimTime(7)));
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
@@ -319,7 +350,6 @@ mod tests {
         q.push(SimTime(1_000_000_005), plan(1), timer(0, 2));
         q.push(SimTime(999_999_999), key(0, 3), timer(0, 3));
         assert_eq!(q.len(), 4);
-        assert_eq!(q.peek_time(), Some(SimTime(40)));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|(_, e)| token_of(e))
             .collect();
@@ -383,40 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_before_is_exactly_peek_then_pop() {
-        // Same event stream through both drain styles, with plan and
-        // device events interleaved and ties at one time.
-        let far = 1_000_000_000;
-        let times = [40, 40, 1_000, far - 1, far + 5, far * 2, far * 3];
-        let fill = || {
-            let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.push(SimTime(t), mixed(i as u64), timer(0, i as u64));
-            }
-            q
-        };
-        for cut in [0, 41, 1_000, far, far * 2 + 1, u64::MAX] {
-            let mut a = fill();
-            let mut b = fill();
-            let via_fused: Vec<_> = std::iter::from_fn(|| a.pop_before(SimTime(cut)))
-                .map(|(at, e)| (at, token_of(e)))
-                .collect();
-            let mut via_peek = Vec::new();
-            while b.peek_time().is_some_and(|t| t < SimTime(cut)) {
-                let (at, e) = b.pop().unwrap();
-                via_peek.push((at, token_of(e)));
-            }
-            assert_eq!(via_fused, via_peek, "divergence at horizon {cut}");
-            assert_eq!(a.len(), b.len(), "leftover count at horizon {cut}");
-        }
-        // The horizon is exclusive: an event exactly at it stays queued.
-        let mut q = EventQueue::new();
-        q.push(SimTime(50), key(0, 0), timer(0, 0));
-        assert!(q.pop_before(SimTime(50)).is_none());
-        assert!(q.pop_before(SimTime(51)).is_some());
-    }
-
-    #[test]
     fn dense_same_bucket_events_pop_in_key_order() {
         // Many events within a few nanoseconds, interleaved times, half of
         // them plans pushed out of order.
@@ -435,5 +431,20 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 32);
+    }
+
+    #[test]
+    fn entry_sizes_are_pinned() {
+        // The plan run holds one entry per planned ping, the bulk of every
+        // queue: growing it is a deliberate change, not a side effect.
+        assert_eq!(std::mem::size_of::<PlanEntry>(), 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "plan seq 4294967296 past u32::MAX")]
+    fn plan_seq_past_u32_panics_instead_of_wrapping() {
+        let mut q = EventQueue::new();
+        q.push(SimTime(0), plan(u32::MAX as u64), timer(0, 0));
+        q.push(SimTime(0), plan(u32::MAX as u64 + 1), timer(0, 1));
     }
 }

@@ -39,20 +39,99 @@ pub struct PingReply {
 }
 
 /// The outcome of one planned probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// A host keeps one per planned ping, the campaign's largest per-probe
+/// record, so the fields are packed (40 bytes) and read through
+/// accessors: the send time and the reply's parts are stored flat, with
+/// a one-byte state saying which of them hold a value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PingOutcome {
+    planned_at: SimTime,
+    /// When the echo request left the host; meaningful once sent.
+    sent_at: SimTime,
+    /// Round-trip time; meaningful once answered.
+    rtt: SimDuration,
+    target: Ipv4Addr,
+    /// Source address of the reply; meaningful once answered.
+    reply_src: Ipv4Addr,
+    probe_ttl: u8,
+    /// TTL of the reply as observed; meaningful once answered.
+    reply_ttl: u8,
+    state: ProbeState,
+}
+
+/// How far a planned probe got.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ProbeState {
+    /// Planned; ARP has not resolved the target (yet).
+    Planned,
+    /// The echo request left the host; no reply so far.
+    Sent,
+    /// A reply of this kind came back.
+    Answered(ReplyKind),
+}
+
+impl PingOutcome {
+    fn planned(at: SimTime, target: Ipv4Addr, probe_ttl: u8) -> Self {
+        PingOutcome {
+            planned_at: at,
+            sent_at: SimTime::ZERO,
+            rtt: SimDuration::ZERO,
+            target,
+            reply_src: Ipv4Addr::UNSPECIFIED,
+            probe_ttl,
+            reply_ttl: 0,
+            state: ProbeState::Planned,
+        }
+    }
+
     /// Probed address.
-    pub target: Ipv4Addr,
+    pub fn target(&self) -> Ipv4Addr {
+        self.target
+    }
+
     /// TTL the probe was sent with (64 for plain pings; the hop number for
     /// traceroute probes).
-    pub probe_ttl: u8,
+    pub fn probe_ttl(&self) -> u8 {
+        self.probe_ttl
+    }
+
     /// When the probe was planned to fire.
-    pub planned_at: SimTime,
+    pub fn planned_at(&self) -> SimTime {
+        self.planned_at
+    }
+
     /// When the echo request actually left the host (`None` when ARP never
     /// resolved — e.g. the registry listed an address nobody holds).
-    pub sent_at: Option<SimTime>,
+    pub fn sent_at(&self) -> Option<SimTime> {
+        (self.state != ProbeState::Planned).then_some(self.sent_at)
+    }
+
     /// The reply, if one came back.
-    pub reply: Option<PingReply>,
+    pub fn reply(&self) -> Option<PingReply> {
+        match self.state {
+            ProbeState::Answered(kind) => Some(PingReply {
+                rtt: self.rtt,
+                ttl: self.reply_ttl,
+                src: self.reply_src,
+                kind,
+            }),
+            ProbeState::Planned | ProbeState::Sent => None,
+        }
+    }
+
+    fn mark_sent(&mut self, now: SimTime) {
+        self.sent_at = now;
+        self.state = ProbeState::Sent;
+    }
+
+    fn record_reply(&mut self, now: SimTime, ttl: u8, src: Ipv4Addr, kind: ReplyKind) {
+        assert!(self.state != ProbeState::Planned, "in-flight implies sent");
+        self.rtt = now.since(self.sent_at);
+        self.reply_ttl = ttl;
+        self.reply_src = src;
+        self.state = ProbeState::Answered(kind);
+    }
 }
 
 /// Sentinel for "no in-flight probe with this sequence number".
@@ -69,7 +148,7 @@ const NOT_INFLIGHT: usize = usize::MAX;
 pub struct Host {
     iface: Option<(PortId, Ipv4Addr, MacAddr)>,
     icmp_id: u16,
-    plans: Vec<(SimTime, Ipv4Addr, u8)>,
+    /// One record per planned probe, indexed by the probe's timer token.
     outcomes: Vec<PingOutcome>,
     /// Resolved neighbors, sorted by address.
     arp_cache: Vec<(Ipv4Addr, MacAddr)>,
@@ -89,7 +168,6 @@ impl Host {
         Host {
             iface: None,
             icmp_id,
-            plans: Vec::new(),
             outcomes: Vec::new(),
             arp_cache: Vec::new(),
             awaiting_arp: Vec::new(),
@@ -131,16 +209,28 @@ impl Host {
 
     /// Register a probe with an explicit TTL (traceroute hops).
     pub fn register_probe(&mut self, at: SimTime, target: Ipv4Addr, ttl: u8) -> u64 {
-        let token = self.plans.len() as u64;
-        self.plans.push((at, target, ttl));
-        self.outcomes.push(PingOutcome {
-            target,
-            probe_ttl: ttl,
-            planned_at: at,
-            sent_at: None,
-            reply: None,
-        });
+        let token = self.outcomes.len() as u64;
+        self.outcomes.push(PingOutcome::planned(at, target, ttl));
         token
+    }
+
+    /// Make room for exactly `additional` more planned probes, so a caller
+    /// that knows its probe count leaves no doubling slack behind.
+    pub(crate) fn reserve_probes(&mut self, additional: usize) {
+        self.outcomes.reserve_exact(additional);
+    }
+
+    /// Heap bytes held by the host's per-probe state, by capacity: the
+    /// probe records, the in-flight table, the ARP wait lists and the ARP
+    /// cache.
+    pub(crate) fn record_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let waiting: usize = self.awaiting_arp.iter().map(|(_, w)| w.capacity()).sum();
+        (self.outcomes.capacity() * size_of::<PingOutcome>()
+            + self.inflight.capacity() * size_of::<usize>()
+            + self.awaiting_arp.capacity() * size_of::<(Ipv4Addr, Vec<usize>)>()
+            + waiting * size_of::<usize>()
+            + self.arp_cache.capacity() * size_of::<(Ipv4Addr, MacAddr)>()) as u64
     }
 
     /// Traceroute view: for each hop TTL probed toward `target`, the
@@ -151,7 +241,7 @@ impl Host {
             .outcomes
             .iter()
             .filter(|o| o.target == target && o.probe_ttl != 64)
-            .map(|o| (o.probe_ttl, o.reply.map(|r| r.src)))
+            .map(|o| (o.probe_ttl, o.reply().map(|r| r.src)))
             .collect();
         hops.sort_by_key(|(ttl, _)| *ttl);
         hops
@@ -198,9 +288,10 @@ impl Host {
         out: &mut Vec<Action>,
     ) {
         let (port, ip, mac) = self.iface.expect("host bound");
-        let (_, target, probe_ttl) = self.plans[plan_idx];
+        let outcome = &mut self.outcomes[plan_idx];
+        outcome.mark_sent(now);
+        let (target, probe_ttl) = (outcome.target, outcome.probe_ttl);
         let seq = self.track_inflight(plan_idx);
-        self.outcomes[plan_idx].sent_at = Some(now);
         out.push(Action::send(
             port,
             Frame {
@@ -223,7 +314,7 @@ impl Host {
     /// needed. Actions are appended to `out`.
     pub fn on_timer_into(&mut self, now: SimTime, token: u64, out: &mut Vec<Action>) {
         let plan_idx = token as usize;
-        let Some(&(_, target, _)) = self.plans.get(plan_idx) else {
+        let Some(target) = self.outcomes.get(plan_idx).map(|o| o.target) else {
             return;
         };
         if let Some(mac_target) = self.arp_lookup(target) {
@@ -293,28 +384,22 @@ impl Host {
                 match pkt.payload {
                     IcmpMessage::EchoReply { id, seq } if id == self.icmp_id => {
                         if let Some(plan_idx) = self.untrack_inflight(seq) {
-                            let sent = self.outcomes[plan_idx]
-                                .sent_at
-                                .expect("in-flight implies sent");
-                            self.outcomes[plan_idx].reply = Some(PingReply {
-                                rtt: now.since(sent),
-                                ttl: pkt.ttl,
-                                src: pkt.src,
-                                kind: ReplyKind::EchoReply,
-                            });
+                            self.outcomes[plan_idx].record_reply(
+                                now,
+                                pkt.ttl,
+                                pkt.src,
+                                ReplyKind::EchoReply,
+                            );
                         }
                     }
                     IcmpMessage::TimeExceeded { id, seq, .. } if id == self.icmp_id => {
                         if let Some(plan_idx) = self.untrack_inflight(seq) {
-                            let sent = self.outcomes[plan_idx]
-                                .sent_at
-                                .expect("in-flight implies sent");
-                            self.outcomes[plan_idx].reply = Some(PingReply {
-                                rtt: now.since(sent),
-                                ttl: pkt.ttl,
-                                src: pkt.src,
-                                kind: ReplyKind::TimeExceeded,
-                            });
+                            self.outcomes[plan_idx].record_reply(
+                                now,
+                                pkt.ttl,
+                                pkt.src,
+                                ReplyKind::TimeExceeded,
+                            );
                         }
                     }
                     IcmpMessage::EchoRequest { id, seq } => {
@@ -376,7 +461,7 @@ mod tests {
             }
             _ => panic!(),
         }
-        assert_eq!(h.outcomes()[0].sent_at, None);
+        assert_eq!(h.outcomes()[0].sent_at(), None);
     }
 
     #[test]
@@ -403,7 +488,7 @@ mod tests {
         };
         let acts = h.on_frame(SimTime(200), PortId(0), arp_reply);
         assert_eq!(acts.len(), 2);
-        assert_eq!(h.outcomes()[0].sent_at, Some(SimTime(200)));
+        assert_eq!(h.outcomes()[0].sent_at(), Some(SimTime(200)));
 
         // Echo reply for seq 0 arrives 1 ms later with TTL 255.
         let reply = Frame {
@@ -418,12 +503,12 @@ mod tests {
         };
         h.on_frame(SimTime(200 + 1_000_000), PortId(0), reply);
         let o = h.outcomes()[0];
-        let r = o.reply.expect("reply recorded");
+        let r = o.reply().expect("reply recorded");
         assert_eq!(r.rtt, SimDuration::from_millis(1));
         assert_eq!(r.ttl, 255);
         assert_eq!(r.src, target);
         // Second probe still unanswered.
-        assert!(h.outcomes()[1].reply.is_none());
+        assert!(h.outcomes()[1].reply().is_none());
     }
 
     #[test]
@@ -444,7 +529,7 @@ mod tests {
             }),
         };
         h.on_frame(SimTime(500), PortId(0), reply);
-        assert!(h.outcomes()[0].reply.is_none());
+        assert!(h.outcomes()[0].reply().is_none());
     }
 
     #[test]
@@ -477,6 +562,38 @@ mod tests {
         assert!(h
             .outcomes()
             .iter()
-            .all(|o| o.sent_at.is_none() && o.reply.is_none()));
+            .all(|o| o.sent_at().is_none() && o.reply().is_none()));
+    }
+
+    #[test]
+    fn ping_outcome_size_is_pinned() {
+        // One record per planned ping: growing it is a deliberate change.
+        assert!(std::mem::size_of::<PingOutcome>() <= 40);
+    }
+
+    #[test]
+    fn outcome_accessors_round_trip_every_state() {
+        let target: Ipv4Addr = "10.0.0.9".parse().unwrap();
+        let mut o = PingOutcome::planned(SimTime(7), target, 3);
+        assert_eq!(
+            (o.target(), o.probe_ttl(), o.planned_at()),
+            (target, 3, SimTime(7))
+        );
+        assert_eq!((o.sent_at(), o.reply()), (None, None));
+        // Sent at time zero is still sent.
+        o.mark_sent(SimTime::ZERO);
+        assert_eq!((o.sent_at(), o.reply()), (Some(SimTime::ZERO), None));
+        let src: Ipv4Addr = "10.0.0.250".parse().unwrap();
+        o.record_reply(SimTime(900), 62, src, ReplyKind::TimeExceeded);
+        assert_eq!(o.sent_at(), Some(SimTime::ZERO));
+        assert_eq!(
+            o.reply(),
+            Some(PingReply {
+                rtt: SimDuration::from_nanos(900),
+                ttl: 62,
+                src,
+                kind: ReplyKind::TimeExceeded,
+            })
+        );
     }
 }

@@ -565,6 +565,22 @@ impl Network {
         self.engine.queue.retained_bytes() + self.engine.frames.retained_bytes()
     }
 
+    /// Exact heap bytes the network's hosts hold for their probes, by
+    /// capacity: one record per planned ping plus the in-flight tables,
+    /// the ARP wait lists and the ARP caches. Kept apart from
+    /// [`Network::retained_bytes`], which counts only the event queue and
+    /// the frame arena.
+    pub fn host_record_bytes(&self) -> u64 {
+        self.engine
+            .devices
+            .iter()
+            .map(|d| match d {
+                Device::Host(h) => h.record_bytes(),
+                Device::Switch(_) | Device::Router(_) => 0,
+            })
+            .sum()
+    }
+
     /// Install a fault injector; every subsequent frame transmission
     /// consults it. Replaces any previously installed injector.
     pub fn install_faults(&mut self, injector: FaultInjector) {
@@ -716,6 +732,17 @@ impl Network {
         self.engine
             .queue
             .push(at, key, Event::Timer { node: host, token });
+    }
+
+    /// Size the event queue's plan run and each host's probe records for
+    /// exactly the pings about to be planned, given as `(host, count)`
+    /// pairs, so planning them leaves no `Vec` doubling slack behind.
+    pub fn reserve_pings(&mut self, per_host: &[(NodeId, usize)]) {
+        let total = per_host.iter().map(|&(_, n)| n).sum();
+        self.engine.queue.reserve_plans(total);
+        for &(host, n) in per_host {
+            self.host_mut(host).reserve_probes(n);
+        }
     }
 
     /// Plan a ping from `host` to `target` at absolute time `at`.
@@ -921,6 +948,25 @@ mod tests {
     }
 
     #[test]
+    fn reserved_pings_leave_no_slack() {
+        // Sized up front, the plan run and the host's records hold
+        // exactly the planned pings: 24 + 40 bytes each, before the run.
+        let mut f = figure1(1);
+        f.net.reserve_pings(&[(f.lg, 5)]);
+        ping_n(&mut f.net, f.lg, f.direct_ip, 5);
+        assert_eq!(f.net.retained_bytes(), 5 * 24);
+        assert_eq!(
+            f.net.host_record_bytes(),
+            5 * std::mem::size_of::<crate::host::PingOutcome>() as u64
+        );
+        f.net.run_to_completion();
+        assert!(
+            f.net.host_record_bytes() > 5 * 40,
+            "in-flight table and ARP state count"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "10.0.0.10 is answered by both node2 (port 0) and node6 (port 0)")]
     fn two_owners_of_one_address_on_a_fabric_panic() {
         let mut f = figure1(1);
@@ -944,11 +990,11 @@ mod tests {
             .host(f.lg)
             .outcomes()
             .iter()
-            .filter(|o| o.target == f.direct_ip)
+            .filter(|o| o.target() == f.direct_ip)
             .collect();
         assert_eq!(outs.len(), 5);
         for o in outs {
-            let r = o.reply.expect("direct member replies");
+            let r = o.reply().expect("direct member replies");
             assert_eq!(r.ttl, 255, "no IP hop on the reply path");
             let ms = r.rtt.as_millis_f64();
             assert!((0.8..3.0).contains(&ms), "direct RTT {ms} ms");
@@ -965,8 +1011,8 @@ mod tests {
             .host(f.lg)
             .outcomes()
             .iter()
-            .filter(|o| o.target == f.remote_ip)
-            .filter_map(|o| o.reply)
+            .filter(|o| o.target() == f.remote_ip)
+            .filter_map(|o| o.reply())
             .map(|r| {
                 assert_eq!(r.ttl, 64, "pseudowire is pure layer 2");
                 r.rtt
@@ -1036,7 +1082,7 @@ mod tests {
             .host(lg)
             .outcomes()
             .iter()
-            .filter_map(|o| o.reply)
+            .filter_map(|o| o.reply())
             .collect();
         assert!(!replies.is_empty(), "gadget must answer");
         for r in replies {
@@ -1089,7 +1135,7 @@ mod tests {
             .host(lg)
             .outcomes()
             .iter()
-            .filter_map(|o| o.reply)
+            .filter_map(|o| o.reply())
             .map(|r| r.rtt.as_millis_f64())
             .collect();
         assert_eq!(rtts.len(), 10);
@@ -1138,7 +1184,7 @@ mod tests {
             .outcomes()
             .iter()
             .skip(1)
-            .filter_map(|o| o.reply)
+            .filter_map(|o| o.reply())
             .map(|r| r.rtt.as_millis_f64())
             .collect();
         let spread = rtts.iter().cloned().fold(0.0, f64::max)
@@ -1187,7 +1233,7 @@ mod tests {
         assert_eq!(a_counts, b_counts);
         assert!(a_counts.total() > 0, "faults must actually fire");
         assert!(a_counts.probe_drops > 0, "{a_counts:?}");
-        let lost = a_out.iter().filter(|o| o.reply.is_none()).count();
+        let lost = a_out.iter().filter(|o| o.reply().is_none()).count();
         assert!(lost > 0, "probe loss must cost replies");
 
         let (c_out, c_counts) = run(8);
@@ -1225,7 +1271,7 @@ mod tests {
         ping_n(&mut f.net, f.lg, f.direct_ip, 5);
         f.net.run_to_completion();
         for o in f.net.host(f.lg).outcomes() {
-            if let Some(r) = o.reply {
+            if let Some(r) = o.reply() {
                 assert_eq!(r.ttl, 9, "every reply TTL is rewritten in flight");
             }
         }
@@ -1248,7 +1294,7 @@ mod tests {
             .host(f.lg)
             .outcomes()
             .iter()
-            .filter(|o| o.reply.is_some())
+            .filter(|o| o.reply().is_some())
             .count();
         assert_eq!(answered, 0, "nothing crosses a flapping link");
         assert!(f.net.fault_counts().flap_drops > 0);

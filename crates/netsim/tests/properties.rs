@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use rp_netsim::event::{Event, EventKey, EventQueue};
+use rp_netsim::frame::FrameArena;
 use rp_netsim::{
     CongestionEpisode, DelayModel, Frame, IcmpMessage, Ipv4Packet, MacAddr, Network, NodeId,
     Payload, PortId, RouterBehavior, Switch,
@@ -35,55 +36,76 @@ proptest! {
     }
 
     /// The plan run and the heap together pop exactly what a
-    /// sort-everything reference pops: random device and plan pushes
-    /// (plans out of order, plans pushed after a partial drain, same-time
-    /// ties between `PLAN_CREATOR` and device keys) interleaved with `pop`
-    /// and `pop_before`.
+    /// sort-everything reference pops: random device pushes, plan timers
+    /// pushed in order (never before the last plan) and out of order (at
+    /// any time, also after a partial drain), non-timer events under plan
+    /// keys (heap-bound), and same-time ties between `PLAN_CREATOR` and
+    /// device keys, interleaved with `pop`.
     #[test]
     fn event_queue_matches_a_sort_everything_reference(
-        ops in proptest::collection::vec((0u8..6, 0u64..8, 0u32..4), 1..200),
+        ops in proptest::collection::vec((0u8..7, 0u64..8, 0u32..4), 1..200),
     ) {
         let mut q = EventQueue::new();
-        let mut reference: Vec<(SimTime, EventKey, u64)> = Vec::new();
+        let mut reference: Vec<(SimTime, EventKey, Option<u64>)> = Vec::new();
         let mut seqs = [0u64; 4];
         let mut plan_seq = 0u64;
+        let mut last_plan = 0u64;
         let mut now = 0u64;
-        let pop_reference = |reference: &mut Vec<(SimTime, EventKey, u64)>,
-                                 horizon: SimTime| {
+        let pop_reference = |reference: &mut Vec<(SimTime, EventKey, Option<u64>)>| {
             let (i, &(at, _, token)) = reference
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, &(at, key, _))| (at, key))?;
-            (at < horizon).then(|| {
-                reference.remove(i);
-                (at, token)
-            })
+            reference.remove(i);
+            Some((at, token))
         };
+        let popped = |e: Event| match e {
+            Event::Timer { token, .. } => Some(token),
+            Event::FrameArrival { .. } => None,
+        };
+        let mut arena = FrameArena::new();
         for (token, &(op, dt, creator)) in ops.iter().enumerate() {
             let token = token as u64;
             let at = SimTime(now + dt);
+            let mut plan_key = || {
+                plan_seq += 1;
+                EventKey { creator: EventKey::PLAN_CREATOR, seq: plan_seq - 1 }
+            };
             match op {
                 0 | 1 => {
                     let c = creator as usize;
                     let key = EventKey { creator, seq: seqs[c] };
                     seqs[c] += 1;
                     q.push(at, key, Event::Timer { node: NodeId(creator), token });
-                    reference.push((at, key, token));
+                    reference.push((at, key, Some(token)));
                 }
-                2 | 3 => {
-                    let key = EventKey { creator: EventKey::PLAN_CREATOR, seq: plan_seq };
-                    plan_seq += 1;
-                    q.push(at, key, Event::Timer { node: NodeId(0), token });
-                    reference.push((at, key, token));
+                2 => {
+                    // In order: never before the plan pushed last.
+                    let at = SimTime(last_plan.max(now) + dt);
+                    last_plan = at.nanos();
+                    let key = plan_key();
+                    q.push(at, key, Event::Timer { node: NodeId(creator), token });
+                    reference.push((at, key, Some(token)));
+                }
+                3 => {
+                    // Any time from now on: out of order when it lands
+                    // before an earlier plan.
+                    let key = plan_key();
+                    last_plan = last_plan.max(at.nanos());
+                    q.push(at, key, Event::Timer { node: NodeId(creator), token });
+                    reference.push((at, key, Some(token)));
+                }
+                4 => {
+                    let key = plan_key();
+                    let ip = Ipv4Addr::new(10, 0, 0, 1);
+                    let frame = arena.alloc(Frame::arp_request(ip, MacAddr::from_index(1), ip));
+                    let port = PortId(0);
+                    q.push(at, key, Event::FrameArrival { node: NodeId(creator), port, frame });
+                    reference.push((at, key, None));
                 }
                 _ => {
-                    let horizon = if op == 4 { SimTime(u64::MAX) } else { at };
-                    let got = if op == 4 { q.pop() } else { q.pop_before(horizon) };
-                    let got = got.map(|(at, e)| match e {
-                        Event::Timer { token, .. } => (at, token),
-                        Event::FrameArrival { .. } => unreachable!("only timers pushed"),
-                    });
-                    let want = pop_reference(&mut reference, horizon);
+                    let got = q.pop().map(|(at, e)| (at, popped(e)));
+                    let want = pop_reference(&mut reference);
                     prop_assert_eq!(got, want, "op {} at now {}", op, now);
                     if let Some((at, _)) = got {
                         now = at.nanos();
@@ -92,11 +114,8 @@ proptest! {
             }
             prop_assert_eq!(q.len(), reference.len());
         }
-        while let Some(want) = pop_reference(&mut reference, SimTime(u64::MAX)) {
-            let got = q.pop().map(|(at, e)| match e {
-                Event::Timer { token, .. } => (at, token),
-                Event::FrameArrival { .. } => unreachable!("only timers pushed"),
-            });
+        while let Some(want) = pop_reference(&mut reference) {
+            let got = q.pop().map(|(at, e)| (at, popped(e)));
             prop_assert_eq!(got, Some(want));
         }
         prop_assert!(q.pop().is_none());
@@ -218,7 +237,7 @@ proptest! {
             .host(lg)
             .outcomes()
             .iter()
-            .filter_map(|o| o.reply)
+            .filter_map(|o| o.reply())
             .map(|r| r.rtt.as_millis_f64())
             .fold(f64::INFINITY, f64::min);
         // RTT ≥ twice the propagation; ≤ that plus a generous processing
@@ -249,7 +268,7 @@ proptest! {
         net.bind_router(member, mp, Ipv4Addr::new(10, 0, 0, 9));
         net.plan_ping(lg, SimTime::ZERO + SimDuration::from_secs(1), Ipv4Addr::new(10, 0, 0, 9));
         net.run_to_completion();
-        let reply = net.host(lg).outcomes()[0].reply.expect("reply arrives");
+        let reply = net.host(lg).outcomes()[0].reply().expect("reply arrives");
         prop_assert_eq!(reply.ttl, 255, "layer 2 must never touch TTL");
     }
 }

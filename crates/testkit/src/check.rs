@@ -185,12 +185,12 @@ impl ProbedRun {
 
 fn attach_entries(
     world: &World,
-    probed: remote_peering::memo::ProbeSet,
+    probed: &remote_peering::memo::ProbeSet,
     fcfg: &FilterConfig,
 ) -> ProbedRun {
     let mut interfaces = Vec::new();
     let mut analyzed_per_ixp = Vec::new();
-    for (ixp, plane) in probed {
+    for &(ixp, ref plane) in probed {
         let by_ip = remote_peering::lookup::entry_table(world, ixp);
         let mut analyzed = 0usize;
         for i in 0..plane.len() {
@@ -342,18 +342,16 @@ pub(crate) fn run_check_with(cfg: &CheckConfig, reference: bool) -> CheckOutcome
         memory_budget_bytes: cfg.scale.default_memory_budget(),
         ..Campaign::default_paper()
     };
-    let (clean_world, clean_probed) = {
+    let clean_run = {
         let _sp = rp_obs::span("testkit.check.clean");
         if reference {
-            let world = std::sync::Arc::new(World::build(&world_cfg));
-            let probed = clean_campaign.probe_all(&world);
-            (world, probed)
+            PreparedRun::probe(World::build(&world_cfg), &clean_campaign)
         } else {
-            let prepared = PreparedRun::probe_cached(&world_cfg, &clean_campaign);
-            (prepared.world, (*prepared.probed).clone())
+            PreparedRun::probe_cached(&world_cfg, &clean_campaign)
         }
     };
-    let clean = attach_entries(&clean_world, clean_probed, &fcfg);
+    let clean_world = std::sync::Arc::clone(&clean_run.world);
+    let clean = attach_entries(&clean_world, &clean_run.probed, &fcfg);
 
     // Faulted arm: same config, degraded scene, fault-injecting campaign.
     let plan = FaultPlan::standard(
@@ -382,7 +380,7 @@ pub(crate) fn run_check_with(cfg: &CheckConfig, reference: bool) -> CheckOutcome
         campaign.probe_all_with(&faulted_world, None)
     };
     rp_obs::counter!("testkit.faults.injected").add(injected.total());
-    let faulted = attach_entries(&faulted_world, probed, &fcfg);
+    let faulted = attach_entries(&faulted_world, &probed, &fcfg);
 
     let mut h = Harness::new();
     let apply = |s: &InterfaceSamples,
@@ -481,16 +479,21 @@ pub(crate) fn run_check_with(cfg: &CheckConfig, reference: bool) -> CheckOutcome
         // Budget-partition invariance on the clean world: re-probe under
         // budgets sized to the largest studied IXP, so `probe_all` runs at
         // chunk widths 1 and 2, and demand run metrics bit-identical to
-        // the unbudgeted run's.
+        // the clean arm's. That reference is the clean arm's own campaign,
+        // already probed above: unbudgeted below production scale, under
+        // the 1 GiB default budget at production.
         let worst = clean_world
             .scene
             .studied()
             .map(Campaign::approx_probe_bytes)
             .max()
             .unwrap_or(1);
-        let budget_metrics = |budget: Option<u64>| -> Vec<(&'static str, f64)> {
+        let clean_metrics = RunMetrics::collect(&clean_run, &MethodParams::default())
+            .named()
+            .to_vec();
+        let budget_metrics = |budget: u64| -> Vec<(&'static str, f64)> {
             let campaign = Campaign {
-                memory_budget_bytes: budget,
+                memory_budget_bytes: Some(budget),
                 ..Campaign::default_paper()
             };
             let run = PreparedRun::probe((*clean_world).clone(), &campaign);
@@ -498,7 +501,12 @@ pub(crate) fn run_check_with(cfg: &CheckConfig, reference: bool) -> CheckOutcome
                 .named()
                 .to_vec()
         };
-        invariants::budget_partition_invariant(&mut h, &budget_metrics, &[worst, 2 * worst]);
+        invariants::budget_partition_invariant(
+            &mut h,
+            &clean_metrics,
+            &budget_metrics,
+            &[worst, 2 * worst],
+        );
 
         // Econ scale invariance at the example point and seeded nearby ones.
         let mut rng = seed::rng(cfg.seed, "testkit-econ", 0);

@@ -351,25 +351,26 @@ pub fn paired_delta_antisymmetric(
 
 /// Budget-partition invariance: [`Campaign::memory_budget_bytes`] only
 /// sets how many IXPs `probe_all` runs side by side, so the same world
-/// must produce *bit-identical* metrics under every budget. `metrics` maps
-/// a budget to the run's named metric values; `None` (one chunk holding
-/// every IXP) is the reference each budget is held to. The comparison is
-/// on the float bits, not within a tolerance: chunks concatenate in
-/// studied-IXP order, so any drift at all is a chunking bug.
+/// must produce *bit-identical* metrics under every budget. `reference`
+/// is the named metric values of a run the caller already has (any
+/// budget, or none); `metrics` maps each budget in `budgets` to a fresh
+/// run's values, held to the reference. The comparison is on the float
+/// bits, not within a tolerance: chunks concatenate in studied-IXP order,
+/// so any drift at all is a chunking bug.
 ///
 /// [`Campaign::memory_budget_bytes`]: remote_peering::campaign::Campaign::memory_budget_bytes
 pub fn budget_partition_invariant(
     h: &mut Harness,
-    metrics: &dyn Fn(Option<u64>) -> Vec<(&'static str, f64)>,
+    reference: &[(&'static str, f64)],
+    metrics: &dyn Fn(u64) -> Vec<(&'static str, f64)>,
     budgets: &[u64],
 ) {
-    let reference = metrics(None);
     for &budget in budgets {
-        let got = metrics(Some(budget));
+        let got = metrics(budget);
         let ok = got.len() == reference.len()
             && got
                 .iter()
-                .zip(&reference)
+                .zip(reference)
                 .all(|((gn, gv), (rn, rv))| gn == rn && gv.to_bits() == rv.to_bits());
         h.check("budget_partition_invariant", ok, || {
             let diffs: Vec<String> = reference
@@ -379,7 +380,7 @@ pub fn budget_partition_invariant(
                 .map(|((name, rv), (_, gv))| format!("{name}: {rv} vs {gv}"))
                 .collect();
             format!(
-                "run under a {budget}-byte budget diverged from the unbudgeted reference: {}",
+                "run under a {budget}-byte budget diverged from the reference run: {}",
                 if diffs.is_empty() {
                     "metric sets differ in shape".to_string()
                 } else {
@@ -457,7 +458,7 @@ mod tests {
     use rp_ixp::{LgOperator, ListingEntry};
     use rp_scenario::ScenarioSpec;
     use rp_types::stats::paired_deltas;
-    use rp_types::{seed, Asn, SimTime};
+    use rp_types::{seed, Asn};
     use std::cell::Cell;
 
     fn rng() -> StdRng {
@@ -476,7 +477,6 @@ mod tests {
         let replies = |base: f64| -> Vec<Sample> {
             (0..n)
                 .map(|k| Sample {
-                    sent_at: SimTime::ZERO,
                     rtt_ms: base + 0.02 * k as f64,
                     ttl,
                 })
@@ -691,23 +691,25 @@ mod tests {
                 .named()
                 .to_vec()
         };
+        let reference = metrics(None);
+        let budgeted = |budget: u64| metrics(Some(budget));
         let mut h = Harness::new();
-        budget_partition_invariant(&mut h, &metrics, &[worst, 2 * worst]);
+        budget_partition_invariant(&mut h, &reference, &budgeted, &[worst, 2 * worst]);
         assert!(h.ok(), "{:?}", h.violations);
         assert_eq!(h.checks, 2);
 
         // Mutated oracle: a run whose first metric drifts by one ulp at
         // chunk width 2 only, the shape of a chunk-order bug. The checker
         // must fire on that width and stay quiet on the other.
-        let mutated = |budget: Option<u64>| {
-            let mut m = metrics(budget);
-            if budget == Some(2 * worst) {
+        let mutated = |budget: u64| {
+            let mut m = budgeted(budget);
+            if budget == 2 * worst {
                 m[0].1 = f64::from_bits(m[0].1.to_bits() ^ 1);
             }
             m
         };
         let mut h = Harness::new();
-        budget_partition_invariant(&mut h, &mutated, &[worst, 2 * worst]);
+        budget_partition_invariant(&mut h, &reference, &mutated, &[worst, 2 * worst]);
         assert_eq!(h.checks, 2);
         assert_eq!(h.violations.len(), 1, "{:?}", h.violations);
         assert_eq!(h.violations[0].invariant, "budget_partition_invariant");

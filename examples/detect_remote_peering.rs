@@ -102,8 +102,8 @@ fn main() {
             .host(lg)
             .outcomes()
             .iter()
-            .filter(|o| o.target == ip(target))
-            .filter_map(|o| o.reply)
+            .filter(|o| o.target() == ip(target))
+            .filter_map(|o| o.reply())
             .collect();
         let min = outcomes
             .iter()

@@ -55,22 +55,26 @@ fn approx_bytes_scales_with_the_scene_not_a_constant() {
 fn approx_probe_bytes_covers_the_largest_paper_scale_ixps() {
     // The chunk width of a budgeted `probe_all` divides the budget by this
     // estimate, so it must not undershoot what one IXP really holds: the
-    // simulator's high-water queue and arena capacity plus the finished
-    // probe plane. Checked on the three largest studied IXPs.
+    // simulator's high-water queue and arena capacity, the hosts' probe
+    // records, and the finished probe plane. Checked on the three largest
+    // studied IXPs.
     let world = World::build(&WorldConfig::paper_scale(42));
     let mut studied: Vec<_> = world.scene.studied().collect();
     studied.sort_by_key(|x| std::cmp::Reverse(x.members.len()));
     let campaign = Campaign::default_paper();
     for inst in studied.into_iter().take(3) {
         let run = campaign.run_ixp(&world, inst.id, false);
-        let held = run.retained_bytes + run.plane.plane_bytes();
+        assert!(run.host_bytes > 0, "{}: no host records", inst.meta.acronym);
+        let held = run.retained_bytes + run.host_bytes + run.plane.plane_bytes();
+        assert_eq!(held, run.held_bytes());
         let estimate = Campaign::approx_probe_bytes(inst);
         assert!(
             estimate >= held,
-            "{}: estimate {estimate} bytes < {held} held ({} retained by the \
-             network + {} of probe plane, {} members)",
+            "{}: estimate {estimate} bytes < {held} held ({} in the queue and \
+             arena + {} of host records + {} of probe plane, {} members)",
             inst.meta.acronym,
             run.retained_bytes,
+            run.host_bytes,
             run.plane.plane_bytes(),
             inst.members.len()
         );
