@@ -35,7 +35,7 @@ use remote_peering::campaign::Campaign;
 use remote_peering::detect::DetectionReport;
 use remote_peering::identify::Identification;
 use remote_peering::offload::{GreedyMetric, OffloadStudy, PeerGroup};
-use remote_peering::world::{Scale, World, WorldConfig};
+use remote_peering::world::{PlaneBytes, Scale, World, WorldConfig};
 use rp_bench::experiments::{self, ExperimentOutput};
 use rp_obs::Sink;
 use serde_json::{json, Value};
@@ -871,6 +871,7 @@ fn run_bench_command(args: &Args) -> Outcome {
         "ases": prod.topology.len(),
         "interfaces": prod.scene.total_interfaces(),
         "approx_bytes": prod.approx_bytes(),
+        "plane_bytes": plane_bytes_json(prod.plane_bytes()),
         "peak_rss_bytes": prod_peak_rss,
         "memory_budget_bytes": prod_budget,
         "events_per_campaign": prod_events,
@@ -1059,6 +1060,7 @@ fn run_bench_command(args: &Args) -> Outcome {
             "world_scale": wscale,
             "interfaces": big.scene.total_interfaces(),
             "events_per_campaign": big_events,
+            "plane_bytes": plane_bytes_json(big.plane_bytes()),
         },
         "production_world": prod_section,
         // Each pair was asserted byte-identical above, so `speedup` is a
@@ -1092,6 +1094,17 @@ fn run_bench_command(args: &Args) -> Outcome {
 
 /// The job `check`, `sweep` or `job` runs: built from flags, from a sweep
 /// spec file or preset, or read from a job-spec file.
+/// A world's heap bytes per plane, for the bench's world sections.
+fn plane_bytes_json(p: PlaneBytes) -> Value {
+    json!({
+        "topology": p.topology,
+        "scene": p.scene,
+        "registry": p.registry,
+        "view": p.view,
+        "contributions": p.contributions,
+    })
+}
+
 fn job_spec(args: &Args) -> rp_server::JobSpec {
     use rp_server::JobSpec;
     match args.experiment.as_str() {

@@ -38,10 +38,8 @@ pub fn collect_paths(topo: &Topology, collectors: &[NetworkId]) -> Vec<Vec<Netwo
             if src == collector {
                 continue;
             }
-            if let Some(r) = &routes[src.index()] {
-                let mut full = Vec::with_capacity(r.path.len() + 1);
-                full.push(src);
-                full.extend_from_slice(&r.path);
+            if let Some(path) = routes.path(src) {
+                let full: Vec<NetworkId> = std::iter::once(src).chain(path).collect();
                 if full.len() >= 2 {
                     paths.push(full);
                 }

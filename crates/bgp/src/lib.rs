@@ -22,11 +22,13 @@
 //!   converges by fixpoint, used to cross-validate the staged engine on
 //!   small topologies (see the property tests).
 //!
-//! Both return, for every AS, its best route *toward* the origin AS. The
-//! study network's own forwarding view is the reverse tree, exposed through
-//! [`RoutingView`]; reversing a valley-free path preserves valley-freeness,
-//! and using the reverse path as the forward path is the usual symmetry
-//! approximation (documented in DESIGN.md).
+//! Both compute, for every AS, its best route *toward* the origin AS: the
+//! staged engine as a next-hop tree ([`RouteTree`]), the emulation as one
+//! materialized path per AS. The study network's own forwarding view is
+//! the reverse tree, exposed through [`RoutingView`]; reversing a
+//! valley-free path preserves valley-freeness, and using the reverse path
+//! as the forward path is the usual symmetry approximation (documented in
+//! DESIGN.md).
 
 pub mod infer;
 pub mod propagate;
@@ -35,5 +37,5 @@ pub mod view;
 
 pub use infer::{collect_paths, evaluate, infer_gao, InferenceAccuracy, InferredRel};
 pub use propagate::{propagate, propagate_iterative};
-pub use route::{is_valley_free, RouteClass, RouteInfo};
+pub use route::{is_valley_free, Hops, RouteClass, RouteInfo, RouteTree};
 pub use view::{GatewayClass, RoutingView};

@@ -9,7 +9,7 @@
 //! - **selection**: prefer customer routes over peer routes over provider
 //!   routes; break ties by shortest AS path, then lowest next-hop ASN.
 
-use crate::route::{RouteClass, RouteInfo};
+use crate::route::{RouteClass, RouteInfo, RouteTree, NO_HOP};
 use rp_topology::Topology;
 use rp_types::NetworkId;
 use std::collections::VecDeque;
@@ -17,13 +17,13 @@ use std::collections::VecDeque;
 /// Staged single-origin computation: customer wave (breadth-first up the
 /// provider edges), peer step, then the provider wave (breadth-first down
 /// the customer edges, seeded at every routed AS's own distance). Every
-/// stage is linear in the number of edges, plus the length of the returned
-/// paths; used at paper scale.
-pub fn propagate(topo: &Topology, origin: NetworkId) -> Vec<Option<RouteInfo>> {
+/// stage is linear in the number of edges; the result is the next-hop
+/// tree itself, with no per-AS path materialized. Used at paper scale.
+pub fn propagate(topo: &Topology, origin: NetworkId) -> RouteTree {
     let n = topo.len();
     let mut class: Vec<Option<RouteClass>> = vec![None; n];
-    let mut next: Vec<Option<NetworkId>> = vec![None; n];
-    let mut dist: Vec<usize> = vec![usize::MAX; n];
+    let mut next: Vec<NetworkId> = vec![NO_HOP; n];
+    let mut dist: Vec<u32> = vec![u32::MAX; n];
 
     class[origin.index()] = Some(RouteClass::Origin);
     dist[origin.index()] = 0;
@@ -50,7 +50,7 @@ pub fn propagate(topo: &Topology, origin: NetworkId) -> Vec<Option<RouteInfo>> {
         if class[v].is_some() {
             continue;
         }
-        let mut best: Option<(usize, u32, NetworkId)> = None;
+        let mut best: Option<(u32, u32, NetworkId)> = None;
         for &w in topo.peers(NetworkId(v as u32)) {
             let exports = matches!(
                 class[w.index()],
@@ -71,7 +71,7 @@ pub fn propagate(topo: &Topology, origin: NetworkId) -> Vec<Option<RouteInfo>> {
     }
     for (v, w) in peer_assign {
         class[v] = Some(RouteClass::Peer);
-        next[v] = Some(w);
+        next[v] = w;
     }
 
     // --- Stage 3: provider routes descend the customer edges. Every hop
@@ -84,7 +84,7 @@ pub fn propagate(topo: &Topology, origin: NetworkId) -> Vec<Option<RouteInfo>> {
     let mut levels: Vec<Vec<NetworkId>> = Vec::new();
     for (v, c) in class.iter().enumerate() {
         if c.is_some() {
-            let d = dist[v];
+            let d = dist[v] as usize;
             if levels.len() <= d {
                 levels.resize_with(d + 1, Vec::new);
             }
@@ -112,20 +112,7 @@ pub fn propagate(topo: &Topology, origin: NetworkId) -> Vec<Option<RouteInfo>> {
         d += 1;
     }
 
-    // --- Materialize paths by following next-hop pointers.
-    (0..n)
-        .map(|v| {
-            let cls = class[v]?;
-            let mut path = Vec::with_capacity(dist[v]);
-            let mut cur = v;
-            while let Some(h) = next[cur] {
-                path.push(h);
-                cur = h.index();
-            }
-            debug_assert_eq!(path.len(), dist[v]);
-            Some(RouteInfo { class: cls, path })
-        })
-        .collect()
+    RouteTree { class, next, dist }
 }
 
 /// One breadth-first level of a route wave. Every sender, all at the same
@@ -134,15 +121,15 @@ pub fn propagate(topo: &Topology, origin: NetworkId) -> Vec<Option<RouteInfo>> {
 /// selection rule's tie-break among equal-length routes of one class. The
 /// receivers then get `class` at one hop past their sender and are
 /// returned as the next level. While a receiver is unrouted, `next` holds
-/// its best sender so far.
+/// its best sender so far ([`NO_HOP`] before the first offer).
 fn relax_level<'t>(
     topo: &'t Topology,
     senders: &[NetworkId],
     edges: impl Fn(NetworkId) -> &'t [NetworkId],
     cls: RouteClass,
     class: &mut [Option<RouteClass>],
-    next: &mut [Option<NetworkId>],
-    dist: &mut [usize],
+    next: &mut [NetworkId],
+    dist: &mut [u32],
 ) -> Vec<NetworkId> {
     let key = |v: NetworkId| (topo.node(v).asn.0, v);
     let mut reached = Vec::new();
@@ -151,18 +138,17 @@ fn relax_level<'t>(
             if class[t.index()].is_some() {
                 continue;
             }
-            match next[t.index()] {
-                None => {
-                    next[t.index()] = Some(u);
-                    reached.push(t);
-                }
-                Some(prev) if key(u) < key(prev) => next[t.index()] = Some(u),
-                Some(_) => {}
+            let prev = next[t.index()];
+            if prev == NO_HOP {
+                next[t.index()] = u;
+                reached.push(t);
+            } else if key(u) < key(prev) {
+                next[t.index()] = u;
             }
         }
     }
     for &t in &reached {
-        let via = next[t.index()].expect("reached through a sender");
+        let via = next[t.index()];
         class[t.index()] = Some(cls);
         dist[t.index()] = dist[via.index()] + 1;
     }
@@ -225,9 +211,16 @@ pub fn propagate_iterative(topo: &Topology, origin: NetworkId) -> Vec<Option<Rou
         path.push(sender);
         path.extend_from_slice(&sender_path);
         let candidate = RouteInfo { class, path };
+        // A strictly preferred route wins. An equally preferred one comes
+        // from the current next hop (the key holds its ASN) and replaces
+        // that hop's old route, BGP's implicit withdraw: keeping the old
+        // path would leave one that no longer follows the next hops.
         let better = match &best[recv.index()] {
             None => true,
-            Some(cur) => pref_key(topo, &candidate) < pref_key(topo, cur),
+            Some(cur) => {
+                let (new, old) = (pref_key(topo, &candidate), pref_key(topo, cur));
+                new < old || (new == old && candidate.path != cur.path)
+            }
         };
         if better {
             best[recv.index()] = Some(candidate.clone());
@@ -254,10 +247,13 @@ mod tests {
         let topo = generate(&TopologyConfig::test_scale(11));
         let origin = topo.ids().next().unwrap();
         let routes = propagate(&topo, origin);
-        for (v, r) in routes.iter().enumerate() {
-            let r = r.as_ref().unwrap_or_else(|| panic!("N{v} unreachable"));
-            if !r.is_empty() {
-                assert_eq!(*r.path.last().unwrap(), origin);
+        for v in topo.ids() {
+            let path: Vec<_> = routes
+                .path(v)
+                .unwrap_or_else(|| panic!("{v} unreachable"))
+                .collect();
+            if !path.is_empty() {
+                assert_eq!(*path.last().unwrap(), origin);
             }
         }
     }
@@ -269,8 +265,8 @@ mod tests {
         let origin = topo.of_type(rp_topology::AsType::Nren).next().unwrap().id;
         let routes = propagate(&topo, origin);
         for v in topo.ids() {
-            if let Some(r) = &routes[v.index()] {
-                let p = full_path(v, r);
+            if let Some(r) = routes.route(v) {
+                let p = full_path(v, &r);
                 assert!(is_valley_free(&topo, &p), "{v}: {p:?}");
                 assert!(is_simple(&p), "{v}: {p:?}");
             }
@@ -289,17 +285,20 @@ mod tests {
             .unwrap();
         let routes = propagate(&topo, origin);
         for &p in topo.providers(origin) {
-            let r = routes[p.index()].as_ref().unwrap();
-            assert_eq!(r.class, RouteClass::Customer, "provider of origin");
-            assert_eq!(r.len(), 1);
+            assert_eq!(
+                routes.class(p),
+                Some(RouteClass::Customer),
+                "provider of origin"
+            );
+            assert_eq!(routes.path_len(p), Some(1));
         }
         for &c in topo.customers(origin) {
-            let r = routes[c.index()].as_ref().unwrap();
+            let class = routes.class(c).unwrap();
             // A customer of the origin can never hold a customer-class route
             // to it (the customer DAG has no cycles); it reaches the origin
             // via its provider or, if better, via a peer whose cone holds
             // the origin.
-            assert_ne!(r.class, RouteClass::Customer, "customer of origin");
+            assert_ne!(class, RouteClass::Customer, "customer of origin");
         }
     }
 
@@ -311,7 +310,7 @@ mod tests {
             let fast = propagate(&topo, origin);
             let slow = propagate_iterative(&topo, origin);
             for v in topo.ids() {
-                let (f, s) = (&fast[v.index()], &slow[v.index()]);
+                let (f, s) = (fast.route(v), &slow[v.index()]);
                 match (f, s) {
                     (Some(f), Some(s)) => {
                         assert_eq!(f.class, s.class, "class at {v} (seed {seed})");
@@ -331,8 +330,7 @@ mod tests {
         let topo = generate(&TopologyConfig::test_scale(14));
         let origin = topo.ids().last().unwrap();
         let routes = propagate(&topo, origin);
-        let r = routes[origin.index()].as_ref().unwrap();
-        assert_eq!(r.class, RouteClass::Origin);
-        assert!(r.is_empty());
+        assert_eq!(routes.class(origin), Some(RouteClass::Origin));
+        assert_eq!(routes.path(origin).unwrap().count(), 0);
     }
 }

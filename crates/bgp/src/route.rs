@@ -49,6 +49,118 @@ impl RouteInfo {
     }
 }
 
+/// Next-hop marker of the origin and of ASes without a route.
+pub(crate) const NO_HOP: NetworkId = NetworkId(u32::MAX);
+
+/// Every AS's best route toward one origin, kept as the next-hop tree the
+/// staged engine builds: per AS, the route's class, its next hop and its
+/// length. A full AS path is the walk along next hops to the origin
+/// ([`RouteTree::path`]); [`RouteTree::route`] materializes it as a
+/// [`RouteInfo`] where a caller needs one.
+#[derive(Clone)]
+pub struct RouteTree {
+    /// Route class per AS; `None` where the AS has no route.
+    pub(crate) class: Vec<Option<RouteClass>>,
+    /// Next hop toward the origin; [`NO_HOP`] at the origin and at ASes
+    /// without a route.
+    pub(crate) next: Vec<NetworkId>,
+    /// Path length in hops; meaningless where the AS has no route.
+    pub(crate) dist: Vec<u32>,
+}
+
+impl RouteTree {
+    /// Class of `v`'s best route, `None` when `v` has no route.
+    #[inline]
+    pub fn class(&self, v: NetworkId) -> Option<RouteClass> {
+        self.class[v.index()]
+    }
+
+    /// Next hop of `v` toward the origin, `None` at the origin and where
+    /// `v` has no route.
+    #[inline]
+    pub fn next_hop(&self, v: NetworkId) -> Option<NetworkId> {
+        let h = self.next[v.index()];
+        (h != NO_HOP).then_some(h)
+    }
+
+    /// AS-path length of `v`'s route in hops (0 at the origin), `None`
+    /// when `v` has no route.
+    #[inline]
+    pub fn path_len(&self, v: NetworkId) -> Option<usize> {
+        self.class(v).map(|_| self.dist[v.index()] as usize)
+    }
+
+    /// The AS path of `v`'s route, next hop first and the origin last
+    /// (empty at the origin); `None` when `v` has no route.
+    pub fn path(&self, v: NetworkId) -> Option<Hops<'_>> {
+        self.class(v).map(|_| Hops { tree: self, at: v })
+    }
+
+    /// `v`'s route with its path materialized.
+    pub fn route(&self, v: NetworkId) -> Option<RouteInfo> {
+        Some(RouteInfo {
+            class: self.class(v)?,
+            path: self.path(v)?.collect(),
+        })
+    }
+
+    /// Heap bytes held by the tree, by capacity.
+    pub fn plane_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        (self.class.capacity() * size_of::<Option<RouteClass>>()
+            + self.next.capacity() * size_of::<NetworkId>()
+            + self.dist.capacity() * size_of::<u32>()) as u64
+    }
+}
+
+/// Prints the materialized routes, one `Option<RouteInfo>` per AS — the
+/// text of the `Vec<Option<RouteInfo>>` the tree replaces.
+impl std::fmt::Debug for RouteTree {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        /// One routed AS, printed as its `RouteInfo`.
+        struct Route<'a>(RouteClass, Hops<'a>);
+        impl std::fmt::Debug for Route<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_struct("RouteInfo")
+                    .field("class", &self.0)
+                    .field("path", &self.1)
+                    .finish()
+            }
+        }
+        f.debug_list()
+            .entries((0..self.class.len() as u32).map(|v| {
+                let v = NetworkId(v);
+                Some(Route(self.class(v)?, self.path(v)?))
+            }))
+            .finish()
+    }
+}
+
+/// The hops of one route, walked along the next-hop tree toward the
+/// origin (see [`RouteTree::path`]). `Debug` prints the remaining hops as
+/// a list.
+#[derive(Clone)]
+pub struct Hops<'a> {
+    tree: &'a RouteTree,
+    at: NetworkId,
+}
+
+impl Iterator for Hops<'_> {
+    type Item = NetworkId;
+
+    fn next(&mut self) -> Option<NetworkId> {
+        let h = self.tree.next_hop(self.at)?;
+        self.at = h;
+        Some(h)
+    }
+}
+
+impl std::fmt::Debug for Hops<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
+    }
+}
+
 /// Relationship step along a path, for valley-freeness checking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Step {
@@ -138,8 +250,8 @@ mod tests {
         let orgs = (0..4)
             .map(|i| Org {
                 id: OrgId(i),
-                name: format!("o{i}"),
-                networks: vec![NetworkId(i)],
+                first: NetworkId(i),
+                count: 1,
             })
             .collect();
         let edges = vec![
@@ -190,6 +302,22 @@ mod tests {
         assert!(!is_valley_free(&t, &[n(0), n(1), n(3)]));
         // Non-adjacent pair: invalid.
         assert!(!is_valley_free(&t, &[n(2), n(3)]));
+    }
+
+    #[test]
+    fn tree_debug_prints_the_materialized_routes() {
+        let t = chain();
+        let tree = crate::propagate(&t, NetworkId(2));
+        let routes: Vec<Option<RouteInfo>> = t.ids().map(|v| tree.route(v)).collect();
+        assert_eq!(format!("{tree:?}"), format!("{routes:?}"));
+        assert_eq!(format!("{tree:#?}"), format!("{routes:#?}"));
+        assert_eq!(
+            format!("{tree:?}"),
+            "[Some(RouteInfo { class: Customer, path: [NetworkId(1), NetworkId(2)] }), \
+             Some(RouteInfo { class: Customer, path: [NetworkId(2)] }), \
+             Some(RouteInfo { class: Origin, path: [] }), \
+             Some(RouteInfo { class: Peer, path: [NetworkId(1), NetworkId(2)] })]"
+        );
     }
 
     #[test]

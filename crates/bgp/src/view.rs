@@ -9,7 +9,7 @@
 //! path preserves valley-freeness).
 
 use crate::propagate::propagate;
-use crate::route::RouteInfo;
+use crate::route::RouteTree;
 use rp_topology::Topology;
 use rp_types::NetworkId;
 use serde::{Deserialize, Serialize};
@@ -28,11 +28,11 @@ pub enum GatewayClass {
 }
 
 /// The forwarding view of one vantage network over the whole topology.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct RoutingView {
     vantage: NetworkId,
-    /// Best route of every AS *toward* the vantage.
-    routes: Vec<Option<RouteInfo>>,
+    /// Best route of every AS *toward* the vantage, as a next-hop tree.
+    routes: RouteTree,
 }
 
 impl RoutingView {
@@ -54,38 +54,39 @@ impl RoutingView {
 
     /// True when `dest` has any route to/from the vantage.
     pub fn reachable(&self, dest: NetworkId) -> bool {
-        self.routes[dest.index()].is_some()
+        self.routes.class(dest).is_some()
+    }
+
+    /// The hops of `dest`'s route toward the vantage that precede the
+    /// vantage itself: `dest` first, the gateway last. `None` when
+    /// unreachable or when `dest` is the vantage.
+    fn hops_before_vantage(&self, dest: NetworkId) -> Option<impl Iterator<Item = NetworkId> + '_> {
+        if dest == self.vantage {
+            return None;
+        }
+        let path = self.routes.path(dest)?;
+        Some(std::iter::once(dest).chain(path.take_while(move |&h| h != self.vantage)))
     }
 
     /// The forward AS path from the vantage to `dest`, excluding the vantage
     /// itself and including `dest` as the final element. `None` when
     /// unreachable or when `dest` is the vantage.
     pub fn forward_path(&self, dest: NetworkId) -> Option<Vec<NetworkId>> {
-        if dest == self.vantage {
-            return None;
-        }
-        let r = self.routes[dest.index()].as_ref()?;
-        // r.path = [h1, ..., vantage] seen from dest; forward path from the
-        // vantage is the reverse with dest appended and vantage dropped.
-        let mut fwd: Vec<NetworkId> = Vec::with_capacity(r.path.len());
-        for &hop in r.path.iter().rev().skip(1) {
-            fwd.push(hop);
-        }
-        fwd.push(dest);
+        // The route seen from dest runs [dest, h1, ..., vantage]; the
+        // forward path is its reverse with the vantage dropped.
+        let mut fwd: Vec<NetworkId> = self.hops_before_vantage(dest)?.collect();
+        fwd.reverse();
         Some(fwd)
     }
 
     /// First hop from the vantage toward `dest`.
     pub fn gateway(&self, dest: NetworkId) -> Option<NetworkId> {
-        if dest == self.vantage {
-            return None;
-        }
-        let r = self.routes[dest.index()].as_ref()?;
-        Some(match r.path.len() {
-            0 => unreachable!("non-vantage route with empty path"),
-            1 => dest, // dest neighbors the vantage directly
-            k => r.path[k - 2],
-        })
+        self.hops_before_vantage(dest)?.last()
+    }
+
+    /// Heap bytes held by the view, by capacity.
+    pub fn plane_bytes(&self) -> u64 {
+        self.routes.plane_bytes()
     }
 
     /// Relationship class of the first hop toward `dest`.
@@ -112,7 +113,18 @@ impl RoutingView {
 
     /// Hop count of the forward path (AS hops from vantage to `dest`).
     pub fn path_len(&self, dest: NetworkId) -> Option<usize> {
-        self.routes[dest.index()].as_ref().map(|r| r.len())
+        self.routes.path_len(dest)
+    }
+}
+
+/// Prints the text the former `Vec<Option<RouteInfo>>` field derived, so
+/// `Debug`-text fingerprints of a view are unchanged by the tree layout.
+impl std::fmt::Debug for RoutingView {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RoutingView")
+            .field("vantage", &self.vantage)
+            .field("routes", &self.routes)
+            .finish()
     }
 }
 
@@ -176,6 +188,25 @@ mod tests {
             "only {transit_count}/{} via transit",
             topo.len()
         );
+    }
+
+    #[test]
+    fn debug_text_equals_the_former_derived_text() {
+        /// The view as it was laid out before the next-hop tree, with its
+        /// derived `Debug`.
+        #[derive(Debug)]
+        #[allow(dead_code)] // read only through `Debug`
+        struct RoutingView {
+            vantage: NetworkId,
+            routes: Vec<Option<crate::RouteInfo>>,
+        }
+        let (topo, view) = nren_view();
+        let tree = propagate(&topo, view.vantage());
+        let former = RoutingView {
+            vantage: view.vantage(),
+            routes: topo.ids().map(|v| tree.route(v)).collect(),
+        };
+        assert_eq!(format!("{view:?}"), format!("{former:?}"));
     }
 
     #[test]

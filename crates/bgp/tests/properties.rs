@@ -15,7 +15,7 @@ proptest! {
         let fast = propagate(&topo, origin);
         let slow = propagate_iterative(&topo, origin);
         for id in topo.ids() {
-            match (&fast[id.index()], &slow[id.index()]) {
+            match (fast.route(id), &slow[id.index()]) {
                 (Some(f), Some(s)) => {
                     prop_assert_eq!(f.class, s.class);
                     prop_assert_eq!(f.len(), s.len());
@@ -33,7 +33,7 @@ proptest! {
         let origin = NetworkId((origin_pick % topo.len()) as u32);
         let routes = propagate(&topo, origin);
         for id in topo.ids() {
-            let Some(r) = &routes[id.index()] else { continue };
+            let Some(r) = routes.route(id) else { continue };
             if id == origin {
                 prop_assert_eq!(r.class, RouteClass::Origin);
                 continue;
@@ -70,6 +70,27 @@ proptest! {
                 (None, None, None) => {}
                 other => prop_assert!(false, "inconsistent view at {dest}: {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn view_walks_the_paths_message_passing_materializes(seed in any::<u64>(), vantage_pick in 0usize..50) {
+        let topo = generate(&TopologyConfig::test_scale(seed));
+        let vantage = NetworkId((vantage_pick % topo.len()) as u32);
+        let view = RoutingView::new(&topo, vantage);
+        let slow = propagate_iterative(&topo, vantage);
+        for dest in topo.ids() {
+            let route = slow[dest.index()].as_ref();
+            // The forward path is the route toward the vantage reversed,
+            // the vantage dropped and `dest` appended.
+            let expected = route.filter(|_| dest != vantage).map(|r| {
+                let mut fwd: Vec<NetworkId> = r.path.iter().rev().skip(1).copied().collect();
+                fwd.push(dest);
+                fwd
+            });
+            prop_assert_eq!(view.gateway(dest), expected.as_ref().map(|f| f[0]), "gateway of {}", dest);
+            prop_assert_eq!(view.forward_path(dest), expected, "forward path to {}", dest);
+            prop_assert_eq!(view.path_len(dest), route.map(|r| r.len()), "path length to {}", dest);
         }
     }
 }

@@ -79,14 +79,18 @@ pub struct IxpRun {
     /// drain ([`Network::host_record_bytes`]): one record per planned
     /// ping, the in-flight tables and the ARP state, by capacity.
     pub host_bytes: u64,
+    /// Heap bytes of the network's devices and wiring after the drain
+    /// ([`Network::device_bytes`]): port lists, link metadata and jitter
+    /// streams, the ARP owner table, switch MAC tables and router state.
+    pub device_bytes: u64,
 }
 
 impl IxpRun {
     /// Everything the run held at its high-water mark that the estimate
     /// [`Campaign::approx_probe_bytes`] must cover: queue and arena, host
-    /// records, and the finished probe plane.
+    /// records, devices and wiring, and the finished probe plane.
     pub fn held_bytes(&self) -> u64 {
-        self.retained_bytes + self.host_bytes + self.plane.plane_bytes()
+        self.retained_bytes + self.host_bytes + self.device_bytes + self.plane.plane_bytes()
     }
 }
 
@@ -186,19 +190,18 @@ impl Campaign {
     /// Conservative peak-bytes estimate for probing one IXP: what
     /// [`IxpRun::held_bytes`] counts — the simulator's high-water
     /// event-queue and frame-arena capacity, the hosts' probe records,
-    /// and the finished probe plane. Used only to size
-    /// [`Campaign::probe_all`] chunks, so it must scale with the member
-    /// count and never undershoot, not be exact.
+    /// the network's devices and wiring, and the finished probe plane.
+    /// Used only to size [`Campaign::probe_all`] chunks, so it must scale
+    /// with the member count and never undershoot, not be exact.
     ///
     /// Calibrated on seed 42: the three largest paper-scale IXPs hold
-    /// 6.9–7.1 KB per member (estimate 2.5–2.6× the held bytes),
-    /// production AMS-IX (8,480 members) 6.4 KB and DE-CIX and LINX
-    /// 6.3 KB (2.6× each). The plan run, the host records and the probe
-    /// plane all grow with the member count; a larger world still needs
-    /// re-measuring (`tests/memory_budget.rs` pins paper scale). The
-    /// held bytes leave out the network's devices and wiring: production
-    /// AMS-IX raises the process high-water mark by 83 MiB against
-    /// 52 MiB held.
+    /// 7.8 KB per member (estimate 2.3× the held bytes), production
+    /// AMS-IX (8,480 members) 10.5 KB (1.57×) and DE-CIX and LINX 9.5 KB
+    /// (1.75× each). Production AMS-IX holds 84.9 MiB against 82.5 MiB of
+    /// process high-water growth. The per-member cost rises with fabric
+    /// size because every switch's MAC table is indexed by the network's
+    /// highest MAC index, so a larger world needs re-measuring
+    /// (`tests/memory_budget.rs` pins paper scale).
     pub fn approx_probe_bytes(inst: &IxpInstance) -> u64 {
         (1 << 20) + inst.members.len() as u64 * 16_384
     }
@@ -495,6 +498,7 @@ impl Campaign {
             events,
             retained_bytes: net.retained_bytes(),
             host_bytes: net.host_record_bytes(),
+            device_bytes: net.device_bytes(),
         }
     }
 

@@ -248,15 +248,16 @@ impl World {
             add_direct_member(&mut scene, espanix, t1);
         }
 
+        // The study network's pre-existing peerings, added as one batch
+        // (add_peerings skips the vantage's own transit providers and
+        // anything already connected, earlier pairs of the batch included).
         // GÉANT: settlement-free peering with every other NREN.
-        let nrens: Vec<NetworkId> = topology
+        let mut peerings: Vec<(NetworkId, NetworkId)> = topology
             .of_type(AsType::Nren)
             .map(|a| a.id)
             .filter(|&id| id != vantage)
+            .map(|nren| (vantage, nren))
             .collect();
-        for nren in nrens {
-            topology.add_peering(vantage, nren);
-        }
 
         // Major-CDN peerings.
         let cdn_peers: Vec<NetworkId> = topology
@@ -264,20 +265,18 @@ impl World {
             .map(|a| a.id)
             .take(cfg.cdn_peerings)
             .collect();
-        for &cdn in &cdn_peers {
-            topology.add_peering(vantage, cdn);
-        }
+        peerings.extend(cdn_peers.iter().map(|&cdn| (vantage, cdn)));
 
         // Route-server peerings with open-policy co-members at the home
-        // IXPs (add_peering skips the vantage's own transit providers and
-        // anything already connected).
+        // IXPs.
         for &ixp in &home_ixps {
             for member in scene.ixp(ixp).member_network_ids() {
                 if member != vantage && topology.node(member).policy == PeeringPolicy::Open {
-                    topology.add_peering(vantage, member);
+                    peerings.push((vantage, member));
                 }
             }
         }
+        topology.add_peerings(&peerings);
 
         // The registry crawl is independent of the routing computation, so
         // the two run on separate workers; both only read the finished
@@ -350,23 +349,45 @@ impl World {
         self.scene.studied().map(|x| x.id).collect()
     }
 
-    /// Estimate of this world's resident size, for the memo pool's byte
-    /// budget ([`crate::memo::configure_world_pool`]) and the probe
-    /// chunking of [`crate::Campaign::probe_all`].
-    ///
-    /// The dense per-interface planes — the scene's member rows and the
-    /// registry's listing rows, which dominate at production scale — are
-    /// accounted *exactly* from their allocations' capacities. The
-    /// AS-proportional planes (topology rows, routing view, traffic
-    /// contributions) keep a flat per-AS weight: they are bounded by the
-    /// same knob the builders scale with and stay a minority share of a
-    /// large world.
+    /// This world's resident size, for the memo pool's byte budget
+    /// ([`crate::memo::configure_world_pool`]): the sum of
+    /// [`World::plane_bytes`] plus the `World` itself.
     pub fn approx_bytes(&self) -> u64 {
-        let ases = self.topology.len() as u64;
-        std::mem::size_of::<World>() as u64
-            + ases * 700
-            + self.scene.plane_bytes()
-            + self.registry.plane_bytes()
+        std::mem::size_of::<World>() as u64 + self.plane_bytes().total()
+    }
+
+    /// Heap bytes of each of the world's planes, exact from their
+    /// allocations' capacities.
+    pub fn plane_bytes(&self) -> PlaneBytes {
+        PlaneBytes {
+            topology: self.topology.plane_bytes(),
+            scene: self.scene.plane_bytes(),
+            registry: self.registry.plane_bytes(),
+            view: self.view.plane_bytes(),
+            contributions: self.contributions.plane_bytes(),
+        }
+    }
+}
+
+/// Heap bytes per plane of a built [`World`] (see [`World::plane_bytes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlaneBytes {
+    /// ASes, organizations, edges and the CSR adjacency.
+    pub topology: u64,
+    /// IXP member rows and site lists.
+    pub scene: u64,
+    /// The registry's listing rows.
+    pub registry: u64,
+    /// The vantage's next-hop routing tree.
+    pub view: u64,
+    /// Per-network inbound and outbound transit contributions.
+    pub contributions: u64,
+}
+
+impl PlaneBytes {
+    /// Sum over the planes.
+    pub fn total(&self) -> u64 {
+        self.topology + self.scene + self.registry + self.view + self.contributions
     }
 }
 

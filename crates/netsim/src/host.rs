@@ -135,7 +135,7 @@ impl PingOutcome {
 }
 
 /// Sentinel for "no in-flight probe with this sequence number".
-const NOT_INFLIGHT: usize = usize::MAX;
+const NOT_INFLIGHT: u32 = u32::MAX;
 
 /// Looking-glass host state.
 ///
@@ -157,8 +157,8 @@ pub struct Host {
     awaiting_arp: Vec<(Ipv4Addr, Vec<usize>)>,
     /// In-flight echo requests: plan index per sequence number
     /// ([`NOT_INFLIGHT`] marks free slots). Grows to the number of probes
-    /// actually sent.
-    inflight: Vec<usize>,
+    /// actually sent, at most one slot per 16-bit sequence number.
+    inflight: Vec<u32>,
     next_seq: u16,
 }
 
@@ -227,7 +227,7 @@ impl Host {
         use std::mem::size_of;
         let waiting: usize = self.awaiting_arp.iter().map(|(_, w)| w.capacity()).sum();
         (self.outcomes.capacity() * size_of::<PingOutcome>()
-            + self.inflight.capacity() * size_of::<usize>()
+            + self.inflight.capacity() * size_of::<u32>()
             + self.awaiting_arp.capacity() * size_of::<(Ipv4Addr, Vec<usize>)>()
             + waiting * size_of::<usize>()
             + self.arp_cache.capacity() * size_of::<(Ipv4Addr, MacAddr)>()) as u64
@@ -267,7 +267,10 @@ impl Host {
         if slot >= self.inflight.len() {
             self.inflight.resize(slot + 1, NOT_INFLIGHT);
         }
-        self.inflight[slot] = plan_idx;
+        self.inflight[slot] = u32::try_from(plan_idx)
+            .ok()
+            .filter(|&idx| idx != NOT_INFLIGHT)
+            .expect("plan index fits the u32 in-flight table");
         seq
     }
 
@@ -275,7 +278,7 @@ impl Host {
     fn untrack_inflight(&mut self, seq: u16) -> Option<usize> {
         let slot = self.inflight.get_mut(seq as usize)?;
         let plan_idx = std::mem::replace(slot, NOT_INFLIGHT);
-        (plan_idx != NOT_INFLIGHT).then_some(plan_idx)
+        (plan_idx != NOT_INFLIGHT).then_some(plan_idx as usize)
     }
 
     /// Send plan `plan_idx`'s echo request to `mac_target`, the MAC the
@@ -595,5 +598,26 @@ mod tests {
                 kind: ReplyKind::TimeExceeded,
             })
         );
+    }
+
+    #[test]
+    fn inflight_sequence_numbers_wrap_at_16_bits() {
+        let mut h = Host::new(7);
+        for plan in 0..70_000usize {
+            assert_eq!(h.track_inflight(plan), plan as u16);
+        }
+        // One slot per sequence number; later probes reuse earlier slots.
+        assert_eq!(h.inflight.len(), 1 << 16);
+        assert_eq!(h.untrack_inflight(0), Some(65_536));
+        assert_eq!(h.untrack_inflight(0), None);
+        assert_eq!(h.untrack_inflight(4_463), Some(69_999));
+        assert_eq!(h.untrack_inflight(4_464), Some(4_464));
+        assert_eq!(h.record_bytes(), (h.inflight.capacity() * 4) as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "plan index fits the u32 in-flight table")]
+    fn plan_index_past_u32_panics_instead_of_aliasing_a_free_slot() {
+        Host::new(7).track_inflight(u32::MAX as usize);
     }
 }

@@ -123,6 +123,11 @@ impl DelayModel {
         }
         extra_ms
     }
+
+    /// Heap bytes of the episode list, by capacity.
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        (self.persistent_episodes.capacity() * std::mem::size_of::<CongestionEpisode>()) as u64
+    }
 }
 
 #[cfg(test)]

@@ -407,6 +407,20 @@ impl Router {
         self.on_frame_into(now, port, frame, rng, &mut out);
         out
     }
+
+    /// Heap bytes of the router's state, by capacity: interfaces, proxy-ARP
+    /// lists, routes, the ARP cache and the packets awaiting ARP.
+    pub(crate) fn state_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let waiting: usize = self.pending.iter().map(|(_, q)| q.capacity()).sum();
+        (self.ifaces.capacity() * size_of::<Iface>()
+            + self.proxy_arp.capacity() * size_of::<(PortId, Ipv4Addr)>()
+            + self.proxy_arp_all.capacity() * size_of::<PortId>()
+            + self.routes.capacity() * size_of::<RouteEntry>()
+            + self.arp_cache.capacity() * size_of::<((PortId, Ipv4Addr), MacAddr)>()
+            + self.pending.capacity() * size_of::<((PortId, Ipv4Addr), Vec<Ipv4Packet>)>()
+            + waiting * size_of::<Ipv4Packet>()) as u64
+    }
 }
 
 #[cfg(test)]

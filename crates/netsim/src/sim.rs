@@ -581,6 +581,37 @@ impl Network {
             .sum()
     }
 
+    /// Exact heap bytes of the network's devices and wiring, by capacity:
+    /// the per-node port lists, the link metadata and the per-direction
+    /// jitter streams, the ARP owner table, the device table with every
+    /// switch's MAC table and every router's state, and the per-device
+    /// counters. The hosts' probe state is [`Network::host_record_bytes`].
+    pub fn device_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let e = &self.engine;
+        let ports: usize = self.ports.iter().map(Vec::capacity).sum();
+        let links: u64 = self.links.iter().map(|l| l.delay.heap_bytes()).sum();
+        let devices: u64 = e
+            .devices
+            .iter()
+            .map(|d| match d {
+                Device::Switch(s) => s.table_bytes(),
+                Device::Router(r) => r.state_bytes(),
+                Device::Host(_) => 0,
+            })
+            .sum();
+        (self.ports.capacity() * size_of::<Vec<Attachment>>()
+            + ports * size_of::<Attachment>()
+            + self.links.capacity() * size_of::<LinkMeta>()
+            + e.jitter.capacity() * size_of::<Option<StdRng>>()
+            + e.devices.capacity() * size_of::<Device>()
+            + (e.seqs.capacity() + e.rx.capacity()) * size_of::<u64>()
+            + e.scratch.capacity() * size_of::<Action>()) as u64
+            + links
+            + devices
+            + self.owners.as_ref().map_or(0, OwnerTable::bytes)
+    }
+
     /// Install a fault injector; every subsequent frame transmission
     /// consults it. Replaces any previously installed injector.
     pub fn install_faults(&mut self, injector: FaultInjector) {

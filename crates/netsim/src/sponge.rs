@@ -213,6 +213,17 @@ impl OwnerTable {
         }
         (me.up != NONE).then_some(PortId(me.up as u16))
     }
+
+    /// Heap bytes of the table, by capacity. The owner map counts each
+    /// slot as its key, its value and one control byte.
+    pub(crate) fn bytes(&self) -> u64 {
+        use std::mem::size_of;
+        type Owner = ((u32, u32), (u32, PortId, NodeId, PortId));
+        (self.slot.capacity() * size_of::<u32>()
+            + self.pos.capacity() * size_of::<TreePos>()
+            + self.down.capacity() * size_of::<(u32, PortId)>()
+            + self.owners.capacity() * (size_of::<Owner>() + 1)) as u64
+    }
 }
 
 #[cfg(test)]

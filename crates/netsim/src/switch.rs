@@ -116,6 +116,13 @@ impl Switch {
     pub fn learned(&self) -> usize {
         self.by_index.iter().filter(|&&p| p != UNLEARNED).count() + self.other.len()
     }
+
+    /// Heap bytes of the MAC table, by capacity.
+    pub(crate) fn table_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        (self.by_index.capacity() * size_of::<u16>()
+            + self.other.capacity() * size_of::<(MacAddr, PortId)>()) as u64
+    }
 }
 
 #[cfg(test)]

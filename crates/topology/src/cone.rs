@@ -178,8 +178,8 @@ mod tests {
         let orgs = (0..4)
             .map(|i| Org {
                 id: OrgId(i),
-                name: format!("o{i}"),
-                networks: vec![NetworkId(i)],
+                first: NetworkId(i),
+                count: 1,
             })
             .collect();
         let e = |a: u32, b: u32| Edge {

@@ -569,27 +569,27 @@ pub fn generate(cfg: &TopologyConfig) -> Topology {
     let mut i = 0usize;
     while i < n {
         let org_id = OrgId(orgs.len() as u32);
-        let mut networks = vec![NetworkId(i as u32)];
-        ases[i].org = org_id;
         let kind = ases[i].kind;
+        let mut count = 1;
         if coin(&mut rng, cfg.multi_asn_org_fraction) {
             let extra = 1 + rng.random_range(0..3usize);
             for _ in 0..extra {
-                let j = i + networks.len();
-                if j < n && ases[j].kind == kind {
-                    ases[j].org = org_id;
-                    networks.push(NetworkId(j as u32));
+                if i + count < n && ases[i + count].kind == kind {
+                    count += 1;
                 } else {
                     break;
                 }
             }
         }
-        i += networks.len();
+        for a in &mut ases[i..i + count] {
+            a.org = org_id;
+        }
         orgs.push(Org {
             id: org_id,
-            name: format!("org-{}", org_id.0),
-            networks,
+            first: NetworkId(i as u32),
+            count: count as u32,
         });
+        i += count;
     }
 
     let topo = Topology::assemble(ases, orgs, edges);
@@ -697,7 +697,7 @@ mod tests {
     #[test]
     fn some_orgs_own_multiple_asns() {
         let topo = generate(&TopologyConfig::test_scale(9));
-        let multi = topo.orgs.iter().filter(|o| o.networks.len() > 1).count();
+        let multi = topo.orgs.iter().filter(|o| o.count > 1).count();
         assert!(multi > 0);
         // And the overwhelming majority stay single-ASN.
         assert!(multi * 5 < topo.orgs.len());

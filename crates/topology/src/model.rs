@@ -102,14 +102,55 @@ pub struct Edge {
 }
 
 /// An organization owning one or more ASNs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// The generator gives each organization consecutive networks, so an org
+/// is its id plus the range `first .. first + count` of the networks it
+/// owns. Its display name `org-N` is derived from the id when printed.
+#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Org {
     /// Organization id (dense index).
     pub id: OrgId,
+    /// First network owned by this organization.
+    pub first: NetworkId,
+    /// Number of networks owned, at least one.
+    pub count: u32,
+}
+
+impl Org {
     /// Display name.
-    pub name: String,
-    /// Networks owned by this organization.
-    pub networks: Vec<NetworkId>,
+    pub fn name(&self) -> String {
+        format!("org-{}", self.id.0)
+    }
+
+    /// Networks owned by this organization, in id order.
+    pub fn networks(&self) -> impl Iterator<Item = NetworkId> + Clone {
+        (self.first.0..self.first.0 + self.count).map(NetworkId)
+    }
+}
+
+/// Prints the text the former stored-name, `Vec`-of-networks `Org`
+/// derived: `Org { id: .., name: "org-N", networks: [..] }`.
+impl fmt::Debug for Org {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Org")
+            .field("id", &self.id)
+            .field("name", &self.name())
+            .field("networks", &List(self.networks()))
+            .finish()
+    }
+}
+
+/// `Debug` for a cloneable iterator: its items as a list.
+struct List<I>(I);
+
+impl<I> fmt::Debug for List<I>
+where
+    I: Iterator + Clone,
+    I::Item: fmt::Debug,
+{
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.0.clone()).finish()
+    }
 }
 
 /// One autonomous system.
@@ -146,8 +187,11 @@ pub struct AsNode {
 ///
 /// Adjacency is stored twice (edge list + per-AS lists) because BGP wants
 /// per-AS neighbor iteration while serialization and invariant checks want
-/// the flat list.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// the flat list. The per-AS lists live in one compressed sparse row
+/// layout: AS `i`'s providers, customers and peers are consecutive runs of
+/// one flat neighbor array, bounded by `offsets[3i..=3i + 3]`. Each list
+/// keeps edge-list order.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Topology {
     /// All autonomous systems, indexed by [`NetworkId`].
     pub ases: Vec<AsNode>,
@@ -155,44 +199,90 @@ pub struct Topology {
     pub orgs: Vec<Org>,
     /// Flat edge list (each AS pair appears at most once).
     pub edges: Vec<Edge>,
-    providers: Vec<Vec<NetworkId>>,
-    customers: Vec<Vec<NetworkId>>,
-    peers: Vec<Vec<NetworkId>>,
+    /// Row bounds into `neighbors`: `3 * len() + 1` entries.
+    offsets: Vec<u32>,
+    /// Every AS's providers, customers and peers, row after row.
+    neighbors: Vec<NetworkId>,
+}
+
+/// Row of a network's providers within its three CSR rows.
+const PROVIDERS: usize = 0;
+/// Row of a network's customers.
+const CUSTOMERS: usize = 1;
+/// Row of a network's settlement-free peers.
+const PEERS: usize = 2;
+
+/// Build the CSR adjacency of `n` networks from `edges`: count each row,
+/// prefix-sum the counts into offsets, then place every neighbor in edge
+/// order. Panics if an edge references an unknown AS.
+fn adjacency(n: usize, edges: &[Edge]) -> (Vec<u32>, Vec<NetworkId>) {
+    // The two (row, neighbor) entries an edge contributes.
+    let entries = |e: &Edge| match e.rel {
+        Relationship::ProviderOf => [
+            (3 * e.a.index() + CUSTOMERS, e.b),
+            (3 * e.b.index() + PROVIDERS, e.a),
+        ],
+        Relationship::PeerOf => [
+            (3 * e.a.index() + PEERS, e.b),
+            (3 * e.b.index() + PEERS, e.a),
+        ],
+    };
+    let mut offsets = vec![0u32; 3 * n + 1];
+    for e in edges {
+        assert!(
+            e.a.index() < n && e.b.index() < n,
+            "edge references unknown AS"
+        );
+        for (row, _) in entries(e) {
+            offsets[row + 1] += 1;
+        }
+    }
+    for row in 1..offsets.len() {
+        offsets[row] += offsets[row - 1];
+    }
+    let total = u32::try_from(2 * edges.len()).expect("adjacency fits u32 offsets");
+    debug_assert_eq!(offsets[3 * n], total);
+    let mut cursor = offsets[..3 * n].to_vec();
+    let mut neighbors = vec![NetworkId(0); total as usize];
+    for e in edges {
+        for (row, nb) in entries(e) {
+            neighbors[cursor[row] as usize] = nb;
+            cursor[row] += 1;
+        }
+    }
+    (offsets, neighbors)
 }
 
 impl Topology {
     /// Assemble a topology from nodes, orgs, and edges, building the per-AS
     /// adjacency lists. Panics if an edge references an unknown AS; the
     /// generator is the only intended caller.
-    pub fn assemble(ases: Vec<AsNode>, orgs: Vec<Org>, edges: Vec<Edge>) -> Self {
-        let n = ases.len();
-        let mut providers = vec![Vec::new(); n];
-        let mut customers = vec![Vec::new(); n];
-        let mut peers = vec![Vec::new(); n];
-        for e in &edges {
-            assert!(
-                e.a.index() < n && e.b.index() < n,
-                "edge references unknown AS"
-            );
-            match e.rel {
-                Relationship::ProviderOf => {
-                    customers[e.a.index()].push(e.b);
-                    providers[e.b.index()].push(e.a);
-                }
-                Relationship::PeerOf => {
-                    peers[e.a.index()].push(e.b);
-                    peers[e.b.index()].push(e.a);
-                }
-            }
-        }
+    pub fn assemble(ases: Vec<AsNode>, mut orgs: Vec<Org>, mut edges: Vec<Edge>) -> Self {
+        orgs.shrink_to_fit();
+        edges.shrink_to_fit();
+        let (offsets, neighbors) = adjacency(ases.len(), &edges);
         Topology {
             ases,
             orgs,
             edges,
-            providers,
-            customers,
-            peers,
+            offsets,
+            neighbors,
         }
+    }
+
+    /// One of `id`'s three adjacency rows.
+    #[inline]
+    fn row(&self, id: NetworkId, which: usize) -> &[NetworkId] {
+        let r = 3 * id.index() + which;
+        &self.neighbors[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+    }
+
+    /// Every neighbor of `id` of any relationship: its providers,
+    /// customers and peers, in that order.
+    #[inline]
+    fn adjacent(&self, id: NetworkId) -> &[NetworkId] {
+        let r = 3 * id.index();
+        &self.neighbors[self.offsets[r] as usize..self.offsets[r + 3] as usize]
     }
 
     /// Number of ASes.
@@ -216,23 +306,23 @@ impl Topology {
     /// Transit providers of `id`.
     #[inline]
     pub fn providers(&self, id: NetworkId) -> &[NetworkId] {
-        &self.providers[id.index()]
+        self.row(id, PROVIDERS)
     }
 
     /// Transit customers of `id`.
     #[inline]
     pub fn customers(&self, id: NetworkId) -> &[NetworkId] {
-        &self.customers[id.index()]
+        self.row(id, CUSTOMERS)
     }
 
     /// Settlement-free peers of `id`.
     #[inline]
     pub fn peers(&self, id: NetworkId) -> &[NetworkId] {
-        &self.peers[id.index()]
+        self.row(id, PEERS)
     }
 
     /// Iterate over all network ids.
-    pub fn ids(&self) -> impl Iterator<Item = NetworkId> + '_ {
+    pub fn ids(&self) -> impl Iterator<Item = NetworkId> + Clone + '_ {
         (0..self.ases.len() as u32).map(NetworkId)
     }
 
@@ -290,7 +380,7 @@ impl Topology {
         }
         // Org back-references are consistent.
         for org in &self.orgs {
-            for &n in &org.networks {
+            for n in org.networks() {
                 if self.node(n).org != org.id {
                     problems.push(format!("org {} lists {} which points elsewhere", org.id, n));
                 }
@@ -334,31 +424,72 @@ impl Topology {
     ///
     /// Returns `false` (and changes nothing) when the pair already holds a
     /// relationship of any kind or when `a == b` — an AS pair carries at
-    /// most one relationship. Used by scenario builders to wire a study
-    /// network's pre-existing peerings (home-IXP members, CDNs, backbone
-    /// partners) into a generated topology.
+    /// most one relationship. A one-pair [`Topology::add_peerings`].
     pub fn add_peering(&mut self, a: NetworkId, b: NetworkId) -> bool {
-        if a == b
-            || self.providers(a).contains(&b)
-            || self.customers(a).contains(&b)
-            || self.peers(a).contains(&b)
-        {
-            return false;
+        self.add_peerings(&[(a, b)]) == 1
+    }
+
+    /// Add settlement-free peering edges for `pairs`, in order, under
+    /// [`Topology::add_peering`]'s rules: a pair is skipped when `a == b`
+    /// or when the two already hold a relationship, one added earlier in
+    /// the same batch included. The adjacency is rebuilt once. Returns how
+    /// many pairs were added; they are the last edges of the edge list.
+    /// Used by scenario builders to wire a study network's pre-existing
+    /// peerings (home-IXP members, CDNs, backbone partners) into a
+    /// generated topology.
+    pub fn add_peerings(&mut self, pairs: &[(NetworkId, NetworkId)]) -> usize {
+        let before = self.edges.len();
+        let mut added = std::collections::HashSet::new();
+        for &(a, b) in pairs {
+            if a == b || self.adjacent(a).contains(&b) || !added.insert((a.min(b), a.max(b))) {
+                continue;
+            }
+            self.edges.push(Edge {
+                a,
+                b,
+                rel: Relationship::PeerOf,
+            });
         }
-        self.edges.push(Edge {
-            a,
-            b,
-            rel: Relationship::PeerOf,
-        });
-        self.peers[a.index()].push(b);
-        self.peers[b.index()].push(a);
-        true
+        let count = self.edges.len() - before;
+        if count > 0 {
+            self.edges.shrink_to_fit();
+            (self.offsets, self.neighbors) = adjacency(self.ases.len(), &self.edges);
+        }
+        count
+    }
+
+    /// Heap bytes held by the topology, by capacity: the AS rows, the
+    /// organizations, the edge list and the CSR adjacency.
+    pub fn plane_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        (self.ases.capacity() * size_of::<AsNode>()
+            + self.orgs.capacity() * size_of::<Org>()
+            + self.edges.capacity() * size_of::<Edge>()
+            + self.offsets.capacity() * size_of::<u32>()
+            + self.neighbors.capacity() * size_of::<NetworkId>()) as u64
     }
 
     /// Relocate a network's home city (scenario builders pin the study
     /// network to its real location).
     pub fn set_home_city(&mut self, id: NetworkId, city_index: u16) {
         self.ases[id.index()].home_city = city_index;
+    }
+}
+
+/// Prints the text the former `Vec<Vec<NetworkId>>`-per-relationship
+/// layout derived, field for field, so `Debug`-text fingerprints of a
+/// topology are unchanged by the flat layout.
+impl fmt::Debug for Topology {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rows = |which| List(self.ids().map(move |id| self.row(id, which)));
+        f.debug_struct("Topology")
+            .field("ases", &self.ases)
+            .field("orgs", &self.orgs)
+            .field("edges", &self.edges)
+            .field("providers", &rows(PROVIDERS))
+            .field("customers", &rows(CUSTOMERS))
+            .field("peers", &rows(PEERS))
+            .finish()
     }
 }
 
@@ -388,8 +519,8 @@ mod tests {
         let orgs = (0..4)
             .map(|i| Org {
                 id: OrgId(i),
-                name: format!("org{i}"),
-                networks: vec![NetworkId(i)],
+                first: NetworkId(i),
+                count: 1,
             })
             .collect();
         let edges = vec![
@@ -425,6 +556,62 @@ mod tests {
         assert_eq!(t.peers(NetworkId(1)), &[NetworkId(3)]);
         assert_eq!(t.peers(NetworkId(3)), &[NetworkId(1)]);
         assert!(t.peers(NetworkId(0)).is_empty());
+    }
+
+    /// `Topology` and `Org` as they were laid out before the CSR
+    /// adjacency and the org ranges, with their derived `Debug`.
+    #[allow(dead_code)] // read only through `Debug`
+    mod former {
+        use super::*;
+
+        #[derive(Debug)]
+        pub struct Org {
+            pub id: OrgId,
+            pub name: String,
+            pub networks: Vec<NetworkId>,
+        }
+
+        #[derive(Debug)]
+        pub struct Topology {
+            pub ases: Vec<AsNode>,
+            pub orgs: Vec<Org>,
+            pub edges: Vec<Edge>,
+            pub providers: Vec<Vec<NetworkId>>,
+            pub customers: Vec<Vec<NetworkId>>,
+            pub peers: Vec<Vec<NetworkId>>,
+        }
+    }
+
+    #[test]
+    fn debug_text_equals_the_former_derived_text() {
+        let t = tiny();
+        let n = NetworkId;
+        let former = former::Topology {
+            ases: t.ases.clone(),
+            orgs: (0..4)
+                .map(|i| former::Org {
+                    id: OrgId(i),
+                    name: format!("org-{i}"),
+                    networks: vec![n(i)],
+                })
+                .collect(),
+            edges: t.edges.clone(),
+            providers: vec![vec![], vec![n(0)], vec![n(1)], vec![n(0)]],
+            customers: vec![vec![n(1), n(3)], vec![n(2)], vec![], vec![]],
+            peers: vec![vec![], vec![n(3)], vec![], vec![n(1)]],
+        };
+        assert_eq!(format!("{t:?}"), format!("{former:?}"));
+        assert_eq!(format!("{t:#?}"), format!("{former:#?}"));
+        let multi = Org {
+            id: OrgId(7),
+            first: n(10),
+            count: 3,
+        };
+        assert_eq!(
+            format!("{multi:?}"),
+            "Org { id: OrgId(7), name: \"org-7\", \
+             networks: [NetworkId(10), NetworkId(11), NetworkId(12)] }"
+        );
     }
 
     #[test]

@@ -76,6 +76,11 @@ pub struct Contributions {
 }
 
 impl Contributions {
+    /// Heap bytes held by the two per-network rate columns, by capacity.
+    pub fn plane_bytes(&self) -> u64 {
+        ((self.inbound.capacity() + self.outbound.capacity()) * std::mem::size_of::<Bps>()) as u64
+    }
+
     /// Total inbound transit traffic.
     pub fn total_inbound(&self) -> Bps {
         self.inbound.iter().copied().sum()

@@ -99,7 +99,7 @@ fn bgp_engines_agree_and_respect_topology_policies() {
         let fast = propagate(&topo, origin);
         let slow = propagate_iterative(&topo, origin);
         for id in topo.ids() {
-            match (&fast[id.index()], &slow[id.index()]) {
+            match (fast.route(id), &slow[id.index()]) {
                 (Some(f), Some(s)) => {
                     assert_eq!(f.class, s.class, "class at {id}");
                     assert_eq!(f.len(), s.len(), "length at {id}");

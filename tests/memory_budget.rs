@@ -56,8 +56,8 @@ fn approx_probe_bytes_covers_the_largest_paper_scale_ixps() {
     // The chunk width of a budgeted `probe_all` divides the budget by this
     // estimate, so it must not undershoot what one IXP really holds: the
     // simulator's high-water queue and arena capacity, the hosts' probe
-    // records, and the finished probe plane. Checked on the three largest
-    // studied IXPs.
+    // records, the network's devices and wiring, and the finished probe
+    // plane. Checked on the three largest studied IXPs.
     let world = World::build(&WorldConfig::paper_scale(42));
     let mut studied: Vec<_> = world.scene.studied().collect();
     studied.sort_by_key(|x| std::cmp::Reverse(x.members.len()));
@@ -65,16 +65,19 @@ fn approx_probe_bytes_covers_the_largest_paper_scale_ixps() {
     for inst in studied.into_iter().take(3) {
         let run = campaign.run_ixp(&world, inst.id, false);
         assert!(run.host_bytes > 0, "{}: no host records", inst.meta.acronym);
-        let held = run.retained_bytes + run.host_bytes + run.plane.plane_bytes();
+        assert!(run.device_bytes > 0, "{}: no devices", inst.meta.acronym);
+        let held = run.retained_bytes + run.host_bytes + run.device_bytes + run.plane.plane_bytes();
         assert_eq!(held, run.held_bytes());
         let estimate = Campaign::approx_probe_bytes(inst);
         assert!(
             estimate >= held,
             "{}: estimate {estimate} bytes < {held} held ({} in the queue and \
-             arena + {} of host records + {} of probe plane, {} members)",
+             arena + {} of host records + {} of devices and wiring + {} of \
+             probe plane, {} members)",
             inst.meta.acronym,
             run.retained_bytes,
             run.host_bytes,
+            run.device_bytes,
             run.plane.plane_bytes(),
             inst.members.len()
         );
